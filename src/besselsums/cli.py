@@ -16,7 +16,7 @@ import dataclasses
 import sys
 
 from besselsums import functions, hybrid
-from besselsums.plan import PlanError, Tolerances, default_plan_path, load_plan, run_plan
+from besselsums.plan import PlanError, default_plan_path, load_plan, run_plan
 from besselsums.report import FORMATS, emit_report
 from besselsums.rules import RULES
 from besselsums.series import SeriesEval
@@ -78,22 +78,16 @@ def _cmd_verify(opts) -> int:
             return 1
         plan = dataclasses.replace(plan, parallelism=opts.parallel)
     if opts.tol_abs is not None or opts.tol_rel is not None:
-        entries = []
-        for entry in plan.entries:
-            if entry.tolerances is None:
-                base = RULES[entry.rule_id].default_tolerances
-                entries.append(
-                    dataclasses.replace(
-                        entry,
-                        tolerances=Tolerances(
-                            tol_abs=opts.tol_abs if opts.tol_abs is not None else base.tol_abs,
-                            tol_rel=opts.tol_rel if opts.tol_rel is not None else base.tol_rel,
-                        ),
-                    )
-                )
-            else:
-                entries.append(entry)
-        plan = dataclasses.replace(plan, entries=tuple(entries))
+        try:  # every rule's merge, so a bad flag fails even when no entry uses it
+            merged = {r: s.tolerances(opts.tol_abs, opts.tol_rel) for r, s in RULES.items()}
+        except ValueError as exc:
+            print(f"error: --tol-abs/--tol-rel: {exc}", file=sys.stderr)
+            return 1
+        entries = tuple(
+            e if e.tolerances is not None else dataclasses.replace(e, tolerances=merged[e.rule_id])
+            for e in plan.entries
+        )
+        plan = dataclasses.replace(plan, entries=entries)
 
     report = run_plan(plan)
     try:

@@ -15,14 +15,18 @@ A plan is a json document::
 
 Every key outside "entries" is optional, as are the per-entry tolerance
 overrides.  Each entry expands to the cartesian product of its grid lists,
-validated against the rule's parameter schema before anything is evaluated.
+validated against the rule's parameter schema and domain check before
+anything is evaluated.  Grid values must be finite numbers (json's NaN and
+Infinity are rejected); tolerances must be finite and >= 0.
 ``parallelism`` 0 means one worker per cpu; 1 disables multiprocessing.
-The per-entry ``perturb_rhs`` (a float added to every right side) is a test
-hook for exercising the DISCREPANT paths.
+The per-entry ``perturb_rhs`` (a finite number added to every right side) is
+a test hook for exercising the DISCREPANT paths.  Every violation raises
+PlanError, which names the file or the entry at fault.
 """
 
 import itertools
 import math
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -39,6 +43,7 @@ from besselsums.rules import (
     Verdict,
     VerificationRecord,
     _errors,
+    _int_param,
     _judge,
 )
 from besselsums.series import SummationPolicy
@@ -86,9 +91,9 @@ def load_plan(path) -> VerificationPlan:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad json, bad utf-8, or an int beyond python's digit limit
             raise PlanError(f"{path}: not valid json: {exc}") from exc
-    if not isinstance(data, dict) or "entries" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
         raise PlanError(f"{path}: plan must be an object with an 'entries' list")
 
     policy_kwargs = data.get("policy", {})
@@ -97,18 +102,30 @@ def load_plan(path) -> VerificationPlan:
     except (TypeError, ValueError) as exc:
         raise PlanError(f"{path}: bad policy: {exc}") from exc
 
-    parallelism = data.get("parallelism", 1)
-    if parallelism != int(parallelism) or int(parallelism) < 0:
-        raise PlanError(f"{path}: parallelism must be a nonnegative integer")
+    try:
+        parallelism = _int_param(
+            "parallelism", _number("parallelism", data.get("parallelism", 1)), minimum=0
+        )
+    except ValueError as exc:
+        raise PlanError(f"{path}: {exc}") from exc
 
-    entries = []
-    for idx, raw in enumerate(data["entries"]):
-        entries.append(_load_entry(raw, idx))
-    return VerificationPlan(entries=tuple(entries), policy=policy, parallelism=int(parallelism))
+    entries = tuple(_load_entry(raw, idx) for idx, raw in enumerate(data["entries"]))
+    return VerificationPlan(entries=entries, policy=policy, parallelism=parallelism)
+
+
+def _number(what: str, value):
+    """``value`` if it is a finite json number, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} has non-numeric value {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, +-Infinity, or an int past float range
+        raise ValueError(f"{what} has non-finite value {value!r}")
+    return value
 
 
 def _load_entry(raw: dict, idx: int) -> PlanEntry:
     where = f"entry {idx}"
+    if not isinstance(raw, dict):
+        raise PlanError(f"{where}: must be an object, got {raw!r}")
     if "rule" not in raw:
         raise PlanError(f"{where}: missing 'rule'")
     try:
@@ -133,39 +150,31 @@ def _load_entry(raw: dict, idx: int) -> PlanEntry:
         values = grid[name]
         if not isinstance(values, list) or not values:
             raise PlanError(f"{where}: parameter {name!r} must be a nonempty list")
-        out = []
-        for v in values:
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise PlanError(f"{where}: parameter {name!r} has non-numeric value {v!r}")
+        what = f"parameter {name!r}"
+        try:
             if name in schema.integer_params:
-                if v != int(v):
-                    raise PlanError(f"{where}: parameter {name!r} must be integer, got {v!r}")
-                out.append(int(v))
+                clean[name] = [_int_param(name, _number(what, v)) for v in values]
             else:
-                out.append(float(v))
-        clean[name] = out
+                clean[name] = [float(_number(what, v)) for v in values]
+        except ValueError as exc:
+            raise PlanError(f"{where}: {exc}") from exc
 
-    tol = None
-    if "tol_abs" in raw or "tol_rel" in raw:
-        base = schema.default_tolerances
-        tol = Tolerances(
-            tol_abs=float(raw.get("tol_abs", base.tol_abs)),
-            tol_rel=float(raw.get("tol_rel", base.tol_rel)),
-        )
+    try:
+        tol = None
+        if "tol_abs" in raw or "tol_rel" in raw:
+            tol = schema.tolerances(raw.get("tol_abs"), raw.get("tol_rel"))
+        perturb = float(_number("perturb_rhs", raw.get("perturb_rhs", 0.0)))
+    except ValueError as exc:
+        raise PlanError(f"{where}: {exc}") from exc
 
-    entry = PlanEntry(
-        rule_id=rule_id,
-        grid=clean,
-        tolerances=tol,
-        perturb_rhs=float(raw.get("perturb_rhs", 0.0)),
-    )
+    entry = PlanEntry(rule_id=rule_id, grid=clean, tolerances=tol, perturb_rhs=perturb)
     if entry.case_count() > MAX_GRID_CASES:
         raise PlanError(f"{where}: grid has {entry.case_count()} cases (limit {MAX_GRID_CASES})")
 
     if schema.validate is not None:
         for params in entry.cases():
             try:
-                schema.validate(params)
+                schema.validate(**params)
             except ValueError as exc:
                 raise PlanError(f"{where}: grid point {params}: {exc}") from exc
     return entry

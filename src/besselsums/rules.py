@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 from besselsums import backend
 from besselsums.functions import bessel_j, hermite_m, laguerre2, tricomi_c
-from besselsums.gamma import binomial, stirling2
+from besselsums.gamma import EXACTNESS_BOUND, binomial, stirling2
 from besselsums.hybrid import h_tricomi, h_wright, hybrid_k, l_tricomi
 from besselsums.series import (
     DEFAULT_POLICY,
@@ -55,6 +55,11 @@ class Tolerances:
 
     tol_abs: float = 1e-9
     tol_rel: float = 1e-8
+
+    def __post_init__(self):
+        for name, value in (("tol_abs", self.tol_abs), ("tol_rel", self.tol_rel)):
+            if not (isinstance(value, (int, float)) and 0.0 <= value < math.inf):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -147,7 +152,7 @@ def _j(nu: float, x: float, policy: SummationPolicy) -> float:
 # generating-function rules
 
 
-def _validate_gen(nu, x, t):
+def _check_gen(nu, x, t):
     if not x > 0.0:
         raise ValueError(f"x must be positive, got x={x}")
     if not abs(2.0 * t) < x:
@@ -162,7 +167,7 @@ def rule_ascending_gen(
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> VerificationRecord:
     """sum_n t^n/n! J_{nu+n}(x)  =  (x/(x-2t))^(nu/2) J_nu(sqrt(x^2-2xt)),  |2t| < x."""
-    _validate_gen(nu, x, t)
+    _check_gen(nu, x, t)
     lhs = sum_series(lambda n: _taylor_weight(t, n) * _j(nu + n, x, policy), policy)
     rhs_j = bessel_j(nu, math.sqrt(x * x - 2.0 * x * t), policy)
     rhs = math.pow(x / (x - 2.0 * t), 0.5 * nu) * rhs_j.value
@@ -185,7 +190,7 @@ def rule_descending_gen(
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> VerificationRecord:
     """sum_n (-t)^n/n! J_{nu-n}(x)  =  ((x-2t)/x)^(nu/2) J_nu(sqrt(x^2-2xt)),  |2t| < x."""
-    _validate_gen(nu, x, t)
+    _check_gen(nu, x, t)
     lhs = sum_series(lambda n: _taylor_weight(-t, n) * _j(nu - n, x, policy), policy)
     rhs_j = bessel_j(nu, math.sqrt(x * x - 2.0 * x * t), policy)
     rhs = math.pow((x - 2.0 * t) / x, 0.5 * nu) * rhs_j.value
@@ -200,6 +205,10 @@ def rule_descending_gen(
     )
 
 
+def _check_multiple(m, x, t) -> int:
+    return _int_param("m", m, minimum=1)
+
+
 def rule_multiple_order(
     m: int,
     x: float,
@@ -209,7 +218,7 @@ def rule_multiple_order(
 ) -> VerificationRecord:
     """sum_n t^n/n! J_{mn}(x)  =  HC_0^(m)(x^2/4, (-x/2)^m t), the Hermite-based
     Tricomi function."""
-    m = _int_param("m", m, minimum=1)
+    m = _check_multiple(m, x, t)
     lhs = sum_series(lambda n: _taylor_weight(t, n) * _j(float(m * n), x, policy), policy)
     rhs = h_tricomi(0.0, m, x * x / 4.0, math.pow(-x / 2.0, m) * t, policy)
     return _record(
@@ -223,6 +232,13 @@ def rule_multiple_order(
     )
 
 
+def _check_fractional(m, x, t) -> int:
+    m = _int_param("m", m, minimum=1)
+    if not x > 0.0:
+        raise ValueError(f"fractional orders require x > 0, got x={x}")
+    return m
+
+
 def rule_fractional_order(
     m: int,
     x: float,
@@ -232,9 +248,7 @@ def rule_fractional_order(
 ) -> VerificationRecord:
     """sum_n t^n/n! J_{n/m}(x)  =  HW_0^(m)(t (x/2)^(1/m), -x^2/4 | 1/m), the
     Hermite-based Wright function."""
-    m = _int_param("m", m, minimum=1)
-    if not x > 0.0:
-        raise ValueError(f"fractional orders require x > 0, got x={x}")
+    m = _check_fractional(m, x, t)
     lhs = sum_series(lambda n: _taylor_weight(t, n) * _j(n / m, x, policy), policy)
     rhs = h_wright(0.0, m, 1.0 / m, t * math.pow(x / 2.0, 1.0 / m), -x * x / 4.0, policy)
     return _record(
@@ -296,6 +310,11 @@ def rule_bessel_laguerre(
     return rec
 
 
+def _check_laguerre_hermite(x, y, z, w, t):
+    if not abs(t) <= 0.25:
+        raise ValueError(f"requires |t| <= 0.25 for numerical convergence, got t={t}")
+
+
 def rule_laguerre_hermite(
     x: float,
     y: float,
@@ -312,8 +331,7 @@ def rule_laguerre_hermite(
     product; it converges numerically only for small |t|, so the harness
     restricts |t| <= 0.25.
     """
-    if abs(t) > 0.25:
-        raise ValueError(f"requires |t| <= 0.25 for numerical convergence, got t={t}")
+    _check_laguerre_hermite(x, y, z, w, t)
     lhs = sum_series(
         lambda n: _taylor_weight(t, n) * laguerre2(n, x, y) * hermite_m(n, 2, z, w), policy
     )
@@ -334,7 +352,7 @@ def rule_laguerre_hermite(
 # addition theorems
 
 
-def _validate_graf_real(nu, x, y, t):
+def _check_graf_real(nu, x, y, t):
     if not t > 0.0:
         raise ValueError(f"requires t > 0, got t={t}")
     if not x > y / t:
@@ -356,7 +374,7 @@ def rule_graf(
     """Addition theorem with a real weight:
     sum_{n in Z} t^n J_{n+nu}(x) J_n(y)
       =  ((x - y/t)/(x - yt))^(nu/2) J_nu(sqrt(x^2 + y^2 - xy(t + 1/t)))."""
-    _validate_graf_real(nu, x, y, t)
+    _check_graf_real(nu, x, y, t)
     lhs = sum_bilateral(
         lambda n: math.pow(t, n) * _j(nu + n, x, policy) * _j(float(n), y, policy), policy
     )
@@ -381,6 +399,11 @@ def _graf_phase_closed(nu: float, x: float, y: float, theta: float, policy):
     return ratio ** (0.5 * nu) * j.value, j
 
 
+def _check_graf_phase(nu, x, y, theta):
+    if not x > y > 0.0:
+        raise ValueError(f"requires x > y > 0, got x={x}, y={y}")
+
+
 def rule_graf_phase(
     nu: float,
     x: float,
@@ -395,8 +418,7 @@ def rule_graf_phase(
          * J_nu(sqrt(x^2 + y^2 - 2xy cos theta)),
     with principal-branch complex powers.  Both sides are compared as complex
     values."""
-    if not x > y > 0.0:
-        raise ValueError(f"requires x > y > 0, got x={x}, y={y}")
+    _check_graf_phase(nu, x, y, theta)
     lhs = sum_bilateral(
         lambda n: cmath.exp(1j * n * theta) * _j(nu + n, x, policy) * _j(float(n), y, policy),
         policy,
@@ -411,6 +433,11 @@ def rule_graf_phase(
         lhs_cert=lhs,
         rhs_cert=rhs_j,
     )
+
+
+def _check_neumann(x, y, t):
+    if t == 0.0:
+        raise ValueError("t must be nonzero (the expansion variable 2x/(y^2 t) is singular)")
 
 
 def rule_neumann_ext(
@@ -428,8 +455,7 @@ def rule_neumann_ext(
     ascending-order variant with +xi misses the bilateral sum by O(1), so the
     descending form is what gets verified here.
     """
-    if t == 0.0:
-        raise ValueError("t must be nonzero (the expansion variable 2x/(y^2 t) is singular)")
+    _check_neumann(x, y, t)
     lhs = sum_bilateral(
         lambda n: math.pow(t, n) * _j(float(n), x, policy) * _j(float(2 * n), y, policy),
         policy,
@@ -475,6 +501,14 @@ class WeightedSumResult:
         self.closed_abs_err = abs(self.brute.value - self.closed_form)
 
 
+def _check_weighted_s(l, m, x, y) -> tuple:
+    # l: exact binomials in the closed form; m: finite-difference stability
+    l = _int_param("l", l, minimum=0, maximum=EXACTNESS_BOUND)
+    m = _int_param("m", m, minimum=0, maximum=4)
+    _check_graf_phase(l, x, y, 0.0)
+    return l, m
+
+
 def weighted_sum_S(
     l: int,
     m: int,
@@ -482,13 +516,8 @@ def weighted_sum_S(
     y: float,
     policy: SummationPolicy = DEFAULT_POLICY,
 ) -> WeightedSumResult:
-    """Evaluate S_l^(m)(x, y) three ways (m in 0..4, x > y > 0)."""
-    l = _int_param("l", l, minimum=0)
-    m = _int_param("m", m, minimum=0)
-    if m > 4:
-        raise ValueError(f"m > 4 is outside the finite-difference stability bound, got m={m}")
-    if not x > y > 0.0:
-        raise ValueError(f"requires x > y > 0, got x={x}, y={y}")
+    """Evaluate S_l^(m)(x, y) three ways (l in 0..30, m in 0..4, x > y > 0)."""
+    l, m = _check_weighted_s(l, m, x, y)
 
     brute = sum_bilateral(
         lambda n: float(n) ** m * _j(float(n + l), x, policy) * _j(float(n), y, policy),
@@ -538,6 +567,10 @@ def _weighted_closed_form(l: int, m: int, x: float, y: float, policy) -> float:
     return total
 
 
+def _check_weighted_e(l, m, x) -> tuple:
+    return _int_param("l", l, minimum=0), _int_param("m", m, minimum=1, maximum=10)
+
+
 def weighted_sum_E(
     l: int,
     m: int,
@@ -552,10 +585,7 @@ def weighted_sum_E(
     dimensionally inconsistent with the ascending generating identity and
     fails against brute force.
     """
-    l = _int_param("l", l, minimum=0)
-    m = _int_param("m", m, minimum=1)
-    if m > 10:
-        raise ValueError(f"m must be <= 10, got m={m}")
+    l, m = _check_weighted_e(l, m, x)
     lhs = sum_series(
         lambda n: float(n) ** m * backend.recip_gamma(n + 1.0) * _j(float(n + l), x, policy),
         policy,
@@ -600,9 +630,7 @@ def hoppe_derivative(
     with the power derivatives taken by central differences.  ``g_derivs``
     lists g and its derivatives: g_derivs[k] is g^(k).
     """
-    m = _int_param("m", m, minimum=1)
-    if m > 4:
-        raise ValueError(f"m must be in 1..4, got m={m}")
+    m = _int_param("m", m, minimum=1, maximum=4)
     if len(g_derivs) < m + 1:
         raise ValueError(f"need g and its first {m} derivatives, got {len(g_derivs)} entries")
     f0 = f(t0)
@@ -619,6 +647,11 @@ def hoppe_derivative(
     return total
 
 
+def _check_appendix(nu, x):
+    if not x > 0.0:
+        raise ValueError(f"requires x > 0, got x={x}")
+
+
 def appendix_derivative_check(
     nu: float,
     x: float,
@@ -628,8 +661,7 @@ def appendix_derivative_check(
     """First-order check of (1/x) d/dx [x^nu J_nu(x)] = x^(nu-1) J_{nu-1}(x)
     by central differences (the higher-order ladder is exercised through the
     descending generating rule)."""
-    if not x > 0.0:
-        raise ValueError(f"requires x > 0, got x={x}")
+    _check_appendix(nu, x)
 
     def f(s: float) -> float:
         return math.pow(s, nu) * _j(nu, s, policy)
@@ -647,12 +679,15 @@ def appendix_derivative_check(
     )
 
 
-def _int_param(name: str, value, minimum: int) -> int:
-    if value != int(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def _int_param(name: str, value, minimum: Optional[int] = None, maximum: Optional[int] = None):
+    """``value`` as an int; it must be integral and within the given bounds."""
+    if isinstance(value, float) and not value.is_integer() or value != int(value):
+        raise ValueError(f"{name} must be integer, got {value!r}")
     value = int(value)
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {value}")
     return value
 
 
@@ -661,9 +696,7 @@ def _int_param(name: str, value, minimum: int) -> int:
 
 
 def _run_weighted_S(params, policy, tolerances) -> list[VerificationRecord]:
-    result = weighted_sum_S(
-        int(params["l"]), int(params["m"]), params["x"], params["y"], policy
-    )
+    result = weighted_sum_S(**params, policy=policy)
     base = {"l": result.l, "m": result.m, "x": result.x, "y": result.y}
     deriv_rec = _record(
         RuleId.WEIGHTED_S,
@@ -689,21 +722,29 @@ def _run_weighted_S(params, policy, tolerances) -> list[VerificationRecord]:
 @dataclass(frozen=True)
 class RuleSchema:
     """Plan-facing description of one rule: parameter names, which of them are
-    integers, a human-readable statement, a precondition note, and the runner."""
+    integers, a human-readable statement, a precondition note, the runner, and
+    the domain check the rule function itself calls (raises ValueError)."""
 
     params: tuple
-    integer_params: tuple
     statement: str
     constraint: str
     run: Callable[[dict, SummationPolicy, Tolerances], list]
+    integer_params: tuple = ()
     default_tolerances: Tolerances = DEFAULT_TOLERANCES
-    validate: Optional[Callable[[dict], None]] = None
+    validate: Optional[Callable[..., object]] = None
+
+    def tolerances(self, tol_abs=None, tol_rel=None) -> Tolerances:
+        """The default tolerances with the given overrides (None keeps a default)."""
+        base = self.default_tolerances
+        return Tolerances(
+            tol_abs=base.tol_abs if tol_abs is None else tol_abs,
+            tol_rel=base.tol_rel if tol_rel is None else tol_rel,
+        )
 
 
-def _single(fn, order):
+def _single(fn):
     def run(params, policy, tolerances):
-        args = [params[name] for name in order]
-        return [fn(*args, policy=policy, tolerances=tolerances)]
+        return [fn(**params, policy=policy, tolerances=tolerances)]
 
     return run
 
@@ -711,86 +752,79 @@ def _single(fn, order):
 RULES: dict[RuleId, RuleSchema] = {
     RuleId.ASCENDING_GEN: RuleSchema(
         params=("nu", "x", "t"),
-        integer_params=(),
         statement="sum_{n>=0} t^n/n! J_{nu+n}(x) = (x/(x-2t))^(nu/2) J_nu(sqrt(x^2-2xt))",
         constraint="x > 0 and |2t| < x",
-        run=_single(rule_ascending_gen, ("nu", "x", "t")),
-        validate=lambda p: _validate_gen(p["nu"], p["x"], p["t"]),
+        run=_single(rule_ascending_gen),
+        validate=_check_gen,
     ),
     RuleId.DESCENDING_GEN: RuleSchema(
         params=("nu", "x", "t"),
-        integer_params=(),
         statement="sum_{n>=0} (-t)^n/n! J_{nu-n}(x) = ((x-2t)/x)^(nu/2) J_nu(sqrt(x^2-2xt))",
         constraint="x > 0 and |2t| < x",
-        run=_single(rule_descending_gen, ("nu", "x", "t")),
-        validate=lambda p: _validate_gen(p["nu"], p["x"], p["t"]),
+        run=_single(rule_descending_gen),
+        validate=_check_gen,
     ),
     RuleId.MULTIPLE_ORDER: RuleSchema(
         params=("m", "x", "t"),
         integer_params=("m",),
         statement="sum_{n>=0} t^n/n! J_{mn}(x) = HC_0^(m)(x^2/4, (-x/2)^m t)",
         constraint="integer m >= 1",
-        run=_single(rule_multiple_order, ("m", "x", "t")),
-        validate=lambda p: _validate_multiple(p),
+        run=_single(rule_multiple_order),
+        validate=_check_multiple,
     ),
     RuleId.FRACTIONAL_ORDER: RuleSchema(
         params=("m", "x", "t"),
         integer_params=("m",),
         statement="sum_{n>=0} t^n/n! J_{n/m}(x) = HW_0^(m)(t (x/2)^(1/m), -x^2/4 | 1/m)",
         constraint="integer m >= 1 and x > 0",
-        run=_single(rule_fractional_order, ("m", "x", "t")),
-        validate=lambda p: _validate_fractional(p),
+        run=_single(rule_fractional_order),
+        validate=_check_fractional,
     ),
     RuleId.BESSEL_LAGUERRE: RuleSchema(
         params=("z", "x", "y", "t"),
-        integer_params=(),
         statement="sum_{n>=0} t^n/n! J_n(z) L_n(x,y) = LC_0(-xtz/2, z(z-2yt)/4)",
         constraint="finite inputs",
-        run=_single(rule_bessel_laguerre, ("z", "x", "y", "t")),
+        run=_single(rule_bessel_laguerre),
     ),
     RuleId.LAGUERRE_HERMITE: RuleSchema(
         params=("x", "y", "z", "w", "t"),
-        integer_params=(),
         statement=(
             "sum_{n>=0} t^n/n! L_n(x,y) H_n^(2)(z,w)"
             " = e^{yt(z+ywt)} HC_0^(2)(xt(z+2ywt), x^2 w t^2)"
         ),
         constraint="|t| <= 0.25",
-        run=_single(rule_laguerre_hermite, ("x", "y", "z", "w", "t")),
-        validate=lambda p: _validate_lh(p),
+        run=_single(rule_laguerre_hermite),
+        validate=_check_laguerre_hermite,
     ),
     RuleId.GRAF_REAL: RuleSchema(
         params=("nu", "x", "y", "t"),
-        integer_params=(),
         statement=(
             "sum_{n in Z} t^n J_{n+nu}(x) J_n(y)"
             " = ((x-y/t)/(x-yt))^(nu/2) J_nu(sqrt(x^2+y^2-xy(t+1/t)))"
         ),
         constraint="t > 0, x > y/t, x > y*t, x^2+y^2-xy(t+1/t) > 0",
-        run=_single(rule_graf, ("nu", "x", "y", "t")),
-        validate=lambda p: _validate_graf_real(p["nu"], p["x"], p["y"], p["t"]),
+        run=_single(rule_graf),
+        validate=_check_graf_real,
     ),
     RuleId.GRAF_PHASE: RuleSchema(
         params=("nu", "x", "y", "theta"),
-        integer_params=(),
         statement=(
             "sum_{n in Z} e^{in theta} J_{n+nu}(x) J_n(y)"
             " = ((x-y e^{-i theta})/(x-y e^{i theta}))^(nu/2)"
             " J_nu(sqrt(x^2+y^2-2xy cos theta))"
         ),
         constraint="x > y > 0",
-        run=_single(rule_graf_phase, ("nu", "x", "y", "theta")),
-        validate=lambda p: _validate_graf_phase(p),
+        run=_single(rule_graf_phase),
+        validate=_check_graf_phase,
     ),
     RuleId.NEUMANN_EXT: RuleSchema(
         params=("x", "y", "t"),
-        integer_params=(),
         statement=(
             "sum_{n in Z} t^n J_n(x) J_{2n}(y) = HK_0^(-2)(y^2/4, x y^2 t/8 | -2x/(y^2 t))"
         ),
         constraint="t != 0",
-        run=_single(rule_neumann_ext, ("x", "y", "t")),
-        validate=lambda p: _validate_neumann(p),
+        run=_single(rule_neumann_ext),
+        validate=_check_neumann,
     ),
     RuleId.WEIGHTED_S: RuleSchema(
         params=("l", "m", "x", "y"),
@@ -800,10 +834,10 @@ RULES: dict[RuleId, RuleSchema] = {
             " the theta-derivative route (hard) and the nested closed form"
             " (report-only)"
         ),
-        constraint="integer l >= 0, integer 0 <= m <= 4, x > y > 0",
+        constraint=f"integer 0 <= l <= {EXACTNESS_BOUND}, integer 0 <= m <= 4, x > y > 0",
         run=_run_weighted_S,
         default_tolerances=Tolerances(tol_abs=1e-6, tol_rel=1e-6),
-        validate=lambda p: _validate_ws(p),
+        validate=_check_weighted_s,
     ),
     RuleId.WEIGHTED_E: RuleSchema(
         params=("l", "m", "x"),
@@ -813,62 +847,15 @@ RULES: dict[RuleId, RuleSchema] = {
             " = sum_{k=1}^{m} S2(m,k) (x/2)^{l+k} C_{l+k}((x^2-2x)/4)"
         ),
         constraint="integer l >= 0, integer 1 <= m <= 10",
-        run=_single(weighted_sum_E, ("l", "m", "x")),
-        validate=lambda p: _validate_we(p),
+        run=_single(weighted_sum_E),
+        validate=_check_weighted_e,
     ),
     RuleId.APPENDIX_DERIV: RuleSchema(
         params=("nu", "x"),
-        integer_params=(),
         statement="(1/x) d/dx [x^nu J_nu(x)] = x^(nu-1) J_{nu-1}(x)",
         constraint="x > 0",
-        run=_single(appendix_derivative_check, ("nu", "x")),
+        run=_single(appendix_derivative_check),
         default_tolerances=Tolerances(tol_abs=1e-6, tol_rel=1e-6),
-        validate=lambda p: _validate_appendix(p),
+        validate=_check_appendix,
     ),
 }
-
-
-def _validate_multiple(p):
-    _int_param("m", p["m"], 1)
-
-
-def _validate_fractional(p):
-    _int_param("m", p["m"], 1)
-    if not p["x"] > 0.0:
-        raise ValueError(f"fractional orders require x > 0, got x={p['x']}")
-
-
-def _validate_lh(p):
-    if abs(p["t"]) > 0.25:
-        raise ValueError(f"requires |t| <= 0.25, got t={p['t']}")
-
-
-def _validate_graf_phase(p):
-    if not p["x"] > p["y"] > 0.0:
-        raise ValueError(f"requires x > y > 0, got x={p['x']}, y={p['y']}")
-
-
-def _validate_neumann(p):
-    if p["t"] == 0.0:
-        raise ValueError("t must be nonzero")
-
-
-def _validate_ws(p):
-    _int_param("l", p["l"], 0)
-    m = _int_param("m", p["m"], 0)
-    if m > 4:
-        raise ValueError(f"m must be <= 4, got m={m}")
-    if not p["x"] > p["y"] > 0.0:
-        raise ValueError(f"requires x > y > 0, got x={p['x']}, y={p['y']}")
-
-
-def _validate_we(p):
-    _int_param("l", p["l"], 0)
-    m = _int_param("m", p["m"], 1)
-    if m > 10:
-        raise ValueError(f"m must be <= 10, got m={m}")
-
-
-def _validate_appendix(p):
-    if not p["x"] > 0.0:
-        raise ValueError(f"requires x > 0, got x={p['x']}")

@@ -1,18 +1,35 @@
 """Plan loading/validation, the runner, report emission, and the CLI."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from besselsums import (
+    RULES,
     PlanError,
     RuleId,
+    Tolerances,
     Verdict,
     VerificationPlan,
+    appendix_derivative_check,
     default_plan_path,
     load_plan,
     report_from_json,
+    rule_ascending_gen,
+    rule_descending_gen,
+    rule_fractional_order,
+    rule_graf,
+    rule_graf_phase,
+    rule_laguerre_hermite,
+    rule_multiple_order,
+    rule_neumann_ext,
     run_plan,
+    weighted_sum_E,
+    weighted_sum_S,
 )
 from besselsums.cli import main
 from besselsums.report import render_csv, render_json, render_table, VerdictReport
@@ -365,3 +382,168 @@ class TestCli:
         ok = write_plan(tmp_path, TRIVIAL_THREE)
         assert main(["verify", "--plan", str(ok), "--format", "csv", "--parallel", "2"]) == 0
         capsys.readouterr()
+
+
+ASCENDING = {"rule": "ASCENDING_GEN", "grid": {"nu": [0], "x": [2], "t": [0.1]}}
+
+
+def ascending_plan(grid=(), **options):
+    """A one-entry ASCENDING_GEN plan as json text, with grid lists replaced."""
+    entry = {**ASCENDING, "grid": {**ASCENDING["grid"], **dict(grid)}, **options}
+    return json.dumps({"entries": [entry]})
+
+
+# json.dumps writes float('nan') as NaN and float('inf') as Infinity, both of
+# which json.load accepts.
+MALFORMED_PLANS = {
+    "entries not a list": '{"entries": 5}',
+    "entry not an object": '{"entries": [5]}',
+    "entry is a string": '{"entries": ["rule"]}',
+    "tol_abs not a number": ascending_plan(tol_abs="x"),
+    "perturb_rhs not a number": ascending_plan(perturb_rhs="x"),
+    "parallelism not a number": json.dumps({"parallelism": "x", "entries": [ASCENDING]}),
+    "NaN grid value": ascending_plan({"nu": [float("nan")]}),
+    "Infinity grid value": ascending_plan({"x": [float("inf")]}),
+    "negative tolerances": ascending_plan(tol_abs=-1, tol_rel=-1),
+    "int past float range": ascending_plan({"x": [10**400]}),
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_PLANS.values(), ids=MALFORMED_PLANS.keys())
+def test_malformed_plan_is_a_located_error(tmp_path, capsys, text):
+    path = tmp_path / "plan.json"
+    path.write_text(text)
+    assert main(["verify", "--plan", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+# One out-of-domain point per rule with a domain check (BESSEL_LAGUERRE has
+# none).  Floats where the loader makes floats, so messages print alike.
+OUT_OF_DOMAIN = [
+    (RuleId.ASCENDING_GEN, rule_ascending_gen, {"nu": 0.0, "x": 1.0, "t": 2.0}),
+    (RuleId.DESCENDING_GEN, rule_descending_gen, {"nu": 0.0, "x": -1.0, "t": 0.0}),
+    (RuleId.MULTIPLE_ORDER, rule_multiple_order, {"m": 0, "x": 1.0, "t": 0.1}),
+    (RuleId.FRACTIONAL_ORDER, rule_fractional_order, {"m": 2, "x": -1.0, "t": 0.1}),
+    (RuleId.LAGUERRE_HERMITE, rule_laguerre_hermite,
+     {"x": 1.0, "y": 1.0, "z": 1.0, "w": 1.0, "t": 0.5}),
+    (RuleId.GRAF_REAL, rule_graf, {"nu": 0.0, "x": 1.0, "y": 2.0, "t": 1.0}),
+    (RuleId.GRAF_PHASE, rule_graf_phase, {"nu": 0.0, "x": 1.0, "y": 2.0, "theta": 0.0}),
+    (RuleId.NEUMANN_EXT, rule_neumann_ext, {"x": 1.0, "y": 1.0, "t": 0.0}),
+    (RuleId.WEIGHTED_S, weighted_sum_S, {"l": 1, "m": 5, "x": 3.0, "y": 1.0}),
+    (RuleId.WEIGHTED_S, weighted_sum_S, {"l": 31, "m": 1, "x": 3.0, "y": 1.0}),
+    (RuleId.WEIGHTED_E, weighted_sum_E, {"l": 0, "m": 11, "x": 1.0}),
+    (RuleId.APPENDIX_DERIV, appendix_derivative_check, {"nu": 0.0, "x": 0.0}),
+]
+
+
+@pytest.mark.parametrize(
+    "rule, fn, point", OUT_OF_DOMAIN, ids=[f"{r.value}-{p}" for r, _, p in OUT_OF_DOMAIN]
+)
+def test_loader_and_rule_share_the_domain_message(tmp_path, rule, fn, point):
+    with pytest.raises(ValueError) as direct:
+        fn(**point)
+    plan = {"entries": [{"rule": rule.value, "grid": {k: [v] for k, v in point.items()}}]}
+    with pytest.raises(PlanError) as loaded:
+        load_plan(write_plan(tmp_path, plan))
+    assert str(direct.value) in str(loaded.value)
+
+
+def test_every_domain_check_is_covered():
+    checked = {rule for rule, schema in RULES.items() if schema.validate is not None}
+    assert checked == {rule for rule, _, _ in OUT_OF_DOMAIN}
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), "1e-9", None])
+    def test_rejects_bad_values(self, bad):
+        with pytest.raises(ValueError, match="tol_rel must be a finite number >= 0"):
+            Tolerances(tol_rel=bad)
+
+    def test_zero_is_allowed(self):
+        assert Tolerances(tol_abs=0.0, tol_rel=0).tol_rel == 0
+
+    def test_loader_locates_bad_tolerance(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text(ascending_plan(tol_abs=-1, tol_rel=-1))
+        with pytest.raises(PlanError, match=r"entry 0 \(ASCENDING_GEN\): tol_abs"):
+            load_plan(path)
+
+    def test_override_keeps_rule_default(self, tmp_path):
+        payload = {
+            "entries": [
+                {"rule": "WEIGHTED_S", "grid": {"l": [1], "m": [1], "x": [3], "y": [1]},
+                 "tol_abs": 1e-3}
+            ]
+        }
+        entry = load_plan(write_plan(tmp_path, payload)).entries[0]
+        assert entry.tolerances == Tolerances(tol_abs=1e-3, tol_rel=1e-6)
+
+    @pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel"])
+    def test_cli_flag_is_a_usage_error(self, tmp_path, capsys, flag):
+        path = write_plan(tmp_path, MINIMAL)
+        assert main(["verify", "--plan", str(path), flag, "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be a finite number >= 0" in captured.err
+
+
+# Fuzzing: arbitrary json made from the words a plan uses, and plan-shaped
+# documents whose rule, grid and option values are arbitrary.
+_PARAM_NAMES = sorted({name for schema in RULES.values() for name in schema.params})
+_KEYS = ["entries", "rule", "grid", "policy", "parallelism", "tol_abs", "tol_rel",
+         "perturb_rhs", "abs_tol", "rel_tol", "max_terms", "consecutive_small"]
+_RULE_NAMES = [rule.value for rule in RuleId]
+_NUMBERS = st.one_of(
+    st.integers(),
+    st.integers(min_value=-3, max_value=40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=-5, max_value=5),
+)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), _NUMBERS, st.text(max_size=4),
+    st.sampled_from(_RULE_NAMES + _PARAM_NAMES + _KEYS),
+)
+_ANY_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(_KEYS + _PARAM_NAMES) | st.text(max_size=3), inner,
+                        max_size=4),
+    ),
+    max_leaves=16,
+)
+_OPTIONS = {"tol_abs": _NUMBERS | _LEAVES, "tol_rel": _NUMBERS | _LEAVES, "perturb_rhs": _LEAVES}
+_RULE_ENTRY = st.sampled_from(list(RULES.items())).flatmap(
+    lambda item: st.fixed_dictionaries(
+        {"rule": st.just(item[0].value),
+         "grid": st.fixed_dictionaries(
+             {name: st.lists(_NUMBERS, min_size=1, max_size=2) for name in item[1].params})},
+        optional=_OPTIONS,
+    )
+)
+_LOOSE_ENTRY = st.fixed_dictionaries(
+    {"rule": st.sampled_from(_RULE_NAMES) | _LEAVES,
+     "grid": st.dictionaries(st.sampled_from(_PARAM_NAMES),
+                             st.lists(_NUMBERS, min_size=1, max_size=3) | _LEAVES, max_size=5)},
+    optional=_OPTIONS,
+)
+_PLAN = st.fixed_dictionaries(
+    {"entries": st.lists(_RULE_ENTRY | _RULE_ENTRY | _LOOSE_ENTRY, min_size=1, max_size=3)},
+    optional={"parallelism": st.integers(0, 4) | _LEAVES},
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=st.one_of(_ANY_JSON, _PLAN, _PLAN))
+def test_load_plan_fuzz(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "plan.json"
+        path.write_text(json.dumps(doc))
+        try:
+            plan = load_plan(path)
+        except PlanError:
+            return
+    assert isinstance(plan, VerificationPlan)

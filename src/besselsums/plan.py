@@ -18,17 +18,24 @@ overrides.  Each entry expands to the cartesian product of its grid lists,
 validated against the rule's parameter schema and domain check before
 anything is evaluated.  Grid values must be finite numbers (json's NaN and
 Infinity are rejected); tolerances must be finite and >= 0.
-``parallelism`` 0 means one worker per cpu; 1 disables multiprocessing.
+``parallelism`` 0 means one worker per cpu; 1 disables multiprocessing.  The
+pool never starts more workers than there are cpus or cases.
 The per-entry ``perturb_rhs`` (a finite number added to every right side) is
 a test hook for exercising the DISCREPANT paths.  Every violation raises
 PlanError, which names the file or the entry at fault.
+
+Within one plan entry of a run, a Bessel J evaluated once is reused by every
+later case of that entry (the brute-force sides re-evaluate the same
+J_{nu+n}(x) for each shift t or theta).  The reuse ends with the entry, so a
+sweep of distinct points holds no more than one entry's values; outside
+``run_plan`` every rule evaluates each J afresh.
 """
 
 import itertools
 import math
+import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -42,6 +49,8 @@ from besselsums.rules import (
     Tolerances,
     Verdict,
     VerificationRecord,
+    _J_MEMO,
+    _JMemo,
     _errors,
     _int_param,
     _judge,
@@ -184,6 +193,11 @@ def _evaluate_case(task):
     """Run one case; exceptions become INCONCLUSIVE records (worker-safe)."""
     order, rule_value, params, policy, tol, perturb = task
     rule_id = RuleId(rule_value)
+    memo = _J_MEMO.get()
+    if memo is None or memo.scope != order[:2] or memo.policy != policy:
+        memo = _JMemo(order[:2], policy)  # a new (rule, entry) or policy
+        _J_MEMO.set(memo)
+    policy = memo.policy  # equal by value; pool tasks carry unpickled copies
     try:
         records = RULES[rule_id].run(params, policy, tol)
     except Exception as exc:  # contained: reported, never crashes the sweep
@@ -234,18 +248,20 @@ def run_plan(plan: VerificationPlan) -> VerdictReport:
     the parallelism."""
     t0 = time.perf_counter()
     tasks = _tasks(plan)
-    workers = plan.parallelism
-    if workers == 0:
-        import os
+    cpus = os.cpu_count() or 1
+    workers = min(plan.parallelism or cpus, cpus, len(tasks))
+    _J_MEMO.set(None)
+    try:
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        workers = os.cpu_count() or 1
-    results = []
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tasks) // (4 * workers))
-            results = list(pool.map(_evaluate_case, tasks, chunksize=chunk))
-    else:
-        results = [_evaluate_case(task) for task in tasks]
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                chunk = max(1, len(tasks) // (4 * workers))
+                results = list(pool.map(_evaluate_case, tasks, chunksize=chunk))
+        else:
+            results = [_evaluate_case(task) for task in tasks]
+    finally:
+        _J_MEMO.set(None)
     results.sort(key=lambda pair: pair[0])
     records = [rec for _, recs in results for rec in recs]
     report = VerdictReport(records=records)

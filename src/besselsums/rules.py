@@ -8,6 +8,7 @@ whose evaluations did not converge is INCONCLUSIVE, never VERIFIED.
 
 import cmath
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -144,8 +145,44 @@ def _taylor_weight(t: float, n: int) -> float:
     return math.pow(t, n) * backend.recip_gamma(n + 1.0)
 
 
+class _JMemo:
+    """J values of one plan entry, valid for one summation policy.
+
+    ``scope`` names the entry; ``policy`` is the object the plan runner hands
+    the rules, so a lookup compares it by identity, not by value.
+    """
+
+    __slots__ = ("scope", "policy", "table")
+
+    def __init__(self, scope, policy: SummationPolicy):
+        self.scope = scope
+        self.policy = policy
+        self.table = {}
+
+
+# Installed by plan._evaluate_case; None (no reuse) outside run_plan.
+_J_MEMO: ContextVar[Optional[_JMemo]] = ContextVar("besselsums_j_memo", default=None)
+
+
+def _bessel_j(nu: float, x: float, policy: SummationPolicy) -> SeriesEval:
+    """bessel_j(nu, x, policy), reusing the result object within a plan entry.
+
+    Keys are (nu, x): bessel_j gives identical results for int and float nu
+    and for x = +-0.0, which a dict key does not tell apart.  A miss calls the
+    module attribute, so wrappers installed there see every evaluation.
+    """
+    memo = _J_MEMO.get()
+    if memo is None or memo.policy is not policy:
+        return bessel_j(nu, x, policy)
+    key = (nu, x)
+    hit = memo.table.get(key)
+    if hit is None:
+        hit = memo.table[key] = bessel_j(nu, x, policy)
+    return hit
+
+
 def _j(nu: float, x: float, policy: SummationPolicy) -> float:
-    return bessel_j(nu, x, policy).value
+    return _bessel_j(nu, x, policy).value
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +206,7 @@ def rule_ascending_gen(
     """sum_n t^n/n! J_{nu+n}(x)  =  (x/(x-2t))^(nu/2) J_nu(sqrt(x^2-2xt)),  |2t| < x."""
     _check_gen(nu, x, t)
     lhs = sum_series(lambda n: _taylor_weight(t, n) * _j(nu + n, x, policy), policy)
-    rhs_j = bessel_j(nu, math.sqrt(x * x - 2.0 * x * t), policy)
+    rhs_j = _bessel_j(nu, math.sqrt(x * x - 2.0 * x * t), policy)
     rhs = math.pow(x / (x - 2.0 * t), 0.5 * nu) * rhs_j.value
     return _record(
         RuleId.ASCENDING_GEN,
@@ -192,7 +229,7 @@ def rule_descending_gen(
     """sum_n (-t)^n/n! J_{nu-n}(x)  =  ((x-2t)/x)^(nu/2) J_nu(sqrt(x^2-2xt)),  |2t| < x."""
     _check_gen(nu, x, t)
     lhs = sum_series(lambda n: _taylor_weight(-t, n) * _j(nu - n, x, policy), policy)
-    rhs_j = bessel_j(nu, math.sqrt(x * x - 2.0 * x * t), policy)
+    rhs_j = _bessel_j(nu, math.sqrt(x * x - 2.0 * x * t), policy)
     rhs = math.pow((x - 2.0 * t) / x, 0.5 * nu) * rhs_j.value
     return _record(
         RuleId.DESCENDING_GEN,
@@ -379,7 +416,7 @@ def rule_graf(
         lambda n: math.pow(t, n) * _j(nu + n, x, policy) * _j(float(n), y, policy), policy
     )
     arg = math.sqrt(x * x + y * y - x * y * (t + 1.0 / t))
-    rhs_j = bessel_j(nu, arg, policy)
+    rhs_j = _bessel_j(nu, arg, policy)
     rhs = math.pow((x - y / t) / (x - y * t), 0.5 * nu) * rhs_j.value
     return _record(
         RuleId.GRAF_REAL,
@@ -394,7 +431,7 @@ def rule_graf(
 
 def _graf_phase_closed(nu: float, x: float, y: float, theta: float, policy):
     arg = math.sqrt(x * x + y * y - 2.0 * x * y * math.cos(theta))
-    j = bessel_j(nu, arg, policy)
+    j = _bessel_j(nu, arg, policy)
     ratio = (x - y * cmath.exp(-1j * theta)) / (x - y * cmath.exp(1j * theta))
     return ratio ** (0.5 * nu) * j.value, j
 
@@ -568,7 +605,9 @@ def _weighted_closed_form(l: int, m: int, x: float, y: float, policy) -> float:
 
 
 def _check_weighted_e(l, m, x) -> tuple:
-    return _int_param("l", l, minimum=0), _int_param("m", m, minimum=1, maximum=10)
+    # l: at large l both sides underflow to 0 and "agree" whatever the identity
+    l = _int_param("l", l, minimum=0, maximum=EXACTNESS_BOUND)
+    return l, _int_param("m", m, minimum=1, maximum=10)
 
 
 def weighted_sum_E(
@@ -583,7 +622,9 @@ def weighted_sum_E(
 
     The Tricomi argument carries the /4: the variant without it is
     dimensionally inconsistent with the ascending generating identity and
-    fails against brute force.
+    fails against brute force.  l is at most 30: both sides shrink like
+    (x/2)^l/l! and at large l underflow to exactly zero, where they would
+    agree whatever the identity.
     """
     l, m = _check_weighted_e(l, m, x)
     lhs = sum_series(
@@ -667,7 +708,7 @@ def appendix_derivative_check(
         return math.pow(s, nu) * _j(nu, s, policy)
 
     lhs = central_derivative(f, x, 1, _FD_STEP[1]) / x
-    rhs_j = bessel_j(nu - 1.0, x, policy)
+    rhs_j = _bessel_j(nu - 1.0, x, policy)
     rhs = math.pow(x, nu - 1.0) * rhs_j.value
     return _record(
         RuleId.APPENDIX_DERIV,
@@ -846,7 +887,7 @@ RULES: dict[RuleId, RuleSchema] = {
             "E_l^(m)(x) = sum_{n>=0} n^m/n! J_{n+l}(x)"
             " = sum_{k=1}^{m} S2(m,k) (x/2)^{l+k} C_{l+k}((x^2-2x)/4)"
         ),
-        constraint="integer l >= 0, integer 1 <= m <= 10",
+        constraint=f"integer 0 <= l <= {EXACTNESS_BOUND}, integer 1 <= m <= 10",
         run=_single(weighted_sum_E),
         validate=_check_weighted_e,
     ),

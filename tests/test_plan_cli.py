@@ -435,6 +435,7 @@ OUT_OF_DOMAIN = [
     (RuleId.WEIGHTED_S, weighted_sum_S, {"l": 1, "m": 5, "x": 3.0, "y": 1.0}),
     (RuleId.WEIGHTED_S, weighted_sum_S, {"l": 31, "m": 1, "x": 3.0, "y": 1.0}),
     (RuleId.WEIGHTED_E, weighted_sum_E, {"l": 0, "m": 11, "x": 1.0}),
+    (RuleId.WEIGHTED_E, weighted_sum_E, {"l": 31, "m": 1, "x": 1.0}),
     (RuleId.APPENDIX_DERIV, appendix_derivative_check, {"nu": 0.0, "x": 0.0}),
 ]
 
@@ -547,3 +548,78 @@ def test_load_plan_fuzz(doc):
         except PlanError:
             return
     assert isinstance(plan, VerificationPlan)
+
+
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records the worker count asked for
+    and runs the tasks in this process."""
+
+    requested = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+class TestPoolCap:
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        import concurrent.futures
+        import os
+
+        import besselsums.plan
+
+        # both places the runner could take the executor from: never a real pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
+        monkeypatch.setattr(besselsums.plan, "ProcessPoolExecutor", _RecordingExecutor,
+                            raising=False)
+        monkeypatch.setattr(_RecordingExecutor, "requested", [])
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        return _RecordingExecutor
+
+    @pytest.mark.parametrize("parallelism", [10_000, 0, 3])
+    def test_at_most_one_worker_per_case(self, tmp_path, pool, parallelism):
+        plan = load_plan(write_plan(tmp_path, {**TRIVIAL_THREE, "parallelism": parallelism}))
+        report = run_plan(plan)
+        assert pool.requested == [3]
+        assert [r.verdict for r in report.records] == [Verdict.VERIFIED] * 3
+
+    def test_at_most_one_worker_per_cpu(self, tmp_path, pool, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        run_plan(load_plan(write_plan(tmp_path, {**TRIVIAL_THREE, "parallelism": 10_000})))
+        assert pool.requested == [2]
+
+    def test_one_case_runs_serially(self, tmp_path, pool):
+        run_plan(load_plan(write_plan(tmp_path, {**MINIMAL, "parallelism": 10_000})))
+        assert pool.requested == []
+
+    def test_cli_flag_is_capped(self, tmp_path, pool, capsys):
+        path = write_plan(tmp_path, TRIVIAL_THREE)
+        assert main(["verify", "--plan", str(path), "--parallel", "10000"]) == 0
+        capsys.readouterr()
+        assert pool.requested == [3]
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    """A serial run pays nothing for the pool: the import happens on first use."""
+    import os
+    import subprocess
+    import sys
+
+    code = "import sys, besselsums.cli; print('concurrent.futures' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"

@@ -4,6 +4,11 @@ Series evaluation is deliberately the only strategy here: the harness targets
 desk-scale arguments (|x| <= 10 or so) where the ascending series converge in
 a few dozen terms, and a single auditable code path is worth more than
 asymptotic switchovers.
+
+The series loops themselves are the kernels in ``besselsums.backend``; this
+layer checks the arguments and turns a kernel's raw tuple into a
+``SeriesEval`` certificate, raising ``EvaluationDomainError`` on the kernels'
+non-finite sentinel.
 """
 
 import math

@@ -37,17 +37,6 @@ def _laguerre_ratio(n: int, u: float, v: float) -> float:
     return out
 
 
-def _leading_pole_shift(nu: float) -> int:
-    """First index whose Gamma(nu + j + 1) weight is off a pole.
-
-    For negative integer nu the first |nu| terms of the order-nu series vanish
-    identically; starting past them keeps the stop rule honest.
-    """
-    if nu < 0.0 and nu == math.floor(nu):
-        return int(-nu)
-    return 0
-
-
 def _sparse_guard(policy: SummationPolicy, m: int, u: float) -> SummationPolicy:
     """At u = 0 only every m-th Hermite term survives; require a run of m
     negligible terms so the structural zeros between them cannot stop the sum."""
@@ -64,7 +53,7 @@ def h_tricomi(
     Reduces to tricomi_c(nu, u) at v = 0.
     """
     m = _check_order(m)
-    j0 = _leading_pole_shift(nu)
+    j0 = backend.leading_pole_shift(nu)
     p = _sparse_guard(policy, m, u)
 
     def term(i: int) -> float:
@@ -80,7 +69,7 @@ def l_tricomi(nu: float, u: float, v: float, policy: SummationPolicy = DEFAULT_P
 
     Reduces to tricomi_c(nu, v) at u = 0.
     """
-    j0 = _leading_pole_shift(nu)
+    j0 = backend.leading_pole_shift(nu)
 
     def term(i: int) -> float:
         j = i + j0

@@ -8,7 +8,8 @@ asymptotic switchovers.
 The series loops themselves are the kernels in ``besselsums.backend``; this
 layer checks the arguments and turns a kernel's raw tuple into a
 ``SeriesEval`` certificate, raising ``EvaluationDomainError`` on the kernels'
-non-finite sentinel.
+non-finite sentinel.  The two polynomial families raise it when a term
+overflows float range.
 """
 
 import math
@@ -91,8 +92,13 @@ def laguerre2(n: int, x: float, y: float) -> float:
     """
     n = _check_index(n)
     out = 0.0
-    for k in range(n + 1):
-        out += math.comb(n, k) * math.pow(-x, k) * math.pow(y, n - k) / float(math.factorial(k))
+    try:
+        for k in range(n + 1):
+            out += math.comb(n, k) * math.pow(-x, k) * math.pow(y, n - k) / float(math.factorial(k))
+    except OverflowError as exc:
+        raise EvaluationDomainError(f"overflow in term {k} of L_{n}({x}, {y})", index=k) from exc
+    if not math.isfinite(out):  # a product overflowed to inf without raising
+        raise EvaluationDomainError(f"L_{n}({x}, {y}) overflows float range")
     return out
 
 
@@ -108,9 +114,14 @@ def hermite_m(n: int, m: int, x: float, y: float) -> float:
     m = int(m)
     out = 0.0
     fact_n = math.factorial(n)
-    for k in range(n // m + 1):
-        coeff = fact_n // (math.factorial(n - m * k) * math.factorial(k))
-        out += coeff * math.pow(x, n - m * k) * math.pow(y, k)
+    try:
+        for k in range(n // m + 1):
+            coeff = fact_n // (math.factorial(n - m * k) * math.factorial(k))
+            out += coeff * math.pow(x, n - m * k) * math.pow(y, k)
+    except OverflowError as exc:
+        raise EvaluationDomainError(f"overflow in term {k} of H_{n}^({m})({x}, {y})", index=k) from exc
+    if not math.isfinite(out):  # a product overflowed to inf without raising
+        raise EvaluationDomainError(f"H_{n}^({m})({x}, {y}) overflows float range")
     return out
 
 

@@ -4,6 +4,11 @@ hybrid K series built from Hermite-based Tricomi functions of stepped order).
 
 All of these run through the generic engine with terms built from the reduced
 polynomials H_n/n! and L_n/n!, which keeps intermediate magnitudes tame.
+
+Each Hermite-based composite call reads H_n/n! from its own table, so every
+ratio is computed at most once per call.  ``hybrid_k`` shares one table across all its
+inner sums: every inner HC_(m k + mu)(x, y) reads the same H_j^(2)(x, y)/j!.
+The table lives for one call only.
 """
 
 import math
@@ -13,16 +18,31 @@ from besselsums import backend
 from besselsums.series import DEFAULT_POLICY, SeriesEval, SummationPolicy, sum_series
 
 
+# n! as floats; 171! is past float range
+_FACTORIAL = tuple(float(math.factorial(i)) for i in range(171))
+
+
 def _hermite_ratio(n: int, m: int, u: float, v: float) -> float:
     """H_n^(m)(u, v) / n!"""
+    if n >= len(_FACTORIAL):
+        raise OverflowError(f"{n}! is past float range")
     out = 0.0
     for k in range(n // m + 1):
-        out += (
-            math.pow(u, n - m * k)
-            * math.pow(v, k)
-            / (float(math.factorial(n - m * k)) * float(math.factorial(k)))
-        )
+        out += math.pow(u, n - m * k) * math.pow(v, k) / (_FACTORIAL[n - m * k] * _FACTORIAL[k])
     return out
+
+
+def _hermite_table(m: int, u: float, v: float):
+    """n -> H_n^(m)(u, v) / n!, each ratio computed on first use only."""
+    table = {}
+
+    def ratio(n: int) -> float:
+        r = table.get(n)
+        if r is None:
+            r = table[n] = _hermite_ratio(n, m, u, v)
+        return r
+
+    return ratio
 
 
 def _laguerre_ratio(n: int, u: float, v: float) -> float:
@@ -53,15 +73,19 @@ def h_tricomi(
     Reduces to tricomi_c(nu, u) at v = 0.
     """
     m = _check_order(m)
+    return _h_tricomi(nu, _hermite_table(m, u, v), _sparse_guard(policy, m, u))
+
+
+def _h_tricomi(nu: float, ratio, policy: SummationPolicy) -> SeriesEval:
+    """h_tricomi's sum, reading H_j/j! from the table ``ratio``."""
     j0 = backend.leading_pole_shift(nu)
-    p = _sparse_guard(policy, m, u)
 
     def term(i: int) -> float:
         j = i + j0
         sign = -1.0 if j & 1 else 1.0
-        return sign * _hermite_ratio(j, m, u, v) * backend.recip_gamma(nu + j + 1.0)
+        return sign * ratio(j) * backend.recip_gamma(nu + j + 1.0)
 
-    return sum_series(term, p)
+    return sum_series(term, policy)
 
 
 def l_tricomi(nu: float, u: float, v: float, policy: SummationPolicy = DEFAULT_POLICY) -> SeriesEval:
@@ -92,9 +116,10 @@ def h_wright(
     if mu <= 0.0:
         raise ValueError(f"h_wright requires mu > 0, got mu={mu}")
     p = _sparse_guard(policy, m, u)
+    ratio = _hermite_table(m, u, v)
 
     def term(k: int) -> float:
-        return _hermite_ratio(k, m, u, v) * backend.recip_gamma(mu * k + nu + 1.0)
+        return ratio(k) * backend.recip_gamma(mu * k + nu + 1.0)
 
     return sum_series(term, p)
 
@@ -115,12 +140,13 @@ def hybrid_k(
     if m != int(m) or int(m) == 0:
         raise ValueError(f"m must be a nonzero integer, got {m!r}")
     m = int(m)
-    inner_policy = policy.tightened(10.0)
+    inner_policy = _sparse_guard(policy.tightened(10.0), 2, x)
+    ratio = _hermite_table(2, x, y)
     inner_ok = True
 
     def term(k: int) -> float:
         nonlocal inner_ok
-        inner = h_tricomi(m * k + mu, 2, x, y, inner_policy)
+        inner = _h_tricomi(m * k + mu, ratio, inner_policy)
         if not inner.converged:
             inner_ok = False
         return math.pow(xi, k) * inner.value / float(math.factorial(k))

@@ -19,6 +19,7 @@ from besselsums.gamma import EXACTNESS_BOUND, binomial, stirling2
 from besselsums.hybrid import h_tricomi, h_wright, hybrid_k, l_tricomi
 from besselsums.series import (
     DEFAULT_POLICY,
+    EvaluationDomainError,
     SeriesEval,
     SummationPolicy,
     central_derivative,
@@ -169,7 +170,8 @@ def _bessel_j(nu: float, x: float, policy: SummationPolicy) -> SeriesEval:
 
     Keys are (nu, x): bessel_j gives identical results for int and float nu
     and for x = +-0.0, which a dict key does not tell apart.  A miss calls the
-    module attribute, so wrappers installed there see every evaluation.
+    module attribute, so wrappers installed there see every evaluation.  A
+    negative integer order is served from J_|nu| (see ``_mirror``).
     """
     memo = _J_MEMO.get()
     if memo is None or memo.policy is not policy:
@@ -177,8 +179,28 @@ def _bessel_j(nu: float, x: float, policy: SummationPolicy) -> SeriesEval:
     key = (nu, x)
     hit = memo.table.get(key)
     if hit is None:
-        hit = memo.table[key] = bessel_j(nu, x, policy)
+        if nu < 0.0 and float(nu).is_integer():
+            hit = _mirror(nu, x, policy)
+        else:
+            hit = bessel_j(nu, x, policy)
+        memo.table[key] = hit
     return hit
+
+
+def _mirror(nu: float, x: float, policy: SummationPolicy) -> SeriesEval:
+    """J_nu(x) = (-1)^nu J_-nu(x) for negative integer nu, bit for bit.
+
+    The kernel sums J_-n from k = n, and those terms are J_n's terms times
+    (-1)^n, so the certificate is the same and the value only changes sign.
+    A zero value stays +0.0, as the kernel returns it.
+    """
+    try:
+        j = _bessel_j(-nu, x, policy)
+    except EvaluationDomainError:
+        return bessel_j(nu, x, policy)  # raises again, naming the order asked for
+    if j.value == 0.0 or not int(nu) & 1:
+        return j
+    return SeriesEval(-j.value, j.terms_used, j.last_term_magnitude, j.converged)
 
 
 def _j(nu: float, x: float, policy: SummationPolicy) -> float:

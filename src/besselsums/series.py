@@ -4,7 +4,8 @@ One-sided sums run k = 0, 1, 2, ...; bilateral sums start at n = 0 and expand
 the window +1, -1, +2, -2, ... with the stop rule applied to each direction on
 its own.  Terms may be real or complex; accumulation is Neumaier-compensated,
 which recovers the digits alternating Bessel series otherwise lose at moderate
-argument.
+argument.  A term that is not finite, or whose computation overflows, raises
+``EvaluationDomainError`` with the term's index.
 """
 
 import cmath
@@ -99,7 +100,10 @@ def sum_series(term: Callable[[int], Scalar], policy: SummationPolicy = DEFAULT_
     streak = 0
     last_mag = 0.0
     for k in range(policy.max_terms):
-        t = term(k)
+        try:
+            t = term(k)
+        except OverflowError as exc:
+            raise EvaluationDomainError(f"overflow in series term at index {k}", index=k) from exc
         if not _is_finite(t):
             raise EvaluationDomainError(f"non-finite series term {t!r} at index {k}", index=k)
         acc.add(t)
@@ -123,7 +127,10 @@ def sum_bilateral(term: Callable[[int], Scalar], policy: SummationPolicy = DEFAU
     acc = _Accumulator()
 
     def _eval(n: int) -> Scalar:
-        t = term(n)
+        try:
+            t = term(n)
+        except OverflowError as exc:
+            raise EvaluationDomainError(f"overflow in series term at index {n}", index=n) from exc
         if not _is_finite(t):
             raise EvaluationDomainError(f"non-finite series term {t!r} at index {n}", index=n)
         return t

@@ -9,6 +9,8 @@ import math
 
 import pytest
 import scipy.special as sc
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besselsums import (
     DEFAULT_POLICY,
@@ -16,10 +18,13 @@ from besselsums import (
     gamma_moment,
     h_tricomi,
     h_wright,
+    hybrid,
     hybrid_k,
     l_tricomi,
     tricomi_c,
 )
+from besselsums.plan import default_plan_path, load_plan, run_plan
+from besselsums.series import EvaluationDomainError, SeriesEval, sum_series
 
 # 50-term brute sum of (-1)^k H_k^(2)(1, 0.5) / (k! Gamma(k+1))
 H_TRICOMI_0_2_1_05 = 0.4045823668533772
@@ -199,3 +204,95 @@ def test_nested_policy_tightening():
     loose = hybrid_k(0.0, 2, 1.0, 0.1, 0.5, DEFAULT_POLICY)
     tight = hybrid_k(0.0, 2, 1.0, 0.1, 0.5, DEFAULT_POLICY.tightened(100.0))
     assert loose.value == pytest.approx(tight.value, rel=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# per-call Hermite ratio tables
+
+_ARG = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-4.0, 4.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    u=_ARG,
+    v=_ARG,
+    ns=st.lists(st.integers(0, 30), min_size=1, max_size=40),
+)
+def test_hermite_table_returns_fresh_ratios(m, u, v, ns):
+    # indices in random order, with repeats
+    ratio = hybrid._hermite_table(m, u, v)
+    for n in ns:
+        assert ratio(n).hex() == hybrid._hermite_ratio(n, m, u, v).hex()
+
+
+def _hybrid_k_fresh(mu, m, x, y, xi, policy=DEFAULT_POLICY):
+    """Reference for hybrid_k: a fresh h_tricomi call for every inner order."""
+    inner_policy = policy.tightened(10.0)
+    inner_ok = True
+
+    def term(k):
+        nonlocal inner_ok
+        inner = h_tricomi(m * k + mu, 2, x, y, inner_policy)
+        if not inner.converged:
+            inner_ok = False
+        return math.pow(xi, k) * inner.value / float(math.factorial(k))
+
+    out = sum_series(term, policy)
+    if not inner_ok:
+        return SeriesEval(out.value, out.terms_used, out.last_term_magnitude, False)
+    return out
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, -1.5])
+@pytest.mark.parametrize("m", [-2, -1, 1, 3])
+@pytest.mark.parametrize("x", [0.0, 0.5, -0.7])
+@pytest.mark.parametrize("y", [0.0, 1.0, -1.5])
+@pytest.mark.parametrize("xi", [-2.0, 0.3])
+def test_hybrid_k_shared_table_matches_fresh_inner_sums(mu, m, x, y, xi):
+    try:
+        fresh = _hybrid_k_fresh(mu, m, x, y, xi)
+    except EvaluationDomainError as exc:
+        with pytest.raises(EvaluationDomainError) as info:
+            hybrid_k(mu, m, x, y, xi)
+        assert (str(info.value), info.value.index) == (str(exc), exc.index)
+        return
+    shared = hybrid_k(mu, m, x, y, xi)
+    assert shared == fresh
+    assert shared.value.hex() == fresh.value.hex()
+
+
+def test_default_plan_hermite_ratio_evaluations(monkeypatch):
+    calls = []
+    real = hybrid._hermite_ratio
+
+    def spy(n, m, u, v):
+        calls.append(n)
+        return real(n, m, u, v)
+
+    monkeypatch.setattr(hybrid, "_hermite_ratio", spy)
+    run_plan(load_plan(default_plan_path()))
+    # 1,971 with a fresh ratio on every term
+    assert 0 < len(calls) <= 1082
+
+
+def test_hermite_ratio_past_factorial_range_overflows():
+    assert math.isfinite(hybrid._hermite_ratio(170, 2, 0.5, 0.5))
+    with pytest.raises(OverflowError):
+        hybrid._hermite_ratio(171, 2, 0.5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: h_tricomi(0.0, 1, 3000.0, 0.0),
+        lambda: hybrid_k(0.0, 1, 3000.0, 0.0, 1.0),
+        lambda: h_wright(0.0, 1, 1.0, 1e6, 0.0),
+        lambda: l_tricomi(0.0, 1e200, 1.0),
+    ],
+    ids=["h_tricomi", "hybrid_k", "h_wright", "l_tricomi"],
+)
+def test_composite_overflow_is_a_domain_error(call):
+    with pytest.raises(EvaluationDomainError) as info:
+        call()
+    assert isinstance(info.value.index, int)

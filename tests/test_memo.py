@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from besselsums import functions, rules
 from besselsums.plan import default_plan_path, load_plan, run_plan
 from besselsums.report import render_csv
-from besselsums.series import DEFAULT_POLICY
+from besselsums.series import DEFAULT_POLICY, EvaluationDomainError
 
 
 @pytest.fixture
@@ -26,8 +26,9 @@ def j_calls(monkeypatch):
 
 def test_default_plan_evaluates_each_j_once_per_entry(j_calls):
     run_plan(load_plan(default_plan_path()))
-    # 5,973 evaluations without reuse, 519 distinct (nu, x) over the whole plan
-    assert len(j_calls) <= 1141
+    # 5,973 evaluations without reuse, 519 distinct (nu, x) over the whole
+    # plan; 1,141 when J_-n is evaluated apart from J_n
+    assert len(j_calls) <= 946
 
 
 def test_nothing_carries_over_between_runs(j_calls):
@@ -91,3 +92,36 @@ def test_memo_returns_what_a_fresh_evaluation_returns(points):
             assert memo.last_term_magnitude.hex() == fresh.last_term_magnitude.hex()
     finally:
         rules._J_MEMO.reset(token)
+
+
+@pytest.fixture
+def memo():
+    policy = rules.SummationPolicy()
+    token = rules._J_MEMO.set(rules._JMemo((0, 0), policy))
+    yield policy
+    rules._J_MEMO.reset(token)
+
+
+def _certificate(ev):
+    return ev.value.hex(), ev.terms_used, ev.last_term_magnitude.hex(), ev.converged
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 11, 1.0, 2.0, 3.0, 6.0])
+@pytest.mark.parametrize("x", [0.0, -0.0, 0.3, 2.0, -3.5, 7.0])
+def test_negative_integer_order_is_served_from_its_mirror(n, x, memo, j_calls):
+    fresh = functions.bessel_j(-n, x, memo)
+    served = rules._bessel_j(-n, x, memo)
+    assert _certificate(served) == _certificate(fresh)
+    # the one evaluation was J_n, and J_n is now a hit
+    assert j_calls == [(n, x)]
+    assert rules._bessel_j(n, x, memo) == functions.bessel_j(n, x, memo)
+    assert len(j_calls) == 1
+
+
+def test_mirror_error_names_the_order_asked_for(memo):
+    # (x/2)^200 overflows: J_-200 and J_200 both fail at their first term
+    with pytest.raises(EvaluationDomainError) as fresh:
+        functions.bessel_j(-200, 1e4, memo)
+    with pytest.raises(EvaluationDomainError) as served:
+        rules._bessel_j(-200, 1e4, memo)
+    assert (str(served.value), served.value.index) == (str(fresh.value), fresh.value.index)

@@ -313,6 +313,27 @@ class TestCli:
         assert main(["eval", "wright", "nu=1", "mu=-1", "x=0"]) == 1
         assert "mu > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["h_tricomi", "nu=0", "m=1", "u=3000", "v=0"],
+            ["hybrid_k", "mu=0", "m=1", "x=3000", "y=0", "xi=1"],
+            ["h_wright", "nu=0", "m=1", "mu=1", "u=1e6", "v=0"],
+            ["l_tricomi", "nu=0", "u=1e200", "v=1"],
+            ["laguerre2", "n=3", "x=1e200", "y=1"],
+            ["laguerre2", "n=200", "x=1", "y=1"],
+            ["hermite_m", "n=3", "m=1", "x=1e200", "y=1"],
+            ["hermite_m", "n=300", "m=1", "x=10", "y=1"],
+        ],
+        ids=lambda args: " ".join(args),
+    )
+    def test_eval_overflow_is_an_error(self, args, capsys):
+        assert main(["eval", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
     def test_list_rules(self, capsys):
         assert main(["list-rules"]) == 0
         out = capsys.readouterr().out

@@ -68,6 +68,12 @@ class TestSumSeries:
             sum_series(lambda k: math.inf if k == 5 else 1.0 / (k + 1) ** 2)
         assert err.value.index == 5
 
+    def test_overflowing_term(self):
+        # math.pow raises OverflowError at 10^(40 k) for k = 8
+        with pytest.raises(EvaluationDomainError) as err:
+            sum_series(lambda k: math.pow(10.0, 40 * k))
+        assert err.value.index == 8
+
     def test_budget_exhaustion(self):
         ev = sum_series(lambda k: 1.0 / (k + 1), SummationPolicy(max_terms=50))
         assert not ev.converged
@@ -153,6 +159,11 @@ class TestSumBilateral:
         with pytest.raises(EvaluationDomainError) as err:
             sum_bilateral(lambda n: math.nan if n == -3 else 0.5 ** abs(n))
         assert err.value.index == -3
+
+    def test_overflowing_term_carries_index(self):
+        with pytest.raises(EvaluationDomainError) as err:
+            sum_bilateral(lambda n: math.pow(10.0, -40 * n))
+        assert err.value.index == -8
 
 
 class TestCentralDerivative:

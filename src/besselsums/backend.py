@@ -1,7 +1,7 @@
 """Scalar kernels for the hot series loops.
 
-``recip_gamma`` and the Bessel, Tricomi and Wright series loops, in pure
-Python over floats.  Each series kernel uses Neumaier-compensated
+``recip_gamma`` and the Bessel and Tricomi series loops, in pure Python over
+floats.  Each series kernel uses Neumaier-compensated
 accumulation and stops once ``consecutive_small`` successive terms are no
 larger than ``abs_tol + rel_tol * |partial sum|``, returning
 ``(value, terms_used, last_term_magnitude, converged)``.  A term that is not
@@ -11,7 +11,9 @@ The Bessel and Tricomi series share one loop, ``_ratio_series``: both step
 their terms by ``c / ((k + 1)(a + k + 1))``.  Negative-integer orders make a
 leading run of their terms vanish exactly at reciprocal-gamma poles; both
 start past that run (``leading_pole_shift``) so the stop rule never mistakes
-it for convergence.
+it for convergence.  The Wright function and the composites are summed in
+``besselsums.hybrid``, which starts its Gamma-weighted series by the same
+``leading_pole_shift``.
 """
 
 import math
@@ -46,14 +48,18 @@ def _recip_gamma(a):
 recip_gamma = _recip_gamma
 
 
-def leading_pole_shift(order):
-    """First index k whose Gamma(order + k + 1) weight is off a pole.
+def leading_pole_shift(order, step=1.0):
+    """First index k whose Gamma(step k + order + 1) weight is off a pole.
 
-    For negative integer order the first |order| terms of the order's series
-    vanish identically; starting past them keeps the stop rule honest.
+    For negative integer order a leading run of the series' terms vanishes
+    identically (the first |order| of them at step 1); starting past it keeps
+    the stop rule honest.  With a non-integer step only k = 0 is sure to sit
+    on a pole.  ``order`` and ``step`` are finite, ``step`` > 0.
     """
     if order < 0.0 and order == math.floor(order):
-        return int(-order)
+        if step == math.floor(step):
+            return -int(order // step)  # ceil(|order| / step)
+        return 1
     return 0
 
 
@@ -112,47 +118,3 @@ def tricomi_series(alpha, x, abs_tol, rel_tol, max_terms, consecutive_small):
     except OverflowError:
         term = math.inf
     return _ratio_series(term, alpha, -x, k0, abs_tol, rel_tol, max_terms, consecutive_small)
-
-
-def wright_series(nu, mu, x, abs_tol, rel_tol, max_terms, consecutive_small):
-    """Wright series: sum_r x^r / (r! Gamma(nu + mu r)), mu > 0.
-
-    Gamma poles zero out individual terms; a leading all-pole run is skipped
-    from the streak count (it carries no convergence information) but still
-    consumes budget.
-    """
-    w = 1.0  # x^r / r!
-    total = 0.0
-    comp = 0.0
-    streak = 0
-    terms = 0
-    last_mag = 0.0
-    converged = False
-    seen_nonzero = False
-    r = 0
-    while terms < max_terms:
-        g = _recip_gamma(nu + mu * r)
-        term = w * g
-        if math.isinf(term) or term != term:
-            return math.nan, terms + 1, math.inf, False
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-        terms += 1
-        last_mag = abs(term)
-        if term != 0.0:
-            seen_nonzero = True
-        if seen_nonzero or g != 0.0:
-            if last_mag <= abs_tol + rel_tol * abs(total + comp):
-                streak += 1
-                if streak >= consecutive_small:
-                    converged = True
-                    break
-            else:
-                streak = 0
-        w *= x / (r + 1.0)
-        r += 1
-    return total + comp, terms, last_mag, converged

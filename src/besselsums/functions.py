@@ -5,21 +5,23 @@ desk-scale arguments (|x| <= 10 or so) where the ascending series converge in
 a few dozen terms, and a single auditable code path is worth more than
 asymptotic switchovers.
 
-The series loops themselves are the kernels in ``besselsums.backend``; this
-layer checks the arguments and turns a kernel's raw tuple into a
+The Bessel and Tricomi series loops are the kernels in ``besselsums.backend``;
+this layer checks the arguments and turns a kernel's raw tuple into a
 ``SeriesEval`` certificate, raising ``EvaluationDomainError`` on the kernels'
-non-finite sentinel.  The two polynomial families raise it when a term
-overflows float range.
+non-finite sentinel.  The Wright function is the Hermite-based Wright
+composite at v = 0, summed by ``besselsums.hybrid``.  The two polynomial
+families raise ``EvaluationDomainError`` when a term overflows float range.
 """
 
 import math
 
-from besselsums import backend
+from besselsums import backend, hybrid
 from besselsums.series import (
     DEFAULT_POLICY,
     EvaluationDomainError,
     SeriesEval,
     SummationPolicy,
+    require_finite,
 )
 
 
@@ -28,12 +30,6 @@ def _wrap(raw, what: str) -> SeriesEval:
     if not math.isfinite(value):
         raise EvaluationDomainError(f"non-finite term while summing {what}", index=terms - 1)
     return SeriesEval(value, terms, last_mag, bool(converged))
-
-
-def _require_finite(**kwargs):
-    for name, v in kwargs.items():
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
 
 
 def bessel_j(nu: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) -> SeriesEval:
@@ -47,7 +43,7 @@ def bessel_j(nu: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) -> S
     single-valued); x = 0 with negative non-integer nu diverges.
     """
     nu, x = float(nu), float(x)
-    _require_finite(nu=nu, x=x)
+    require_finite(nu=nu, x=x)
     nu_is_int = nu == math.floor(nu)
     if x < 0.0 and not nu_is_int:
         raise ValueError(f"bessel_j with non-integer nu={nu} requires x >= 0, got x={x}")
@@ -65,7 +61,7 @@ def tricomi_c(alpha: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) 
     Entire in x; related to the Bessel family by C_alpha(x) = x^(-alpha/2) J_alpha(2 sqrt x).
     """
     alpha, x = float(alpha), float(x)
-    _require_finite(alpha=alpha, x=x)
+    require_finite(alpha=alpha, x=x)
     raw = backend.tricomi_series(
         alpha, x, policy.abs_tol, policy.rel_tol, policy.max_terms, policy.consecutive_small
     )
@@ -73,15 +69,16 @@ def tricomi_c(alpha: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) 
 
 
 def wright(nu: float, mu: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) -> SeriesEval:
-    """Wright function sum_r x^r / (r! Gamma(nu + mu r)) for mu > 0."""
+    """Wright function sum_r x^r / (r! Gamma(nu + mu r)) for mu > 0.
+
+    The Hermite-based Wright function with the kernel H_r^(1)(x, 0) = x^r:
+    ``h_wright(nu - 1, 1, mu, x, 0)``.
+    """
     nu, mu, x = float(nu), float(mu), float(x)
-    _require_finite(nu=nu, mu=mu, x=x)
+    require_finite(nu=nu, mu=mu, x=x)
     if mu <= 0.0:
         raise ValueError(f"wright requires mu > 0, got mu={mu}")
-    raw = backend.wright_series(
-        nu, mu, x, policy.abs_tol, policy.rel_tol, policy.max_terms, policy.consecutive_small
-    )
-    return _wrap(raw, f"W_{nu}({x}|{mu})")
+    return hybrid.h_wright(nu - 1.0, 1, mu, x, 0.0, policy)
 
 
 def laguerre2(n: int, x: float, y: float) -> float:

@@ -2,8 +2,11 @@
 family (Hermite- and Laguerre-based Tricomi/Wright functions, and the nested
 hybrid K series built from Hermite-based Tricomi functions of stepped order).
 
-All of these run through the generic engine with terms built from the reduced
-polynomials H_n/n! and L_n/n!, which keeps intermediate magnitudes tame.
+All of these, and the plain Wright function, are one shape: the Gamma-weighted
+series sum_k (+-1)^k p_k / Gamma(mu k + nu + 1), summed by ``_gamma_series``
+through the generic engine.  The weights p_k are the reduced polynomials
+H_k/k! and L_k/k!, which keeps intermediate magnitudes tame; the sum starts
+past a leading run of Gamma poles (``backend.leading_pole_shift``).
 
 Each Hermite-based composite call reads H_n/n! from its own table, so every
 ratio is computed at most once per call.  ``hybrid_k`` shares one table across all its
@@ -15,7 +18,13 @@ import math
 from dataclasses import replace
 
 from besselsums import backend
-from besselsums.series import DEFAULT_POLICY, SeriesEval, SummationPolicy, sum_series
+from besselsums.series import (
+    DEFAULT_POLICY,
+    SeriesEval,
+    SummationPolicy,
+    require_finite,
+    sum_series,
+)
 
 
 # n! as floats; 171! is past float range
@@ -47,13 +56,11 @@ def _hermite_table(m: int, u: float, v: float):
 
 def _laguerre_ratio(n: int, u: float, v: float) -> float:
     """L_n(u, v) / n!"""
+    if n >= len(_FACTORIAL):
+        raise OverflowError(f"{n}! is past float range")
     out = 0.0
     for k in range(n + 1):
-        out += (
-            math.pow(-u, k)
-            * math.pow(v, n - k)
-            / (float(math.factorial(n - k)) * float(math.factorial(k)) ** 2)
-        )
+        out += math.pow(-u, k) * math.pow(v, n - k) / (_FACTORIAL[n - k] * _FACTORIAL[k] ** 2)
     return out
 
 
@@ -65,6 +72,24 @@ def _sparse_guard(policy: SummationPolicy, m: int, u: float) -> SummationPolicy:
     return policy
 
 
+def _gamma_series(
+    ratio, nu: float, mu: float, alternating: bool, policy: SummationPolicy
+) -> SeriesEval:
+    """sum_k (+-1)^k ratio(k) / Gamma(mu k + nu + 1), from the first k off a pole.
+
+    The one place a Gamma-weighted term is built: every composite (and the
+    Wright function) is this sum with its own polynomial ratio.
+    """
+    k0 = backend.leading_pole_shift(nu, mu)
+
+    def term(i: int) -> float:
+        k = i + k0
+        t = ratio(k) * backend.recip_gamma(mu * k + nu + 1.0)
+        return -t if alternating and k & 1 else t
+
+    return sum_series(term, policy)
+
+
 def h_tricomi(
     nu: float, m: int, u: float, v: float, policy: SummationPolicy = DEFAULT_POLICY
 ) -> SeriesEval:
@@ -72,20 +97,9 @@ def h_tricomi(
 
     Reduces to tricomi_c(nu, u) at v = 0.
     """
+    require_finite(nu=nu, m=m, u=u, v=v)
     m = _check_order(m)
-    return _h_tricomi(nu, _hermite_table(m, u, v), _sparse_guard(policy, m, u))
-
-
-def _h_tricomi(nu: float, ratio, policy: SummationPolicy) -> SeriesEval:
-    """h_tricomi's sum, reading H_j/j! from the table ``ratio``."""
-    j0 = backend.leading_pole_shift(nu)
-
-    def term(i: int) -> float:
-        j = i + j0
-        sign = -1.0 if j & 1 else 1.0
-        return sign * ratio(j) * backend.recip_gamma(nu + j + 1.0)
-
-    return sum_series(term, policy)
+    return _gamma_series(_hermite_table(m, u, v), nu, 1.0, True, _sparse_guard(policy, m, u))
 
 
 def l_tricomi(nu: float, u: float, v: float, policy: SummationPolicy = DEFAULT_POLICY) -> SeriesEval:
@@ -93,14 +107,8 @@ def l_tricomi(nu: float, u: float, v: float, policy: SummationPolicy = DEFAULT_P
 
     Reduces to tricomi_c(nu, v) at u = 0.
     """
-    j0 = backend.leading_pole_shift(nu)
-
-    def term(i: int) -> float:
-        j = i + j0
-        sign = -1.0 if j & 1 else 1.0
-        return sign * _laguerre_ratio(j, u, v) * backend.recip_gamma(nu + j + 1.0)
-
-    return sum_series(term, policy)
+    require_finite(nu=nu, u=u, v=v)
+    return _gamma_series(lambda k: _laguerre_ratio(k, u, v), nu, 1.0, True, policy)
 
 
 def h_wright(
@@ -112,16 +120,11 @@ def h_wright(
     policy: SummationPolicy = DEFAULT_POLICY,
 ) -> SeriesEval:
     """Hermite-based Wright function: sum_k H_k^(m)(u,v) / (k! Gamma(mu k + nu + 1))."""
+    require_finite(nu=nu, m=m, mu=mu, u=u, v=v)
     m = _check_order(m)
     if mu <= 0.0:
         raise ValueError(f"h_wright requires mu > 0, got mu={mu}")
-    p = _sparse_guard(policy, m, u)
-    ratio = _hermite_table(m, u, v)
-
-    def term(k: int) -> float:
-        return ratio(k) * backend.recip_gamma(mu * k + nu + 1.0)
-
-    return sum_series(term, p)
+    return _gamma_series(_hermite_table(m, u, v), nu, mu, False, _sparse_guard(policy, m, u))
 
 
 def hybrid_k(
@@ -133,20 +136,28 @@ def hybrid_k(
     The inner superscript stays fixed at 2 for every m, matching the family's
     definition.  m may be any nonzero integer; negative m steps the inner
     order downward, the branch the extended Neumann sum rule actually needs.
-    The inner sums run at 10x tighter tolerance so the outer truncation
-    dominates the error budget; the certificate is converged only if the
-    outer sum and every inner sum converged.
+    With non-integer mu those inner terms grow like xi^k (|m| k)!/k!, so for
+    xi != 0 the series converges only at m = -1 with |xi| < 1; elsewhere it
+    raises ValueError.  The inner sums run at 10x tighter tolerance so the
+    outer truncation dominates the error budget; the certificate is converged
+    only if the outer sum and every inner sum converged.
     """
+    require_finite(mu=mu, m=m, x=x, y=y, xi=xi)
     if m != int(m) or int(m) == 0:
         raise ValueError(f"m must be a nonzero integer, got {m!r}")
     m = int(m)
+    if m < 0 and mu != math.floor(mu) and xi != 0.0 and (m < -1 or abs(xi) >= 1.0):
+        raise ValueError(
+            "hybrid_k diverges for m < 0 with non-integer mu unless m = -1 and |xi| < 1, "
+            f"got mu={mu}, m={m}, xi={xi}"
+        )
     inner_policy = _sparse_guard(policy.tightened(10.0), 2, x)
     ratio = _hermite_table(2, x, y)
     inner_ok = True
 
     def term(k: int) -> float:
         nonlocal inner_ok
-        inner = _h_tricomi(m * k + mu, ratio, inner_policy)
+        inner = _gamma_series(ratio, m * k + mu, 1.0, True, inner_policy)
         if not inner.converged:
             inner_ok = False
         return math.pow(xi, k) * inner.value / float(math.factorial(k))

@@ -24,6 +24,13 @@ class EvaluationDomainError(ValueError):
         self.index = index
 
 
+def require_finite(**kwargs) -> None:
+    """Raise ValueError naming the first argument that is not finite."""
+    for name, v in kwargs.items():
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
+
+
 @dataclass(frozen=True)
 class SummationPolicy:
     """Tolerances and budgets governing a series evaluation.

@@ -2,6 +2,7 @@
 computed in this file, plus scipy as a second implementation)."""
 
 import math
+import random
 
 import pytest
 import scipy.special as sc
@@ -205,3 +206,27 @@ class TestWright:
     def test_tight_policy_still_converges(self):
         ev = wright(0.5, 0.5, 2.0, SummationPolicy(abs_tol=1e-15, rel_tol=1e-13))
         assert ev.converged
+
+    def test_seeded_sample_within_rounding_of_exact_sum(self):
+        # against a 30-digit direct sum, on points mixing integer and non-integer
+        # nu and mu (leading Gamma poles included): |error| <= 1e-14 sum_r |t_r|,
+        # plus for each term the change of 1/Gamma across the float rounding of
+        # its argument nu + mu r, which is steep next to a pole
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(20121)
+        with mpmath.workdps(30):
+            for _ in range(100):
+                nu = rng.choice([rng.uniform(-6.0, 4.0), float(rng.randint(-6, 2))])
+                mu = rng.choice([rng.uniform(0.1, 3.0), float(rng.randint(1, 3)), 0.5])
+                x = rng.uniform(-5.0, 5.0)
+                exact = scale = rounding = mpmath.mpf(0)
+                for r in range(60):  # 5^60/60! < 1e-39
+                    power = mpmath.mpf(x) ** r / mpmath.factorial(r)
+                    arg = nu + mpmath.mpf(mu) * r
+                    delta = 2.0**-51 * (abs(mu * r) + abs(nu) + 2.0)
+                    t = power * mpmath.rgamma(arg)
+                    exact, scale = exact + t, scale + abs(t)
+                    rounding += abs(power * (mpmath.rgamma(arg + delta) - mpmath.rgamma(arg - delta)))
+                ev = wright(nu, mu, x)
+                assert ev.converged, (nu, mu, x)
+                assert abs(ev.value - exact) <= 1e-14 * scale + rounding, (nu, mu, x)

@@ -324,6 +324,14 @@ class TestCli:
             ["laguerre2", "n=200", "x=1", "y=1"],
             ["hermite_m", "n=3", "m=1", "x=1e200", "y=1"],
             ["hermite_m", "n=300", "m=1", "x=10", "y=1"],
+            ["h_tricomi", "nu=-inf", "m=1", "u=1", "v=1"],
+            ["l_tricomi", "nu=-inf", "u=1", "v=1"],
+            ["l_tricomi", "nu=-1e12", "u=1", "v=1"],  # first term off the poles is k = 10^12
+            ["h_wright", "nu=-inf", "m=1", "mu=1", "u=1", "v=0"],
+            ["h_wright", "nu=0", "m=1", "mu=inf", "u=1", "v=0"],
+            ["hybrid_k", "mu=nan", "m=1", "x=1", "y=1", "xi=1"],
+            ["hybrid_k", "mu=0.5", "m=-2", "x=1", "y=1", "xi=0.001"],
+            ["wright", "nu=-inf", "mu=1", "x=1"],
         ],
         ids=lambda args: " ".join(args),
     )

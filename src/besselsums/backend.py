@@ -48,17 +48,17 @@ def _recip_gamma(a):
 recip_gamma = _recip_gamma
 
 
-def leading_pole_shift(order, step=1.0):
-    """First index k whose Gamma(step k + order + 1) weight is off a pole.
+def leading_pole_shift(a, step=1.0):
+    """First index k whose weight 1/Gamma(step k + a) is off a pole.
 
-    For negative integer order a leading run of the series' terms vanishes
-    identically (the first |order| of them at step 1); starting past it keeps
+    For a nonpositive integer a leading run of the series' terms vanishes
+    identically (the first 1 - a of them at step 1); starting past it keeps
     the stop rule honest.  With a non-integer step only k = 0 is sure to sit
-    on a pole.  ``order`` and ``step`` are finite, ``step`` > 0.
+    on a pole.  ``a`` and ``step`` are finite, ``step`` > 0.
     """
-    if order < 0.0 and order == math.floor(order):
+    if a <= 0.0 and a == math.floor(a):
         if step == math.floor(step):
-            return -int(order // step)  # ceil(|order| / step)
+            return int(-a // step) + 1  # first k with step k + a >= 1
         return 1
     return 0
 
@@ -68,37 +68,33 @@ def _ratio_series(term, a, c, k0, abs_tol, rel_tol, max_terms, consecutive_small
     total = 0.0
     comp = 0.0
     streak = 0
-    terms = 0
     last_mag = 0.0
-    converged = False
     k = float(k0)
-    while terms < max_terms:
-        if math.isinf(term) or term != term:
-            return math.nan, terms + 1, math.inf, False
+    for terms in range(1, max_terms + 1):
+        if term - term != 0.0:  # inf or nan
+            return math.nan, terms, math.inf, False
         t = total + term
-        if abs(total) >= abs(term):
+        last_mag = abs(term)
+        if abs(total) >= last_mag:
             comp += (total - t) + term
         else:
             comp += (term - t) + total
         total = t
-        terms += 1
-        last_mag = abs(term)
         if last_mag <= abs_tol + rel_tol * abs(total + comp):
             streak += 1
             if streak >= consecutive_small:
-                converged = True
-                break
+                return total + comp, terms, last_mag, True
         else:
             streak = 0
         term = term * c / ((k + 1.0) * (a + k + 1.0))
         k += 1.0
-    return total + comp, terms, last_mag, converged
+    return total + comp, max_terms, last_mag, False
 
 
 def bessel_j_series(nu, x, abs_tol, rel_tol, max_terms, consecutive_small):
     """Ascending series for J_nu(x): sum_k (-1)^k (x/2)^(2k+nu) / (k! Gamma(nu+k+1))."""
     half = 0.5 * x
-    k0 = leading_pole_shift(nu)
+    k0 = leading_pole_shift(nu + 1.0)
     try:
         term = math.pow(half, 2.0 * k0 + nu) * _recip_gamma(nu + k0 + 1.0) * _recip_gamma(k0 + 1.0)
     except OverflowError:
@@ -112,7 +108,7 @@ def bessel_j_series(nu, x, abs_tol, rel_tol, max_terms, consecutive_small):
 
 def tricomi_series(alpha, x, abs_tol, rel_tol, max_terms, consecutive_small):
     """Tricomi series C_alpha(x): sum_k (-x)^k / (k! Gamma(alpha+k+1))."""
-    k0 = leading_pole_shift(alpha)
+    k0 = leading_pole_shift(alpha + 1.0)
     try:
         term = math.pow(-x, k0) * _recip_gamma(alpha + k0 + 1.0) * _recip_gamma(k0 + 1.0)
     except OverflowError:

@@ -10,7 +10,8 @@ this layer checks the arguments and turns a kernel's raw tuple into a
 ``SeriesEval`` certificate, raising ``EvaluationDomainError`` on the kernels'
 non-finite sentinel.  The Wright function is the Hermite-based Wright
 composite at v = 0, summed by ``besselsums.hybrid``.  The two polynomial
-families raise ``EvaluationDomainError`` when a term overflows float range.
+families refuse a non-finite argument with ``ValueError`` naming it, and raise
+``EvaluationDomainError`` when a term overflows float range.
 """
 
 import math
@@ -25,13 +26,6 @@ from besselsums.series import (
 )
 
 
-def _wrap(raw, what: str) -> SeriesEval:
-    value, terms, last_mag, converged = raw
-    if not math.isfinite(value):
-        raise EvaluationDomainError(f"non-finite term while summing {what}", index=terms - 1)
-    return SeriesEval(value, terms, last_mag, bool(converged))
-
-
 def bessel_j(nu: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) -> SeriesEval:
     """Bessel function of the first kind J_nu(x) by its ascending series.
 
@@ -43,16 +37,19 @@ def bessel_j(nu: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) -> S
     single-valued); x = 0 with negative non-integer nu diverges.
     """
     nu, x = float(nu), float(x)
-    require_finite(nu=nu, x=x)
+    if nu - nu != 0.0 or x - x != 0.0:  # inf or nan; the keyword call only then
+        require_finite(nu=nu, x=x)
     nu_is_int = nu == math.floor(nu)
     if x < 0.0 and not nu_is_int:
         raise ValueError(f"bessel_j with non-integer nu={nu} requires x >= 0, got x={x}")
     if x == 0.0 and nu < 0.0 and not nu_is_int:
         raise ValueError(f"bessel_j diverges at x=0 for negative non-integer nu={nu}")
-    raw = backend.bessel_j_series(
+    value, terms, last_mag, converged = backend.bessel_j_series(
         nu, x, policy.abs_tol, policy.rel_tol, policy.max_terms, policy.consecutive_small
     )
-    return _wrap(raw, f"J_{nu}({x})")
+    if value - value != 0.0:
+        raise EvaluationDomainError(f"non-finite term while summing J_{nu}({x})", index=terms - 1)
+    return SeriesEval(value, terms, last_mag, converged)
 
 
 def tricomi_c(alpha: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) -> SeriesEval:
@@ -61,24 +58,30 @@ def tricomi_c(alpha: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) 
     Entire in x; related to the Bessel family by C_alpha(x) = x^(-alpha/2) J_alpha(2 sqrt x).
     """
     alpha, x = float(alpha), float(x)
-    require_finite(alpha=alpha, x=x)
-    raw = backend.tricomi_series(
+    if alpha - alpha != 0.0 or x - x != 0.0:
+        require_finite(alpha=alpha, x=x)
+    value, terms, last_mag, converged = backend.tricomi_series(
         alpha, x, policy.abs_tol, policy.rel_tol, policy.max_terms, policy.consecutive_small
     )
-    return _wrap(raw, f"C_{alpha}({x})")
+    if value - value != 0.0:
+        raise EvaluationDomainError(
+            f"non-finite term while summing C_{alpha}({x})", index=terms - 1
+        )
+    return SeriesEval(value, terms, last_mag, converged)
 
 
 def wright(nu: float, mu: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) -> SeriesEval:
     """Wright function sum_r x^r / (r! Gamma(nu + mu r)) for mu > 0.
 
-    The Hermite-based Wright function with the kernel H_r^(1)(x, 0) = x^r:
-    ``h_wright(nu - 1, 1, mu, x, 0)``.
+    The Hermite-based Wright function ``h_wright(nu - 1, 1, mu, x, 0)``, whose
+    kernel is H_r^(1)(x, 0) = x^r, summed with the Gamma offset nu itself so
+    that nu + mu r is rounded once.
     """
     nu, mu, x = float(nu), float(mu), float(x)
     require_finite(nu=nu, mu=mu, x=x)
     if mu <= 0.0:
         raise ValueError(f"wright requires mu > 0, got mu={mu}")
-    return hybrid.h_wright(nu - 1.0, 1, mu, x, 0.0, policy)
+    return hybrid._gamma_series(hybrid._hermite_table(1, x, 0.0), nu, mu, False, policy)
 
 
 def laguerre2(n: int, x: float, y: float) -> float:
@@ -88,6 +91,8 @@ def laguerre2(n: int, x: float, y: float) -> float:
     integer coefficients, summed in increasing k for reproducibility.
     """
     n = _check_index(n)
+    if x - x != 0.0 or y - y != 0.0:
+        require_finite(x=x, y=y)
     out = 0.0
     try:
         for k in range(n + 1):
@@ -109,6 +114,8 @@ def hermite_m(n: int, m: int, x: float, y: float) -> float:
     if m != int(m) or int(m) < 1:
         raise ValueError(f"order m must be an integer >= 1, got {m!r}")
     m = int(m)
+    if x - x != 0.0 or y - y != 0.0:
+        require_finite(x=x, y=y)
     out = 0.0
     fact_n = math.factorial(n)
     try:

@@ -3,15 +3,18 @@ family (Hermite- and Laguerre-based Tricomi/Wright functions, and the nested
 hybrid K series built from Hermite-based Tricomi functions of stepped order).
 
 All of these, and the plain Wright function, are one shape: the Gamma-weighted
-series sum_k (+-1)^k p_k / Gamma(mu k + nu + 1), summed by ``_gamma_series``
-through the generic engine.  The weights p_k are the reduced polynomials
-H_k/k! and L_k/k!, which keeps intermediate magnitudes tame; the sum starts
-past a leading run of Gamma poles (``backend.leading_pole_shift``).
+series sum_k (+-1)^k p_k / Gamma(mu k + a), summed by ``_gamma_series``
+through the generic engine, with a = nu + 1 for the composites and a = nu for
+the Wright function, so that mu k + a is rounded once.  The weights p_k are
+the reduced polynomials H_k/k! and L_k/k!, which keeps intermediate magnitudes
+tame; the sum starts past a leading run of Gamma poles
+(``backend.leading_pole_shift`` of the same a).
 
 Each Hermite-based composite call reads H_n/n! from its own table, so every
-ratio is computed at most once per call.  ``hybrid_k`` shares one table across all its
-inner sums: every inner HC_(m k + mu)(x, y) reads the same H_j^(2)(x, y)/j!.
-The table lives for one call only.
+ratio, and every power u^j and v^k in it, is computed at most once per call.
+``hybrid_k`` shares one table across all its inner sums: every inner
+HC_(m k + mu)(x, y) reads the same H_j^(2)(x, y)/j!.  The table lives for one
+call only.
 """
 
 import math
@@ -31,24 +34,32 @@ from besselsums.series import (
 _FACTORIAL = tuple(float(math.factorial(i)) for i in range(171))
 
 
-def _hermite_ratio(n: int, m: int, u: float, v: float) -> float:
-    """H_n^(m)(u, v) / n!"""
-    if n >= len(_FACTORIAL):
-        raise OverflowError(f"{n}! is past float range")
+def _hermite_ratio(n: int, m: int, upow, vpow) -> float:
+    """H_n^(m)(u, v) / n! from the powers upow[j] = u^j (j <= n) and
+    vpow[k] = v^k (k <= n // m), for n < 171."""
     out = 0.0
     for k in range(n // m + 1):
-        out += math.pow(u, n - m * k) * math.pow(v, k) / (_FACTORIAL[n - m * k] * _FACTORIAL[k])
+        j = n - m * k
+        out += upow[j] * vpow[k] / (_FACTORIAL[j] * _FACTORIAL[k])
     return out
 
 
 def _hermite_table(m: int, u: float, v: float):
-    """n -> H_n^(m)(u, v) / n!, each ratio computed on first use only."""
+    """n -> H_n^(m)(u, v) / n!, each ratio and each power computed on first use only."""
     table = {}
+    upow = []
+    vpow = []
 
     def ratio(n: int) -> float:
         r = table.get(n)
         if r is None:
-            r = table[n] = _hermite_ratio(n, m, u, v)
+            if n >= len(_FACTORIAL):
+                raise OverflowError(f"{n}! is past float range")
+            while len(upow) <= n:
+                upow.append(math.pow(u, len(upow)))
+            while len(vpow) <= n // m:
+                vpow.append(math.pow(v, len(vpow)))
+            r = table[n] = _hermite_ratio(n, m, upow, vpow)
         return r
 
     return ratio
@@ -73,18 +84,19 @@ def _sparse_guard(policy: SummationPolicy, m: int, u: float) -> SummationPolicy:
 
 
 def _gamma_series(
-    ratio, nu: float, mu: float, alternating: bool, policy: SummationPolicy
+    ratio, a: float, mu: float, alternating: bool, policy: SummationPolicy
 ) -> SeriesEval:
-    """sum_k (+-1)^k ratio(k) / Gamma(mu k + nu + 1), from the first k off a pole.
+    """sum_k (+-1)^k ratio(k) / Gamma(mu k + a), from the first k off a pole.
 
     The one place a Gamma-weighted term is built: every composite (and the
     Wright function) is this sum with its own polynomial ratio.
     """
-    k0 = backend.leading_pole_shift(nu, mu)
+    k0 = backend.leading_pole_shift(a, mu)
+    recip_gamma = backend.recip_gamma
 
     def term(i: int) -> float:
         k = i + k0
-        t = ratio(k) * backend.recip_gamma(mu * k + nu + 1.0)
+        t = ratio(k) * recip_gamma(mu * k + a)
         return -t if alternating and k & 1 else t
 
     return sum_series(term, policy)
@@ -99,7 +111,8 @@ def h_tricomi(
     """
     require_finite(nu=nu, m=m, u=u, v=v)
     m = _check_order(m)
-    return _gamma_series(_hermite_table(m, u, v), nu, 1.0, True, _sparse_guard(policy, m, u))
+    policy = _sparse_guard(policy, m, u)
+    return _gamma_series(_hermite_table(m, u, v), nu + 1.0, 1.0, True, policy)
 
 
 def l_tricomi(nu: float, u: float, v: float, policy: SummationPolicy = DEFAULT_POLICY) -> SeriesEval:
@@ -108,7 +121,7 @@ def l_tricomi(nu: float, u: float, v: float, policy: SummationPolicy = DEFAULT_P
     Reduces to tricomi_c(nu, v) at u = 0.
     """
     require_finite(nu=nu, u=u, v=v)
-    return _gamma_series(lambda k: _laguerre_ratio(k, u, v), nu, 1.0, True, policy)
+    return _gamma_series(lambda k: _laguerre_ratio(k, u, v), nu + 1.0, 1.0, True, policy)
 
 
 def h_wright(
@@ -124,7 +137,8 @@ def h_wright(
     m = _check_order(m)
     if mu <= 0.0:
         raise ValueError(f"h_wright requires mu > 0, got mu={mu}")
-    return _gamma_series(_hermite_table(m, u, v), nu, mu, False, _sparse_guard(policy, m, u))
+    policy = _sparse_guard(policy, m, u)
+    return _gamma_series(_hermite_table(m, u, v), nu + 1.0, mu, False, policy)
 
 
 def hybrid_k(
@@ -157,7 +171,7 @@ def hybrid_k(
 
     def term(k: int) -> float:
         nonlocal inner_ok
-        inner = _gamma_series(ratio, m * k + mu, 1.0, True, inner_policy)
+        inner = _gamma_series(ratio, m * k + mu + 1.0, 1.0, True, inner_policy)
         if not inner.converged:
             inner_ok = False
         return math.pow(xi, k) * inner.value / float(math.factorial(k))

@@ -4,14 +4,22 @@ One-sided sums run k = 0, 1, 2, ...; bilateral sums start at n = 0 and expand
 the window +1, -1, +2, -2, ... with the stop rule applied to each direction on
 its own.  Terms may be real or complex; accumulation is Neumaier-compensated,
 which recovers the digits alternating Bessel series otherwise lose at moderate
-argument.  A term that is not finite, or whose computation overflows, raises
-``EvaluationDomainError`` with the term's index.
+argument.  There is no accumulator object: each sum keeps its running total
+and compensation in local variables of its own loop.
+
+A term whose computation raises ``OverflowError``, or that is not finite
+(``t - t != 0.0``: inf or nan, real or complex), raises
+``EvaluationDomainError`` with the term's index.  A term is negligible when
+|t| <= abs_tol + rel_tol * |partial sum|; a sum stops, converged, after
+``consecutive_small`` negligible terms in a row, and unconverged after
+``max_terms`` terms.  The bilateral sum counts the streak per direction (the
+n = 0 term counts for neither) and is converged only when both directions
+stopped and the larger of their last term magnitudes is still negligible.
 """
 
-import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 Scalar = Union[float, complex]
 
@@ -73,55 +81,41 @@ class SeriesEval:
     converged: bool
 
 
-def _is_finite(v: Scalar) -> bool:
-    if isinstance(v, complex):
-        return cmath.isfinite(v)
-    return math.isfinite(v)
-
-
-class _Accumulator:
-    """Neumaier-compensated running sum; works componentwise on complex."""
-
-    __slots__ = ("total", "comp")
-
-    def __init__(self):
-        self.total = 0.0
-        self.comp = 0.0
-
-    def add(self, term: Scalar) -> None:
-        t = self.total + term
-        if abs(self.total) >= abs(term):
-            self.comp += (self.total - t) + term
-        else:
-            self.comp += (term - t) + self.total
-        self.total = t
-
-    @property
-    def value(self) -> Scalar:
-        return self.total + self.comp
+def _term_error(n: int, t: Optional[Scalar] = None) -> EvaluationDomainError:
+    """The error for a term that overflowed (``t`` None) or came back non-finite."""
+    if t is None:
+        return EvaluationDomainError(f"overflow in series term at index {n}", index=n)
+    return EvaluationDomainError(f"non-finite series term {t!r} at index {n}", index=n)
 
 
 def sum_series(term: Callable[[int], Scalar], policy: SummationPolicy = DEFAULT_POLICY) -> SeriesEval:
     """Sum term(0) + term(1) + ... adaptively; see SummationPolicy for the stop rule."""
-    acc = _Accumulator()
+    abs_tol, rel_tol = policy.abs_tol, policy.rel_tol
+    max_terms, need = policy.max_terms, policy.consecutive_small
+    total = comp = 0.0
     streak = 0
-    last_mag = 0.0
-    for k in range(policy.max_terms):
+    mag = 0.0
+    for k in range(max_terms):
         try:
             t = term(k)
         except OverflowError as exc:
-            raise EvaluationDomainError(f"overflow in series term at index {k}", index=k) from exc
-        if not _is_finite(t):
-            raise EvaluationDomainError(f"non-finite series term {t!r} at index {k}", index=k)
-        acc.add(t)
-        last_mag = abs(t)
-        if last_mag <= policy.abs_tol + policy.rel_tol * abs(acc.value):
+            raise _term_error(k) from exc
+        if t - t != 0.0:  # inf or nan, real or complex
+            raise _term_error(k, t)
+        s = total + t
+        mag = abs(t)
+        if abs(total) >= mag:
+            comp += (total - s) + t
+        else:
+            comp += (t - s) + total
+        total = s
+        if mag <= abs_tol + rel_tol * abs(total + comp):
             streak += 1
-            if streak >= policy.consecutive_small:
-                return SeriesEval(acc.value, k + 1, last_mag, True)
+            if streak >= need:
+                return SeriesEval(total + comp, k + 1, mag, True)
         else:
             streak = 0
-    return SeriesEval(acc.value, policy.max_terms, last_mag, False)
+    return SeriesEval(total + comp, max_terms, mag, False)
 
 
 def sum_bilateral(term: Callable[[int], Scalar], policy: SummationPolicy = DEFAULT_POLICY) -> SeriesEval:
@@ -131,47 +125,55 @@ def sum_bilateral(term: Callable[[int], Scalar], policy: SummationPolicy = DEFAU
     independently; the whole sum is converged only when both directions are.
     ``max_terms`` budgets the total number of term evaluations.
     """
-    acc = _Accumulator()
-
-    def _eval(n: int) -> Scalar:
+    abs_tol, rel_tol = policy.abs_tol, policy.rel_tol
+    max_terms, need = policy.max_terms, policy.consecutive_small
+    total = comp = 0.0
+    # per direction, index 0 for n > 0 and 1 for n < 0
+    streaks = [0, 0]
+    last = [0.0, 0.0]
+    live = [True, True]
+    n, side = 0, 1  # n = 0 steps to n = 1 as a negative index would
+    terms = 0
+    while terms < max_terms:
         try:
             t = term(n)
         except OverflowError as exc:
-            raise EvaluationDomainError(f"overflow in series term at index {n}", index=n) from exc
-        if not _is_finite(t):
-            raise EvaluationDomainError(f"non-finite series term {t!r} at index {n}", index=n)
-        return t
-
-    t0 = _eval(0)
-    acc.add(t0)
-    terms = 1
-    streaks = {1: 0, -1: 0}
-    done = {1: False, -1: False}
-    last = {1: 0.0, -1: 0.0}
-    k = 1
-    while terms < policy.max_terms and not (done[1] and done[-1]):
-        for sign in (1, -1):
-            if done[sign] or terms >= policy.max_terms:
-                continue
-            t = _eval(sign * k)
-            acc.add(t)
-            terms += 1
-            mag = abs(t)
-            last[sign] = mag
-            if mag <= policy.abs_tol + policy.rel_tol * abs(acc.value):
-                streaks[sign] += 1
-                if streaks[sign] >= policy.consecutive_small:
-                    done[sign] = True
+            raise _term_error(n) from exc
+        if t - t != 0.0:  # inf or nan, real or complex
+            raise _term_error(n, t)
+        s = total + t
+        mag = abs(t)
+        if abs(total) >= mag:
+            comp += (total - s) + t
+        else:
+            comp += (t - s) + total
+        total = s
+        terms += 1
+        if n:
+            last[side] = mag
+            if mag <= abs_tol + rel_tol * abs(total + comp):
+                streaks[side] += 1
+                if streaks[side] >= need:
+                    live[side] = False
             else:
-                streaks[sign] = 0
-        k += 1
-    value = acc.value
-    last_mag = max(last[1], last[-1])
-    converged = (
-        done[1]
-        and done[-1]
-        and last_mag <= policy.abs_tol + policy.rel_tol * abs(value)
-    )
+                streaks[side] = 0
+        # next index: +1, -1, +2, -2, ..., skipping a direction that stopped
+        if side:
+            if live[0]:
+                side, n = 0, 1 - n
+            elif live[1]:
+                n -= 1
+            else:
+                break
+        elif live[1]:
+            side, n = 1, -n
+        elif live[0]:
+            n += 1
+        else:
+            break
+    value = total + comp
+    last_mag = max(last)
+    converged = not (live[0] or live[1]) and last_mag <= abs_tol + rel_tol * abs(value)
     return SeriesEval(value, terms, last_mag, converged)
 
 
@@ -201,7 +203,7 @@ def central_derivative(
         out = 0.0
         for offset, weight in _STENCILS[order]:
             s = f(t0 + offset * h)
-            if not _is_finite(s):
+            if s - s != 0.0:
                 raise EvaluationDomainError(
                     f"non-finite sample {s!r} at t = {t0 + offset * h}", index=offset
                 )

@@ -1,12 +1,16 @@
-"""The default plan's json report, pinned apart from ``wall_time``.
+"""The default plan's json report, pinned apart from ``wall_time``, and the
+report of a seeded plan of distinct points over the rules whose right sides
+are hybrid composites.
 
-A change that leaves every number the same must leave this digest the same.
-The digest was recorded on x86-64 with Python 3.11 and the pure-python
-kernels; another libm may round ``pow``/``lgamma`` differently and move it.
+A change that leaves every number the same must leave these digests the same.
+They were recorded on x86-64 with Python 3.11 and the pure-python kernels;
+another libm may round ``pow``/``lgamma`` differently and move them.
 """
 
 import dataclasses
 import hashlib
+import json
+import random
 
 import pytest
 
@@ -14,12 +18,66 @@ from besselsums.plan import default_plan_path, load_plan, run_plan
 from besselsums.report import render_json
 
 DEFAULT_REPORT_SHA256 = "74cbcd1fa10029e411ac59740473e9a942a52374e7e255e3176f65b030712e84"
+COMPOSITE_REPORT_SHA256 = "fd574987f85822fba18fc3e94160dfeae04c1532f98707c6c3ba6be25028b0df"
+
+# The default plan has 83 composite cases on a coarse grid.  This plan draws
+# 20 distinct points per composite rule from the default plan's ranges: a
+# list is a choice, a tuple a uniform range, a list of tuples a choice of ranges.
+_COMPOSITE_RULES = (
+    ("MULTIPLE_ORDER", {"m": [1, 2, 3], "x": (0.5, 3.0), "t": (-0.5, 0.9)}, 1e-12, 1e-8),
+    ("FRACTIONAL_ORDER", {"m": [2, 3], "x": (0.5, 2.0), "t": (-0.4, 0.3)}, 1e-7, 1e-7),
+    (
+        "BESSEL_LAGUERRE",
+        {"z": (1.0, 2.0), "x": (0.4, 0.8), "y": (0.7, 1.0), "t": (-0.25, 0.2)},
+        1e-7, 1e-7,
+    ),
+    (
+        "LAGUERRE_HERMITE",
+        {"x": (0.4, 0.8), "y": (0.7, 1.0), "z": [1], "w": (-0.3, 0.5), "t": (-0.25, 0.2)},
+        1e-7, 1e-7,
+    ),
+    (
+        "NEUMANN_EXT",
+        {"x": (0.5, 1.0), "y": (1.0, 1.5), "t": [(-0.6, -0.5), (0.5, 0.8)]},
+        1e-7, 1e-7,
+    ),
+)
+
+
+def _digest(report: str) -> str:
+    lines = report.splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith('  "wall_time":')]
+    assert len(lines) - len(kept) == 1
+    return hashlib.sha256("".join(kept).encode()).hexdigest()
+
+
+def _draw(rng: random.Random, spec):
+    if isinstance(spec, list):
+        spec = rng.choice(spec)
+    return rng.uniform(*spec) if isinstance(spec, tuple) else spec
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
 def test_default_report_digest(parallelism):
     plan = dataclasses.replace(load_plan(default_plan_path()), parallelism=parallelism)
-    lines = render_json(run_plan(plan)).splitlines(keepends=True)
-    kept = [line for line in lines if not line.startswith('  "wall_time":')]
-    assert len(lines) - len(kept) == 1
-    assert hashlib.sha256("".join(kept).encode()).hexdigest() == DEFAULT_REPORT_SHA256
+    assert _digest(render_json(run_plan(plan))) == DEFAULT_REPORT_SHA256
+
+
+def test_composite_sweep_report_digest(tmp_path):
+    rng = random.Random(7)
+    entries = [
+        {
+            "rule": rule,
+            "grid": {name: [_draw(rng, spec)] for name, spec in specs.items()},
+            "tol_abs": tol_abs,
+            "tol_rel": tol_rel,
+        }
+        for _ in range(20)
+        for rule, specs, tol_abs, tol_rel in _COMPOSITE_RULES
+    ]
+    path = tmp_path / "composite_plan.json"
+    path.write_text(json.dumps({"entries": entries}), encoding="utf-8")
+    report = run_plan(load_plan(path))
+    assert len(report.records) == 100
+    assert {r.verdict.value for r in report.records} == {"VERIFIED"}
+    assert _digest(render_json(report)) == COMPOSITE_REPORT_SHA256

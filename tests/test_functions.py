@@ -175,6 +175,21 @@ class TestHermiteM:
             hermite_m(2, 0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: laguerre2(0, math.nan, 1.0), "x"),
+        (lambda: laguerre2(2, 1.0, -math.inf), "y"),
+        (lambda: hermite_m(4, 2, math.inf, 1.0), "x"),
+        (lambda: hermite_m(0, 1, 1.0, math.nan), "y"),
+    ],
+)
+def test_polynomials_name_a_non_finite_argument(call, name):
+    # n = 0 has no term that could overflow, so only the check can refuse nan
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call()
+
+
 class TestWright:
     def test_at_zero(self):
         for nu in (0.5, 1.0, 2.5):
@@ -206,6 +221,27 @@ class TestWright:
     def test_tight_policy_still_converges(self):
         ev = wright(0.5, 0.5, 2.0, SummationPolicy(abs_tol=1e-15, rel_tol=1e-13))
         assert ev.converged
+
+    @pytest.mark.parametrize(
+        "nu, mu, x, ulps",
+        [
+            # next to the pole at -2; forming the argument as (mu r + (nu - 1)) + 1
+            # was off by a relative 3.2e-14
+            (-2.0, 0.9973345846400632, -0.1552461593670751, 2),
+            # 1e-20 - 1 rounds to the pole -1, which returned 0.0; the 5 ulps
+            # are 1/Gamma(1e-20) = exp(-lgamma(1e-20)) rounding
+            (1e-20, 1.0, 0.0, 6),
+        ],
+    )
+    def test_gamma_argument_rounded_once(self, nu, mu, x, ulps):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            terms = (
+                mpmath.mpf(x) ** r / mpmath.factorial(r) * mpmath.rgamma(nu + mpmath.mpf(mu) * r)
+                for r in range(60)
+            )
+            exact = float(mpmath.fsum(terms))
+        assert abs(wright(nu, mu, x).value - exact) <= ulps * math.ulp(exact)
 
     def test_seeded_sample_within_rounding_of_exact_sum(self):
         # against a 30-digit direct sum, on points mixing integer and non-integer

@@ -243,10 +243,21 @@ _ARG = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-4.0, 4.0)
     ns=st.lists(st.integers(0, 30), min_size=1, max_size=40),
 )
 def test_hermite_table_returns_fresh_ratios(m, u, v, ns):
-    # indices in random order, with repeats
+    # indices in random order, with repeats; the table's cached powers give
+    # the bits of a ratio computed from fresh math.pow calls
     ratio = hybrid._hermite_table(m, u, v)
     for n in ns:
-        assert ratio(n).hex() == hybrid._hermite_ratio(n, m, u, v).hex()
+        assert ratio(n).hex() == _fresh_hermite_ratio(n, m, u, v).hex()
+
+
+def _fresh_hermite_ratio(n, m, u, v):
+    """H_n^(m)(u, v) / n!, every power computed anew."""
+    out = 0.0
+    for k in range(n // m + 1):
+        out += math.pow(u, n - m * k) * math.pow(v, k) / (
+            float(math.factorial(n - m * k)) * float(math.factorial(k))
+        )
+    return out
 
 
 def _hybrid_k_fresh(mu, m, x, y, xi, policy=DEFAULT_POLICY):
@@ -302,9 +313,11 @@ def test_default_plan_hermite_ratio_evaluations(monkeypatch):
 
 
 def test_hermite_ratio_past_factorial_range_overflows():
-    assert math.isfinite(hybrid._hermite_ratio(170, 2, 0.5, 0.5))
+    assert math.isfinite(hybrid._hermite_table(2, 0.5, 0.5)(170))
     with pytest.raises(OverflowError):
-        hybrid._hermite_ratio(171, 2, 0.5, 0.5)
+        hybrid._hermite_table(2, 0.5, 0.5)(171)
+    with pytest.raises(OverflowError):  # before any power is tabled
+        hybrid._hermite_table(2, 0.5, 0.5)(10**12)
 
 
 @pytest.mark.parametrize(

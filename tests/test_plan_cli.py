@@ -332,6 +332,9 @@ class TestCli:
             ["hybrid_k", "mu=nan", "m=1", "x=1", "y=1", "xi=1"],
             ["hybrid_k", "mu=0.5", "m=-2", "x=1", "y=1", "xi=0.001"],
             ["wright", "nu=-inf", "mu=1", "x=1"],
+            ["hermite_m", "n=4", "m=2", "x=inf", "y=1"],
+            ["laguerre2", "n=0", "x=nan", "y=1"],
+            ["laguerre2", "n=2", "x=1", "y=-inf"],
         ],
         ids=lambda args: " ".join(args),
     )

@@ -1,6 +1,8 @@
 """The adaptive summation engine and the finite-difference differentiator."""
 
+import cmath
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from besselsums import (
     DEFAULT_POLICY,
     EvaluationDomainError,
+    SeriesEval,
     SummationPolicy,
     central_derivative,
     sum_bilateral,
@@ -164,6 +167,161 @@ class TestSumBilateral:
         with pytest.raises(EvaluationDomainError) as err:
             sum_bilateral(lambda n: math.pow(10.0, -40 * n))
         assert err.value.index == -8
+
+
+# ---------------------------------------------------------------------------
+# the engine against the accumulator-object implementation it replaced
+
+
+def _reference_is_finite(v):
+    if isinstance(v, complex):
+        return cmath.isfinite(v)
+    return math.isfinite(v)
+
+
+class _ReferenceAccumulator:
+    """Neumaier-compensated running sum; works componentwise on complex."""
+
+    def __init__(self):
+        self.total = 0.0
+        self.comp = 0.0
+
+    def add(self, term):
+        t = self.total + term
+        if abs(self.total) >= abs(term):
+            self.comp += (self.total - t) + term
+        else:
+            self.comp += (term - t) + self.total
+        self.total = t
+
+    @property
+    def value(self):
+        return self.total + self.comp
+
+
+def _reference_sum_series(term, policy):
+    acc = _ReferenceAccumulator()
+    streak = 0
+    last_mag = 0.0
+    for k in range(policy.max_terms):
+        try:
+            t = term(k)
+        except OverflowError as exc:
+            raise EvaluationDomainError(f"overflow in series term at index {k}", index=k) from exc
+        if not _reference_is_finite(t):
+            raise EvaluationDomainError(f"non-finite series term {t!r} at index {k}", index=k)
+        acc.add(t)
+        last_mag = abs(t)
+        if last_mag <= policy.abs_tol + policy.rel_tol * abs(acc.value):
+            streak += 1
+            if streak >= policy.consecutive_small:
+                return SeriesEval(acc.value, k + 1, last_mag, True)
+        else:
+            streak = 0
+    return SeriesEval(acc.value, policy.max_terms, last_mag, False)
+
+
+def _reference_sum_bilateral(term, policy):
+    acc = _ReferenceAccumulator()
+
+    def _eval(n):
+        try:
+            t = term(n)
+        except OverflowError as exc:
+            raise EvaluationDomainError(f"overflow in series term at index {n}", index=n) from exc
+        if not _reference_is_finite(t):
+            raise EvaluationDomainError(f"non-finite series term {t!r} at index {n}", index=n)
+        return t
+
+    acc.add(_eval(0))
+    terms = 1
+    streaks = {1: 0, -1: 0}
+    done = {1: False, -1: False}
+    last = {1: 0.0, -1: 0.0}
+    k = 1
+    while terms < policy.max_terms and not (done[1] and done[-1]):
+        for sign in (1, -1):
+            if done[sign] or terms >= policy.max_terms:
+                continue
+            t = _eval(sign * k)
+            acc.add(t)
+            terms += 1
+            mag = abs(t)
+            last[sign] = mag
+            if mag <= policy.abs_tol + policy.rel_tol * abs(acc.value):
+                streaks[sign] += 1
+                if streaks[sign] >= policy.consecutive_small:
+                    done[sign] = True
+            else:
+                streaks[sign] = 0
+        k += 1
+    value = acc.value
+    last_mag = max(last[1], last[-1])
+    converged = done[1] and done[-1] and last_mag <= policy.abs_tol + policy.rel_tol * abs(value)
+    return SeriesEval(value, terms, last_mag, converged)
+
+
+def _seeded_series(rng):
+    """A term function and a policy drawn from ``rng``: real or complex terms,
+    alternating or one-signed, each direction with its own decay (a ratio near
+    or above 1 runs out of budget), sometimes sparse or zero at n = 0,
+    sometimes one bad term (inf, nan or a raised OverflowError)."""
+    policy = SummationPolicy(
+        abs_tol=rng.choice([1e-14, 1e-9]),
+        rel_tol=rng.choice([1e-12, 1e-6]),
+        max_terms=rng.choice([8, 9, 30, 400]),
+        consecutive_small=rng.randint(1, 5),
+    )
+    ratios = (rng.uniform(0.05, 1.02), rng.uniform(0.05, 1.02))  # n >= 0, n < 0
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    alternating = rng.random() < 0.5
+    is_complex = rng.random() < 0.3
+    sparse = rng.choice([1, 1, 2, 3])
+    values = {}
+    for n in range(-400, 400):
+        t = scale * ratios[n < 0] ** abs(n) * rng.uniform(0.5, 1.5)
+        if n % sparse:
+            t = 0.0
+        if alternating and n & 1:
+            t = -t
+        values[n] = complex(t, t * rng.uniform(-2.0, 2.0)) if is_complex else t
+    if rng.random() < 0.2:
+        values[0] = 0.0  # a negligible centre term must not count for either direction
+    bad_at = rng.randint(-12, 12) if rng.random() < 0.3 else None
+    bad = rng.choice(["inf", "nan", "complex-inf", "overflow"])
+
+    def term(n):
+        if n == bad_at:
+            if bad == "overflow":
+                raise OverflowError("math range error")
+            return {"inf": -math.inf, "nan": math.nan, "complex-inf": complex(1.0, math.inf)}[bad]
+        return values[n]
+
+    return term, policy
+
+
+def _outcome(engine, term, policy):
+    try:
+        ev = engine(term, policy)
+    except EvaluationDomainError as exc:
+        return type(exc), exc.index, str(exc), type(exc.__cause__)
+    return repr(ev.value), ev.terms_used, ev.last_term_magnitude.hex(), ev.converged
+
+
+@pytest.mark.parametrize(
+    "engine, reference",
+    [(sum_series, _reference_sum_series), (sum_bilateral, _reference_sum_bilateral)],
+    ids=["sum_series", "sum_bilateral"],
+)
+def test_engine_bit_identical_to_accumulator_reference(engine, reference):
+    rng = random.Random(20240607)
+    kinds = set()
+    for _ in range(600):
+        term, policy = _seeded_series(rng)
+        got = _outcome(engine, term, policy)
+        assert got == _outcome(reference, term, policy)
+        kinds.add(got[0] if isinstance(got[0], type) else got[3])
+    assert kinds == {EvaluationDomainError, True, False}  # raised, converged, out of budget
 
 
 class TestCentralDerivative:

@@ -37,7 +37,7 @@ def bessel_j(nu: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) -> S
     single-valued); x = 0 with negative non-integer nu diverges.
     """
     nu, x = float(nu), float(x)
-    if nu - nu != 0.0 or x - x != 0.0:  # inf or nan; the keyword call only then
+    if nu - nu != 0.0 or x - x != 0.0:  # inf or nan; skip the keyword call otherwise
         require_finite(nu=nu, x=x)
     nu_is_int = nu == math.floor(nu)
     if x < 0.0 and not nu_is_int:

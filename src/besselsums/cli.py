@@ -68,6 +68,9 @@ def _cmd_verify(opts) -> int:
     except FileNotFoundError:
         print(f"error: plan file not found: {path}", file=sys.stderr)
         return 1
+    except OSError as exc:  # a directory, no read permission, ...
+        print(f"error: cannot read plan file: {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     except PlanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

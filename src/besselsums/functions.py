@@ -88,7 +88,8 @@ def laguerre2(n: int, x: float, y: float) -> float:
     """Two-variable Laguerre polynomial n! sum_k (-x)^k y^(n-k) / ((n-k)! (k!)^2).
 
     Equals y^n L_n(x/y) with L_n the ordinary Laguerre polynomial; exact
-    integer coefficients, summed in increasing k for reproducibility.
+    integer coefficients, summed in increasing k for reproducibility.  The
+    reference definition for the recurrence tables of ``hybrid``.
     """
     n = _check_index(n)
     if x - x != 0.0 or y - y != 0.0:
@@ -108,7 +109,8 @@ def hermite_m(n: int, m: int, x: float, y: float) -> float:
     """Higher-order Hermite polynomial n! sum_k x^(n-mk) y^k / ((n-mk)! k!).
 
     The generating function is sum_n t^n/n! H_n = exp(x t + y t^m); m = 2
-    gives the usual two-variable Hermite polynomials.
+    gives the usual two-variable Hermite polynomials.  The reference
+    definition for the recurrence tables of ``hybrid``.
     """
     n = _check_index(n)
     if m != int(m) or int(m) < 1:

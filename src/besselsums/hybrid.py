@@ -10,11 +10,16 @@ the reduced polynomials H_k/k! and L_k/k!, which keeps intermediate magnitudes
 tame; the sum starts past a leading run of Gamma poles
 (``backend.leading_pole_shift`` of the same a).
 
-Each Hermite-based composite call reads H_n/n! from its own table, so every
-ratio, and every power u^j and v^k in it, is computed at most once per call.
-``hybrid_k`` shares one table across all its inner sums: every inner
-HC_(m k + mu)(x, y) reads the same H_j^(2)(x, y)/j!.  The table lives for one
-call only.
+Each call reads its weights from its own table, one degree at a time in O(1):
+h_n = H_n^(m)(u,v)/n! by n h_n = u h_(n-1) + m v h_(n-m) from h_0 = 1, and
+l_n = L_n(u,v)/n! by (n+1)^2 l_(n+1) = ((2n+1) v - u) l_n - v^2 l_(n-1) from
+l_0 = 1, l_1 = v - u (DLMF 18.9's recurrence scaled by v^n/n!).  ``hybrid_k``
+shares one table across its inner sums, and the polynomial rules' left sides
+read the same tables; ``functions.laguerre2`` and ``hermite_m`` are the
+reference definitions.  A table keeps the direct sums' error domain: it stops
+at degree 170 and raises OverflowError where u^n and v^(n//m) (v^n for
+Laguerre) overflow, where the recurrences alone would sum cancelling giants
+to a "converged" value.
 """
 
 import math
@@ -30,49 +35,61 @@ from besselsums.series import (
 )
 
 
-# n! as floats; 171! is past float range
+# n! as floats; 171! is past float range, so no table goes past degree 170
 _FACTORIAL = tuple(float(math.factorial(i)) for i in range(171))
 
 
-def _hermite_ratio(n: int, m: int, upow, vpow) -> float:
-    """H_n^(m)(u, v) / n! from the powers upow[j] = u^j (j <= n) and
-    vpow[k] = v^k (k <= n // m), for n < 171."""
-    out = 0.0
-    for k in range(n // m + 1):
-        j = n - m * k
-        out += upow[j] * vpow[k] / (_FACTORIAL[j] * _FACTORIAL[k])
-    return out
+def _top_degree(x: float) -> int:
+    """The largest n <= 170 with math.pow(x, n) in float range, for finite x."""
+    # 64^170 = 2^1020; ln(max float) = 709.78..., so n starts at or past the edge
+    n = 170 if abs(x) < 64.0 else int(709.79 / math.log(abs(x))) + 1
+    while True:
+        try:
+            math.pow(x, n)
+            return min(n, 170)
+        except OverflowError:
+            n -= 1
+
+
+def _hermite_ratio(n: int, m: int, h: list, uv: tuple) -> float:
+    """h_n = H_n^(m)(u, v) / n! from h[j] = h_j (j < n), with uv = (u, m v)."""
+    u, mv = uv
+    return (u * h[n - 1] + (mv * h[n - m] if n >= m else 0.0)) / n
 
 
 def _hermite_table(m: int, u: float, v: float):
-    """n -> H_n^(m)(u, v) / n!, each ratio and each power computed on first use only."""
-    table = {}
-    upow = []
-    vpow = []
+    """n -> H_n^(m)(u, v) / n!, each degree computed on first use only."""
+    h = [1.0]
+    uv = (u, m * v)
+    top = min(_top_degree(u), m * _top_degree(v) + m - 1)  # u^n, v^(n//m) in range
 
     def ratio(n: int) -> float:
-        r = table.get(n)
-        if r is None:
-            if n >= len(_FACTORIAL):
-                raise OverflowError(f"{n}! is past float range")
-            while len(upow) <= n:
-                upow.append(math.pow(u, len(upow)))
-            while len(vpow) <= n // m:
-                vpow.append(math.pow(v, len(vpow)))
-            r = table[n] = _hermite_ratio(n, m, upow, vpow)
-        return r
+        if n < len(h):
+            return h[n]
+        if n > top:
+            raise OverflowError(f"degree {n} of H^({m})({u}, {v}) is past float range")
+        for j in range(len(h), n + 1):
+            h.append(_hermite_ratio(j, m, h, uv))
+        return h[n]
 
     return ratio
 
 
-def _laguerre_ratio(n: int, u: float, v: float) -> float:
-    """L_n(u, v) / n!"""
-    if n >= len(_FACTORIAL):
-        raise OverflowError(f"{n}! is past float range")
-    out = 0.0
-    for k in range(n + 1):
-        out += math.pow(-u, k) * math.pow(v, n - k) / (_FACTORIAL[n - k] * _FACTORIAL[k] ** 2)
-    return out
+def _laguerre_table(u: float, v: float):
+    """n -> L_n(u, v) / n!, each degree computed on first use only."""
+    ell = [1.0, v - u]
+    top = min(_top_degree(u), _top_degree(v))  # u^n, v^n in range
+
+    def ratio(n: int) -> float:
+        if n < len(ell):
+            return ell[n]
+        if n > top:
+            raise OverflowError(f"degree {n} of L({u}, {v}) is past float range")
+        for j in range(len(ell), n + 1):
+            ell.append((((2 * j - 1) * v - u) * ell[j - 1] - v * v * ell[j - 2]) / (j * j))
+        return ell[n]
+
+    return ratio
 
 
 def _sparse_guard(policy: SummationPolicy, m: int, u: float) -> SummationPolicy:
@@ -121,7 +138,7 @@ def l_tricomi(nu: float, u: float, v: float, policy: SummationPolicy = DEFAULT_P
     Reduces to tricomi_c(nu, v) at u = 0.
     """
     require_finite(nu=nu, u=u, v=v)
-    return _gamma_series(lambda k: _laguerre_ratio(k, u, v), nu + 1.0, 1.0, True, policy)
+    return _gamma_series(_laguerre_table(u, v), nu + 1.0, 1.0, True, policy)
 
 
 def h_wright(

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
-from besselsums import backend
-from besselsums.functions import bessel_j, hermite_m, laguerre2, tricomi_c
+from besselsums import backend, hybrid
+# laguerre2, hermite_m: not called, the reference definitions of the tabled weights
+from besselsums.functions import bessel_j, hermite_m, laguerre2, tricomi_c  # noqa: F401
 from besselsums.gamma import EXACTNESS_BOUND, binomial, stirling2
 from besselsums.hybrid import h_tricomi, h_wright, hybrid_k, l_tricomi
 from besselsums.series import (
@@ -23,6 +24,7 @@ from besselsums.series import (
     SeriesEval,
     SummationPolicy,
     central_derivative,
+    require_finite,
     sum_bilateral,
     sum_series,
 )
@@ -138,7 +140,7 @@ def _record(
 
 
 def _taylor_weight(t: float, n: int) -> float:
-    """t^n / n!, the weight of every exponential generating sum here.
+    """t^n / n!, the weight of every exponential generating sum over J alone.
 
     All rules share this helper so identical parameter points produce
     bit-identical left sides across rules.
@@ -337,9 +339,9 @@ def rule_bessel_laguerre(
     and both discrepancies are logged in the record note; the record verifies
     only if the flipped sign does.
     """
-    lhs = sum_series(
-        lambda n: _taylor_weight(t, n) * _j(float(n), z, policy) * laguerre2(n, x, y), policy
-    )
+    require_finite(z=z, x=x, y=y, t=t)
+    lag = hybrid._laguerre_table(x, y)  # L_n(x, y)/n!
+    lhs = sum_series(lambda n: math.pow(t, n) * _j(float(n), z, policy) * lag(n), policy)
     v = z * (z - 2.0 * y * t) / 4.0
     rhs = l_tricomi(0.0, -x * t * z / 2.0, v, policy)
     params = {"z": z, "x": x, "y": y, "t": t}
@@ -370,6 +372,7 @@ def rule_bessel_laguerre(
 
 
 def _check_laguerre_hermite(x, y, z, w, t):
+    require_finite(x=x, y=y, z=z, w=w, t=t)
     if not abs(t) <= 0.25:
         raise ValueError(f"requires |t| <= 0.25 for numerical convergence, got t={t}")
 
@@ -391,9 +394,9 @@ def rule_laguerre_hermite(
     restricts |t| <= 0.25.
     """
     _check_laguerre_hermite(x, y, z, w, t)
-    lhs = sum_series(
-        lambda n: _taylor_weight(t, n) * laguerre2(n, x, y) * hermite_m(n, 2, z, w), policy
-    )
+    lag = hybrid._laguerre_table(x, y)  # L_n(x, y)/n!
+    herm = hybrid._hermite_table(2, z, w)  # H_n^(2)(z, w)/n!
+    lhs = sum_series(lambda n: lag(n) * hybrid._FACTORIAL[n] * herm(n) * math.pow(t, n), policy)
     rhs_h = h_tricomi(0.0, 2, x * t * (z + 2.0 * y * w * t), x * x * w * t * t, policy)
     rhs = math.exp(y * t * (z + y * w * t)) * rhs_h.value
     return _record(

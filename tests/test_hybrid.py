@@ -6,11 +6,10 @@ code); the generators live in this file for auditability.
 """
 
 import math
+import random
 
 import pytest
 import scipy.special as sc
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from besselsums import (
     DEFAULT_POLICY,
@@ -18,9 +17,12 @@ from besselsums import (
     gamma_moment,
     h_tricomi,
     h_wright,
+    hermite_m,
     hybrid,
     hybrid_k,
     l_tricomi,
+    laguerre2,
+    rules,
     tricomi_c,
 )
 from besselsums.plan import default_plan_path, load_plan, run_plan
@@ -230,34 +232,124 @@ def test_nested_policy_tightening():
 
 
 # ---------------------------------------------------------------------------
-# per-call Hermite ratio tables
+# per-call weight tables against the definitions
+#
+# Running-error bounds c g(n) eps sum|terms|, from a per-step rounding count
+# (unit roundoff eps/2):
+# - Hermite: a step n h_n = u h_(n-1) + m v h_(n-m) rounds at most four times
+#   (m v, the two products and their sum, the division) and every monomial of
+#   h_n passes through at most n steps: c = 2, g(n) = n.
+# - Laguerre: a step (n+1)^2 l_(n+1) = ((2n+1) v - u) l_n - v^2 l_(n-1) rounds
+#   at most twice on each product and twice on their difference, and at u = 0
+#   the two products add up to less than 3 |(n+1)^2 l_(n+1)|, so each step
+#   errs by at most 12 (eps/2) relative.  At u = 0 the scaled recurrence is
+#   solved by 1 and the harmonic numbers H_n, so an error made at degree j
+#   reaches degree n multiplied by j (H_n - H_(j-1)); summed over j <= n that
+#   is n (n + 3) / 4: c = 6, g(n) = n (n + 3) / 4.  The seeded points away
+#   from u = 0 check that the bound carries over.
+# Where eps sum|terms| is subnormal the relative rounding model fails; those
+# points are skipped.
 
-_ARG = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-4.0, 4.0)
+_EPS = 2.0**-52
+_SUBNORMAL_SCALE = 2.0**-1022 / _EPS
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    m=st.integers(1, 4),
-    u=_ARG,
-    v=_ARG,
-    ns=st.lists(st.integers(0, 30), min_size=1, max_size=40),
-)
-def test_hermite_table_returns_fresh_ratios(m, u, v, ns):
-    # indices in random order, with repeats; the table's cached powers give
-    # the bits of a ratio computed from fresh math.pow calls
-    ratio = hybrid._hermite_table(m, u, v)
-    for n in ns:
-        assert ratio(n).hex() == _fresh_hermite_ratio(n, m, u, v).hex()
+def _hermite_bound(n):
+    return 2.0 * n * _EPS
 
 
-def _fresh_hermite_ratio(n, m, u, v):
-    """H_n^(m)(u, v) / n!, every power computed anew."""
-    out = 0.0
-    for k in range(n // m + 1):
-        out += math.pow(u, n - m * k) * math.pow(v, k) / (
-            float(math.factorial(n - m * k)) * float(math.factorial(k))
+def _laguerre_bound(n):
+    return 6.0 * (n * (n + 3) / 4.0) * _EPS
+
+
+def _exact_hermite(mpmath, m, u, v, n):
+    """h_n = H_n^(m)(u, v)/n! and its sum|terms|, by the defining sum."""
+    u, v = mpmath.mpf(u), mpmath.mpf(v)
+    terms = [
+        u ** (n - m * k) * v**k / (mpmath.factorial(n - m * k) * mpmath.factorial(k))
+        for k in range(n // m + 1)
+    ]
+    return mpmath.fsum(terms), mpmath.fsum(abs(t) for t in terms)
+
+
+def _exact_laguerre(mpmath, u, v, n):
+    """l_n = L_n(u, v)/n! and its sum|terms|, by the defining sum."""
+    u, v = mpmath.mpf(u), mpmath.mpf(v)
+    terms = [
+        (-u) ** k * v ** (n - k) / (mpmath.factorial(n - k) * mpmath.factorial(k) ** 2)
+        for k in range(n + 1)
+    ]
+    return mpmath.fsum(terms), mpmath.fsum(abs(t) for t in terms)
+
+
+def _signed_log_uniform(rng, lo, hi):
+    return rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(lo, hi)
+
+
+def test_weight_tables_within_running_error_of_exact_sums():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(8)
+    checked = 0
+    with mpmath.workdps(40):
+        for _ in range(200):
+            m, n = rng.randint(1, 4), rng.randint(0, 170)
+            u = rng.choice([0.0, -0.0, _signed_log_uniform(rng, -3, 1.3)])
+            v = rng.choice([0.0, _signed_log_uniform(rng, -3, 1.3)])
+            exact, scale = _exact_hermite(mpmath, m, u, v, n)
+            if scale >= _SUBNORMAL_SCALE:
+                got = hybrid._hermite_table(m, u, v)(n)
+                assert abs(got - exact) <= _hermite_bound(n) * scale, (m, u, v, n)
+                checked += 1
+            # u/v near 0 is where the Laguerre recurrence loses most
+            v = _signed_log_uniform(rng, -3, 0.5)
+            u = v * rng.choice([0.0, _signed_log_uniform(rng, -8, 0), rng.uniform(-15.0, 15.0)])
+            exact, scale = _exact_laguerre(mpmath, u, v, n)
+            if scale >= _SUBNORMAL_SCALE:
+                got = hybrid._laguerre_table(u, v)(n)
+                assert abs(got - exact) <= _laguerre_bound(n) * scale, (u, v, n)
+                checked += 1
+    assert checked >= 200
+
+
+@pytest.mark.parametrize("u,v", [(0.0, 1.5), (1e-6, -2.0), (0.45, 1.5), (-2.5, 1.5), (30.0, 3.0)])
+def test_laguerre_table_past_degree_97(u, v):
+    # (k!)^2 is past float range from k = 98: no weight may be built from it
+    mpmath = pytest.importorskip("mpmath")
+    ratio = hybrid._laguerre_table(u, v)
+    with mpmath.workdps(40):
+        for n in range(98, 171):
+            got = ratio(n)
+            exact, scale = _exact_laguerre(mpmath, u, v, n)
+            assert math.isfinite(got) and scale >= _SUBNORMAL_SCALE
+            assert abs(got - exact) <= _laguerre_bound(n) * scale, n
+
+
+def test_weight_tables_match_the_direct_definitions():
+    # at the workloads' parameter ranges; laguerre2 and hermite_m sum the
+    # definition in floats, about n + 8 roundings per term
+    rng = random.Random(9)
+    for _ in range(200):
+        m, n = rng.randint(1, 3), rng.randint(0, 60)
+        u, v = rng.uniform(-1.0, 2.25), rng.uniform(-1.5, 1.5)
+        fact = float(math.factorial(n))
+        slack = (n + 8) * _EPS
+        scale = hermite_m(n, m, abs(u), abs(v)) / fact
+        tol = (_hermite_bound(n) + slack) * scale
+        assert abs(hybrid._hermite_table(m, u, v)(n) - hermite_m(n, m, u, v) / fact) <= tol
+        scale = laguerre2(n, -abs(u), abs(v)) / fact
+        tol = (_laguerre_bound(n) + slack) * scale
+        assert abs(hybrid._laguerre_table(u, v)(n) - laguerre2(n, u, v) / fact) <= tol
+
+
+def test_rule_sides_read_tables_not_the_direct_sums(monkeypatch):
+    calls = []
+    for name in ("laguerre2", "hermite_m"):
+        real = getattr(rules, name)
+        monkeypatch.setattr(
+            rules, name, lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args)
         )
-    return out
+    run_plan(load_plan(default_plan_path()))
+    assert calls == []
 
 
 def _hybrid_k_fresh(mu, m, x, y, xi, policy=DEFAULT_POLICY):
@@ -308,8 +400,9 @@ def test_default_plan_hermite_ratio_evaluations(monkeypatch):
 
     monkeypatch.setattr(hybrid, "_hermite_ratio", spy)
     run_plan(load_plan(default_plan_path()))
-    # 1,971 with a fresh ratio on every term
-    assert 0 < len(calls) <= 1082
+    # one call per degree n >= 1 and per table: 1,015 from the composites and
+    # 206 from the LAGUERRE_HERMITE left sides (1,971 with one on every term)
+    assert 0 < len(calls) <= 1221
 
 
 def test_hermite_ratio_past_factorial_range_overflows():
@@ -318,6 +411,31 @@ def test_hermite_ratio_past_factorial_range_overflows():
         hybrid._hermite_table(2, 0.5, 0.5)(171)
     with pytest.raises(OverflowError):  # before any power is tabled
         hybrid._hermite_table(2, 0.5, 0.5)(10**12)
+
+
+def _first_overflow(powers):
+    """The first degree whose direct-sum powers overflow, or 171, past every table."""
+    for n in range(171):
+        try:
+            for x, k in powers(n):
+                math.pow(x, k)
+        except OverflowError:
+            return n
+    return 171
+
+
+@pytest.mark.parametrize(
+    "m,u,v", [(1, 3000.0, 0.0), (2, 0.5, -1e30), (3, -1e10, 1e100), (1, 1e300, 2.0), (2, 70.0, 65.0)]
+)
+def test_tables_overflow_where_the_direct_sums_powers_do(m, u, v):
+    tables = [
+        (hybrid._hermite_table(m, u, v), _first_overflow(lambda n: [(u, n), (v, n // m)])),
+        (hybrid._laguerre_table(u, v), _first_overflow(lambda n: [(u, n), (v, n)])),
+    ]
+    for ratio, top in tables:
+        ratio(top - 1)
+        with pytest.raises(OverflowError):
+            ratio(top)
 
 
 @pytest.mark.parametrize(

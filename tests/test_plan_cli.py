@@ -377,6 +377,12 @@ class TestCli:
         assert main(["verify", "--plan", str(tmp_path / "none.json")]) == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_verify_plan_is_a_directory(self, tmp_path, capsys):
+        assert main(["verify", "--plan", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read plan file: {tmp_path}: ")
+        assert "Traceback" not in err
+
     def test_verify_invalid_plan(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

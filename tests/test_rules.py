@@ -185,6 +185,22 @@ class TestLaguerreHermite:
             rule_laguerre_hermite(0.4, 0.8, 1.0, -0.3, 0.3)
 
 
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda: rule_bessel_laguerre(1.0, math.nan, 0.5, 0.1), "x"),
+        (lambda: rule_bessel_laguerre(1.0, 0.5, math.inf, 0.1), "y"),
+        (lambda: rule_laguerre_hermite(math.inf, 0.5, 1.0, 0.2, 0.1), "x"),
+        (lambda: rule_laguerre_hermite(0.5, 0.5, math.nan, 0.2, 0.1), "z"),
+        (lambda: rule_laguerre_hermite(0.5, 0.5, 1.0, -math.inf, 0.1), "w"),
+    ],
+)
+def test_polynomial_rules_name_a_non_finite_argument(call, name):
+    # the left sides' weight tables take finite arguments only
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call()
+
+
 class TestGrafReal:
     def test_t_one_collapse(self):
         rec = rule_graf(0.0, 5.0, 1.0, 1.0)

@@ -40,7 +40,6 @@ from besselsums.rules import (
     VerificationRecord,
     WeightedSumResult,
     appendix_derivative_check,
-    hoppe_derivative,
     rule_ascending_gen,
     rule_bessel_laguerre,
     rule_descending_gen,
@@ -96,7 +95,6 @@ __all__ = [
     "h_tricomi",
     "h_wright",
     "hermite_m",
-    "hoppe_derivative",
     "hybrid_k",
     "l_tricomi",
     "laguerre2",

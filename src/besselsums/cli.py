@@ -3,12 +3,13 @@
 Subcommands::
 
     besselsums verify [--plan FILE] [--format table|csv|json] [--out FILE]
-                      [--parallel N] [--tol-abs X] [--tol-rel Y]
+                      [--tol-abs X] [--tol-rel Y]
     besselsums eval NAME key=value ...
     besselsums list-rules
 
 Exit codes: 0 all verified; 2 discrepancies; 3 inconclusive results (and no
-discrepancy); 1 usage or I/O errors.
+discrepancy); 1 usage or I/O errors, including the ones argparse reports.
+The number of worker processes comes from the plan's ``parallelism`` key.
 """
 
 import argparse
@@ -21,17 +22,18 @@ from besselsums.report import FORMATS, emit_report
 from besselsums.rules import RULES
 from besselsums.series import SeriesEval
 
-# eval-subcommand dispatch: name -> (callable, argument names, integer arguments)
+# eval-subcommand dispatch: name -> (callable, argument names).  Every value is
+# parsed as a float; a function checks its own integer arguments.
 FUNCTIONS = {
-    "bessel_j": (functions.bessel_j, ("nu", "x"), ()),
-    "tricomi_c": (functions.tricomi_c, ("alpha", "x"), ()),
-    "laguerre2": (functions.laguerre2, ("n", "x", "y"), ("n",)),
-    "hermite_m": (functions.hermite_m, ("n", "m", "x", "y"), ("n", "m")),
-    "wright": (functions.wright, ("nu", "mu", "x"), ()),
-    "h_tricomi": (hybrid.h_tricomi, ("nu", "m", "u", "v"), ("m",)),
-    "l_tricomi": (hybrid.l_tricomi, ("nu", "u", "v"), ()),
-    "h_wright": (hybrid.h_wright, ("nu", "m", "mu", "u", "v"), ("m",)),
-    "hybrid_k": (hybrid.hybrid_k, ("mu", "m", "x", "y", "xi"), ("m",)),
+    "bessel_j": (functions.bessel_j, ("nu", "x")),
+    "tricomi_c": (functions.tricomi_c, ("alpha", "x")),
+    "laguerre2": (functions.laguerre2, ("n", "x", "y")),
+    "hermite_m": (functions.hermite_m, ("n", "m", "x", "y")),
+    "wright": (functions.wright, ("nu", "mu", "x")),
+    "h_tricomi": (hybrid.h_tricomi, ("nu", "m", "u", "v")),
+    "l_tricomi": (hybrid.l_tricomi, ("nu", "u", "v")),
+    "h_wright": (hybrid.h_wright, ("nu", "m", "mu", "u", "v")),
+    "hybrid_k": (hybrid.hybrid_k, ("mu", "m", "x", "y", "xi")),
 }
 
 
@@ -46,8 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--plan", default=None, help="plan file (default: bundled plan)")
     verify.add_argument("--format", default="table", choices=FORMATS)
     verify.add_argument("--out", default=None, help="write the report here instead of stdout")
-    verify.add_argument("--parallel", type=int, default=None, metavar="N",
-                        help="worker processes (0 = one per cpu; overrides the plan)")
     verify.add_argument("--tol-abs", type=float, default=None,
                         help="verdict abs tolerance for entries without their own override")
     verify.add_argument("--tol-rel", type=float, default=None,
@@ -75,11 +75,6 @@ def _cmd_verify(opts) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if opts.parallel is not None:
-        if opts.parallel < 0:
-            print("error: --parallel must be >= 0", file=sys.stderr)
-            return 1
-        plan = dataclasses.replace(plan, parallelism=opts.parallel)
     if opts.tol_abs is not None or opts.tol_rel is not None:
         try:  # every rule's merge, so a bad flag fails even when no entry uses it
             merged = {r: s.tolerances(opts.tol_abs, opts.tol_rel) for r, s in RULES.items()}
@@ -106,7 +101,7 @@ def _cmd_eval(opts) -> int:
         print(f"error: unknown function {opts.name!r}; try one of: "
               f"{', '.join(sorted(FUNCTIONS))}", file=sys.stderr)
         return 1
-    fn, names, int_names = FUNCTIONS[opts.name]
+    fn, names = FUNCTIONS[opts.name]
     given = {}
     for item in opts.args:
         key, sep, value = item.partition("=")
@@ -117,7 +112,7 @@ def _cmd_eval(opts) -> int:
             print(f"error: {opts.name} takes {names}, not {key!r}", file=sys.stderr)
             return 1
         try:
-            given[key] = int(value) if key in int_names else float(value)
+            given[key] = float(value)
         except ValueError:
             print(f"error: cannot parse {item!r} as a number", file=sys.stderr)
             return 1
@@ -159,7 +154,10 @@ def _cmd_list_rules() -> int:
 
 
 def main(argv=None) -> int:
-    opts = _build_parser().parse_args(argv)
+    try:
+        opts = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; 2 means discrepancies here
+        return 1 if exc.code else 0
     if opts.command == "verify":
         return _cmd_verify(opts)
     if opts.command == "eval":

@@ -23,6 +23,7 @@ from besselsums.series import (
     SeriesEval,
     SummationPolicy,
     require_finite,
+    require_int,
 )
 
 
@@ -91,7 +92,7 @@ def laguerre2(n: int, x: float, y: float) -> float:
     integer coefficients, summed in increasing k for reproducibility.  The
     reference definition for the recurrence tables of ``hybrid``.
     """
-    n = _check_index(n)
+    n = require_int("n", n, minimum=0)
     if x - x != 0.0 or y - y != 0.0:
         require_finite(x=x, y=y)
     out = 0.0
@@ -112,10 +113,8 @@ def hermite_m(n: int, m: int, x: float, y: float) -> float:
     gives the usual two-variable Hermite polynomials.  The reference
     definition for the recurrence tables of ``hybrid``.
     """
-    n = _check_index(n)
-    if m != int(m) or int(m) < 1:
-        raise ValueError(f"order m must be an integer >= 1, got {m!r}")
-    m = int(m)
+    n = require_int("n", n, minimum=0)
+    m = require_int("m", m, minimum=1)
     if x - x != 0.0 or y - y != 0.0:
         require_finite(x=x, y=y)
     out = 0.0
@@ -130,8 +129,3 @@ def hermite_m(n: int, m: int, x: float, y: float) -> float:
         raise EvaluationDomainError(f"H_{n}^({m})({x}, {y}) overflows float range")
     return out
 
-
-def _check_index(n) -> int:
-    if n != int(n) or int(n) < 0:
-        raise ValueError(f"degree n must be a nonnegative integer, got {n!r}")
-    return int(n)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from besselsums import backend
+from besselsums.series import require_int
 
 #: Largest argument for which the exact integer combinatorics are guaranteed;
 #: generous headroom over anything the sum rules need (l, m <= ~10).
@@ -46,22 +47,11 @@ def gamma_moment(alpha: float) -> GammaMoment:
     return GammaMoment(alpha=float(alpha), value=reciprocal_gamma(1.0 + float(alpha)))
 
 
-def _check_bound(name: str, value: int) -> int:
-    if value != int(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value}")
-    if value > EXACTNESS_BOUND:
-        raise ValueError(f"{name}={value} exceeds the exactness bound {EXACTNESS_BOUND}")
-    return value
-
-
 @lru_cache(maxsize=None)
 def stirling2(m: int, k: int) -> int:
     """Stirling number of the second kind: partitions of an m-set into k blocks."""
-    m = _check_bound("m", m)
-    k = _check_bound("k", k)
+    m = require_int("m", m, minimum=0, maximum=EXACTNESS_BOUND)
+    k = require_int("k", k, minimum=0, maximum=EXACTNESS_BOUND)
     if m == 0 and k == 0:
         return 1
     if k == 0 or k > m:
@@ -71,17 +61,13 @@ def stirling2(m: int, k: int) -> int:
 
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k); 0 when k > n."""
-    n = _check_bound("n", n)
-    if k != int(k) or k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
-    return math.comb(n, int(k))
+    n = require_int("n", n, minimum=0, maximum=EXACTNESS_BOUND)
+    return math.comb(n, require_int("k", k, minimum=0))
 
 
 def falling_factorial(a: float, k: int) -> float:
     """a (a-1) ... (a-k+1); 1 for k = 0."""
-    if k != int(k) or k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     out = 1.0
-    for i in range(int(k)):
+    for i in range(require_int("k", k, minimum=0)):
         out *= a - i
     return out

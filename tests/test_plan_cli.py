@@ -297,6 +297,12 @@ class TestCli:
         assert "value = -0.5" in out
         assert "exact finite sum" in out
 
+    def test_eval_integer_argument_checked_by_the_function(self, capsys):
+        assert main(["eval", "laguerre2", "n=2.0", "x=1", "y=1"]) == 0
+        assert "value = -0.5" in capsys.readouterr().out
+        assert main(["eval", "hermite_m", "n=3", "m=2.5", "x=1", "y=1"]) == 1
+        assert capsys.readouterr().err == "error: m must be integer, got 2.5\n"
+
     def test_eval_wright_at_zero(self, capsys):
         assert main(["eval", "wright", "nu=1", "mu=1", "x=0"]) == 0
         assert "value = 1" in capsys.readouterr().out
@@ -416,10 +422,26 @@ class TestCli:
         )
         capsys.readouterr()
 
-    def test_verify_parallel_flag(self, tmp_path, capsys):
-        ok = write_plan(tmp_path, TRIVIAL_THREE)
-        assert main(["verify", "--plan", str(ok), "--format", "csv", "--parallel", "2"]) == 0
-        capsys.readouterr()
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify", "--bogus"],
+            ["verify", "--format", "xml"],
+            ["verify", "--parallel", "2"],
+            [],
+        ],
+        ids=lambda args: " ".join(args) or "no command",
+    )
+    def test_usage_error_exits_1(self, args, capsys):
+        # argparse's own exit code 2 would read as "discrepancies"
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["verify", "--help"]) == 0
+        assert "--tol-abs" in capsys.readouterr().out
 
 
 ASCENDING = {"rule": "ASCENDING_GEN", "grid": {"nu": [0], "x": [2], "t": [0.1]}}
@@ -641,9 +663,9 @@ class TestPoolCap:
         run_plan(load_plan(write_plan(tmp_path, {**MINIMAL, "parallelism": 10_000})))
         assert pool.requested == []
 
-    def test_cli_flag_is_capped(self, tmp_path, pool, capsys):
-        path = write_plan(tmp_path, TRIVIAL_THREE)
-        assert main(["verify", "--plan", str(path), "--parallel", "10000"]) == 0
+    def test_cli_run_is_capped(self, tmp_path, pool, capsys):
+        path = write_plan(tmp_path, {**TRIVIAL_THREE, "parallelism": 10_000})
+        assert main(["verify", "--plan", str(path)]) == 0
         capsys.readouterr()
         assert pool.requested == [3]
 

@@ -1,4 +1,5 @@
-"""The adaptive summation engine and the finite-difference differentiator."""
+"""The adaptive summation engine, the finite-difference differentiator, and
+the one integer check every integer parameter goes through."""
 
 import cmath
 import math
@@ -10,12 +11,23 @@ from hypothesis import strategies as st
 
 from besselsums import (
     DEFAULT_POLICY,
+    EXACTNESS_BOUND,
     EvaluationDomainError,
     SeriesEval,
     SummationPolicy,
+    binomial,
     central_derivative,
+    falling_factorial,
+    h_tricomi,
+    h_wright,
+    hermite_m,
+    hybrid_k,
+    laguerre2,
+    rule_multiple_order,
+    stirling2,
     sum_bilateral,
     sum_series,
+    weighted_sum_E,
 )
 
 # frozen via a 30-term direct sum (see oracle helpers below)
@@ -349,3 +361,31 @@ class TestCentralDerivative:
     def test_non_finite_sample(self):
         with pytest.raises(EvaluationDomainError):
             central_derivative(lambda t: math.nan if t < 0 else t, 0.0, 1, 1e-3)
+
+
+# Every public integer parameter: a call taking it as v, its name, and an
+# integer outside its range.
+INTEGER_PARAMS = {
+    "laguerre2 n": (lambda v: laguerre2(v, 1.0, 1.0), "n", -1),
+    "hermite_m n": (lambda v: hermite_m(v, 2, 1.0, 1.0), "n", -1),
+    "hermite_m m": (lambda v: hermite_m(3, v, 1.0, 1.0), "m", 0),
+    "h_tricomi m": (lambda v: h_tricomi(0.0, v, 1.0, 1.0), "m", 0),
+    "h_wright m": (lambda v: h_wright(0.0, v, 1.0, 1.0, 1.0), "m", 0),
+    "hybrid_k m": (lambda v: hybrid_k(0.0, v, 1.0, 1.0, 0.5), "m", 0),
+    "stirling2 m": (lambda v: stirling2(v, 1), "m", EXACTNESS_BOUND + 1),
+    "stirling2 k": (lambda v: stirling2(3, v), "k", -1),
+    "binomial n": (lambda v: binomial(v, 1), "n", EXACTNESS_BOUND + 1),
+    "binomial k": (lambda v: binomial(5, v), "k", -1),
+    "falling_factorial k": (lambda v: falling_factorial(2.0, v), "k", -1),
+    "rule_multiple_order m": (lambda v: rule_multiple_order(v, 1.0, 0.1), "m", 0),
+    "weighted_sum_E m": (lambda v: weighted_sum_E(0, v, 1.0), "m", 11),
+}
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan", "2.5", "out of range"])
+@pytest.mark.parametrize("param", list(INTEGER_PARAMS))
+def test_bad_integer_is_a_value_error_naming_it(param, bad):
+    call, name, out_of_range = INTEGER_PARAMS[param]
+    value = out_of_range if bad == "out of range" else float(bad)
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call(value)

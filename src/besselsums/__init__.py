@@ -10,16 +10,7 @@ against its closed form over parameter grids.
 """
 
 from besselsums.backend import BACKEND
-from besselsums.functions import bessel_j, hermite_m, laguerre2, tricomi_c, wright
-from besselsums.gamma import (
-    EXACTNESS_BOUND,
-    GammaMoment,
-    binomial,
-    falling_factorial,
-    gamma_moment,
-    reciprocal_gamma,
-    stirling2,
-)
+from besselsums.functions import bessel_j, hermite_m, laguerre2, reciprocal_gamma, tricomi_c, wright
 from besselsums.hybrid import h_tricomi, h_wright, hybrid_k, l_tricomi
 from besselsums.plan import (
     PlanEntry,
@@ -31,6 +22,7 @@ from besselsums.plan import (
 )
 from besselsums.report import VerdictReport, emit_report, report_from_json, report_to_json_dict
 from besselsums.rules import (
+    EXACTNESS_BOUND,
     RULES,
     DEFAULT_TOLERANCES,
     RuleCase,
@@ -49,6 +41,7 @@ from besselsums.rules import (
     rule_laguerre_hermite,
     rule_multiple_order,
     rule_neumann_ext,
+    stirling2,
     weighted_sum_E,
     weighted_sum_S,
 )
@@ -70,7 +63,6 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "EXACTNESS_BOUND",
     "EvaluationDomainError",
-    "GammaMoment",
     "PlanEntry",
     "PlanError",
     "RULES",
@@ -86,12 +78,9 @@ __all__ = [
     "WeightedSumResult",
     "appendix_derivative_check",
     "bessel_j",
-    "binomial",
     "central_derivative",
     "default_plan_path",
     "emit_report",
-    "falling_factorial",
-    "gamma_moment",
     "h_tricomi",
     "h_wright",
     "hermite_m",

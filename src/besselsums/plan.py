@@ -17,7 +17,8 @@ Every key outside "entries" is optional, as are the per-entry tolerance
 overrides.  Each entry expands to the cartesian product of its grid lists,
 validated against the rule's parameter schema and domain check before
 anything is evaluated.  Grid values must be finite numbers (json's NaN and
-Infinity are rejected); tolerances must be finite and >= 0.
+Infinity are rejected); tolerances must be finite numbers >= 0, not booleans.
+Any key not named here is an error.
 ``parallelism`` 0 means one worker per cpu; 1 disables multiprocessing.  The
 pool never starts more workers than there are cpus or cases.
 The per-entry ``perturb_rhs`` (a finite number added to every right side) is
@@ -57,6 +58,8 @@ from besselsums.rules import (
 from besselsums.series import SummationPolicy, require_int
 
 MAX_GRID_CASES = 100_000
+_PLAN_KEYS = ("policy", "parallelism", "entries")
+_ENTRY_KEYS = ("rule", "grid", "tol_abs", "tol_rel", "perturb_rhs")
 
 
 class PlanError(ValueError):
@@ -103,6 +106,7 @@ def load_plan(path) -> VerificationPlan:
             raise PlanError(f"{path}: not valid json: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
         raise PlanError(f"{path}: plan must be an object with an 'entries' list")
+    _reject_unknown_keys(data, _PLAN_KEYS, str(path))
 
     policy_kwargs = data.get("policy", {})
     try:
@@ -130,6 +134,13 @@ def _number(what: str, value):
     return value
 
 
+def _reject_unknown_keys(obj: dict, known: tuple, where: str) -> None:
+    """Refuse a misspelt setting rather than drop it."""
+    for key in obj:
+        if key not in known:
+            raise PlanError(f"{where}: unknown key {key!r} (expected one of {', '.join(known)})")
+
+
 def _load_entry(raw: dict, idx: int) -> PlanEntry:
     where = f"entry {idx}"
     if not isinstance(raw, dict):
@@ -142,6 +153,7 @@ def _load_entry(raw: dict, idx: int) -> PlanEntry:
         raise PlanError(f"{where}: unknown rule {raw['rule']!r}") from None
     schema = RULES[rule_id]
     where = f"entry {idx} ({rule_id.value})"
+    _reject_unknown_keys(raw, _ENTRY_KEYS, where)
 
     grid = raw.get("grid")
     if not isinstance(grid, dict):

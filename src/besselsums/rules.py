@@ -11,12 +11,12 @@ import math
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Optional
 
 from besselsums import backend, hybrid
 # laguerre2, hermite_m: not called, the reference definitions of the tabled weights
 from besselsums.functions import bessel_j, hermite_m, laguerre2, tricomi_c  # noqa: F401
-from besselsums.gamma import EXACTNESS_BOUND, binomial, stirling2
 from besselsums.hybrid import h_tricomi, h_wright, hybrid_k, l_tricomi
 from besselsums.series import (
     DEFAULT_POLICY,
@@ -29,6 +29,11 @@ from besselsums.series import (
     sum_bilateral,
     sum_series,
 )
+
+
+#: Largest weight l of WEIGHTED_S and WEIGHTED_E (C(l, k) is exact as a float and
+#: the sides stay clear of underflow) and largest argument of ``stirling2``.
+EXACTNESS_BOUND = 30
 
 
 class RuleId(str, Enum):
@@ -63,7 +68,8 @@ class Tolerances:
 
     def __post_init__(self):
         for name, value in (("tol_abs", self.tol_abs), ("tol_rel", self.tol_rel)):
-            if not (isinstance(value, (int, float)) and 0.0 <= value < math.inf):
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and 0.0 <= value < math.inf):
                 raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
@@ -586,17 +592,17 @@ def _weighted_closed_form(l: int, m: int, x: float, y: float, policy) -> float:
     j_cache = {p: _j(float(l + p), x - y, policy) for p in range(m + 1)}
     total = 0.0
     for j in range(m + 1):
-        cj = binomial(m, j)
+        cj = math.comb(m, j)
         for k in range(l + 1):
-            ck = binomial(l, k) * float(k - l) ** j
+            ck = math.comb(l, k) * float(k - l) ** j
             if ck == 0.0:
                 continue
             for p in range(m - j + 1):
                 r_sum = 0.0
                 for q in range(p + 1):
-                    cq = binomial(p, q) * math.pow(-0.5, q)
+                    cq = math.comb(p, q) * math.pow(-0.5, q)
                     for r in range(q + 1):
-                        r_sum += cq * binomial(q, r) * float(2 * r - q) ** (m - j)
+                        r_sum += cq * math.comb(q, r) * float(2 * r - q) ** (m - j)
                 geom = (
                     math.pow(x, k + p)
                     * math.pow(-y, l - k + p)
@@ -605,6 +611,18 @@ def _weighted_closed_form(l: int, m: int, x: float, y: float, policy) -> float:
                 )
                 total += cj * ck * r_sum * geom / float(math.factorial(p))
     return total
+
+
+@lru_cache(maxsize=None)
+def stirling2(m: int, k: int) -> int:
+    """Stirling number of the second kind: partitions of an m-set into k blocks."""
+    m = require_int("m", m, minimum=0, maximum=EXACTNESS_BOUND)
+    k = require_int("k", k, minimum=0, maximum=EXACTNESS_BOUND)
+    if m == 0 and k == 0:
+        return 1
+    if k == 0 or k > m:
+        return 0
+    return k * stirling2(m - 1, k) + stirling2(m - 1, k - 1)
 
 
 def _check_weighted_e(l, m, x) -> tuple:

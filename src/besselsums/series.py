@@ -76,10 +76,9 @@ class SummationPolicy:
             raise ValueError(f"abs_tol must be in (0, 1), got {self.abs_tol}")
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if self.max_terms < 8:
-            raise ValueError(f"max_terms must be >= 8, got {self.max_terms}")
-        if self.consecutive_small < 1:
-            raise ValueError(f"consecutive_small must be >= 1, got {self.consecutive_small}")
+        # frozen: store the checked ints, so 400.0 sums like 400
+        for name, minimum in (("max_terms", 8), ("consecutive_small", 1)):
+            object.__setattr__(self, name, require_int(name, getattr(self, name), minimum))
 
     def tightened(self, factor: float = 10.0) -> "SummationPolicy":
         """Policy with tolerances divided by ``factor`` (for nested series)."""

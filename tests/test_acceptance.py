@@ -14,7 +14,6 @@ from besselsums import (
     Tolerances,
     Verdict,
     appendix_derivative_check,
-    falling_factorial,
     rule_ascending_gen,
     rule_bessel_laguerre,
     rule_descending_gen,
@@ -229,9 +228,7 @@ def test_criterion_09_combinatorial_exactness():
             ok = ok and stirling2(m, k) == k * stirling2(m - 1, k) + stirling2(m - 1, k - 1)
     for a in range(0, 11):
         for m in range(1, 11):
-            total = sum(
-                stirling2(m, k) * int(falling_factorial(float(a), k)) for k in range(1, m + 1)
-            )
+            total = sum(stirling2(m, k) * math.perm(a, k) for k in range(1, m + 1))
             ok = ok and total == a**m
     report_line(9, "Stirling recurrence and operator identity exact for m,a <= 10", ok)
 

@@ -1,20 +1,11 @@
-"""Reciprocal gamma and the exact combinatorial primitives."""
+"""Reciprocal gamma and the Stirling numbers of the second kind."""
 
 import math
 
 import pytest
 import scipy.special as sc
-from hypothesis import given
-from hypothesis import strategies as st
 
-from besselsums import (
-    EXACTNESS_BOUND,
-    binomial,
-    falling_factorial,
-    gamma_moment,
-    reciprocal_gamma,
-    stirling2,
-)
+from besselsums import EXACTNESS_BOUND, reciprocal_gamma, stirling2
 
 
 class TestReciprocalGamma:
@@ -57,23 +48,6 @@ class TestReciprocalGamma:
             reciprocal_gamma(math.inf)
         with pytest.raises(ValueError):
             reciprocal_gamma(math.nan)
-
-
-class TestGammaMoment:
-    def test_at_zero(self):
-        assert gamma_moment(0.0).value == 1.0
-
-    def test_negative_integer_vanishes(self):
-        assert gamma_moment(-1.0).value == 0.0
-
-    def test_at_three(self):
-        # 1/Gamma(4) = 1/3!
-        assert gamma_moment(3.0).value == pytest.approx(1.0 / 6.0, rel=1e-15)
-
-    def test_carries_order(self):
-        m = gamma_moment(2.5)
-        assert m.alpha == 2.5
-        assert m.value == reciprocal_gamma(3.5)
 
 
 def _partitions_into_blocks(m, k):
@@ -122,35 +96,3 @@ class TestStirling2:
             stirling2(EXACTNESS_BOUND + 1, 2)
         with pytest.raises(ValueError):
             stirling2(-1, 0)
-
-
-class TestBinomial:
-    def test_pascal_recurrence(self):
-        # independent oracle: Pascal triangle built in the test
-        row = [1]
-        for n in range(1, 11):
-            row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-            for k, expected in enumerate(row):
-                assert binomial(n, k) == expected
-
-    def test_edges(self):
-        assert binomial(5, 2) == 10
-        assert binomial(7, 0) == 1
-        assert binomial(3, 4) == 0
-
-    def test_bound_enforced(self):
-        with pytest.raises(ValueError):
-            binomial(EXACTNESS_BOUND + 1, 1)
-
-
-class TestFallingFactorial:
-    def test_values(self):
-        assert falling_factorial(4.0, 2) == 12.0
-        assert falling_factorial(2.5, 0) == 1.0
-        assert falling_factorial(2.0, 3) == 0.0
-
-    @given(st.integers(min_value=0, max_value=10), st.integers(min_value=1, max_value=10))
-    def test_power_identity(self, a, m):
-        # sum_k S2(m,k) a^(k) = a^m, exactly in integer arithmetic
-        total = sum(stirling2(m, k) * int(falling_factorial(float(a), k)) for k in range(1, m + 1))
-        assert total == a**m

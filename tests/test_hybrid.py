@@ -14,7 +14,6 @@ import scipy.special as sc
 from besselsums import (
     DEFAULT_POLICY,
     SummationPolicy,
-    gamma_moment,
     h_tricomi,
     h_wright,
     hermite_m,
@@ -22,6 +21,7 @@ from besselsums import (
     hybrid_k,
     l_tricomi,
     laguerre2,
+    reciprocal_gamma,
     rules,
     tricomi_c,
 )
@@ -102,7 +102,7 @@ class TestHTricomi:
                     lhs = sum(
                         hermite_oracle(n, m, -x, y)
                         / math.factorial(n)
-                        * gamma_moment(float(n)).value
+                        * reciprocal_gamma(n + 1.0)
                         for n in range(50)
                     )
                     rhs = h_tricomi(0.0, m, x, (-1) ** m * y).value

@@ -93,6 +93,15 @@ def test_kernels_bypass_public_recip_gamma(monkeypatch):
     backend.bessel_j_series(0.5, 1.0, *POLICY_ARGS)
     backend.tricomi_series(-3.0, 2.0, *POLICY_ARGS)
     assert calls == []
+    # reciprocal_gamma looks the kernel up by attribute, so a patched one sees its calls
+    besselsums.reciprocal_gamma(0.5)
+    assert calls == [0.5]
+
+
+def test_public_names_resolve_once():
+    names = besselsums.__all__
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(besselsums, name)] == []
 
 
 def test_perfbench_tracer_sites_resolve(monkeypatch):

@@ -121,6 +121,15 @@ class TestLoadPlan:
         with pytest.raises(PlanError, match="policy"):
             load_plan(write_plan(tmp_path, bad))
 
+    def test_unknown_keys_are_named(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text(ascending_plan(perturb=3))
+        with pytest.raises(PlanError, match=r"entry 0 \(ASCENDING_GEN\): unknown key 'perturb'"):
+            load_plan(path)
+        path.write_text(json.dumps({"polcy": {}, "entries": [ASCENDING]}))
+        with pytest.raises(PlanError, match="unknown key 'polcy'"):
+            load_plan(path)
+
 
 class TestRunPlan:
     def test_trivial_cases_all_verified(self, tmp_path):
@@ -143,6 +152,14 @@ class TestRunPlan:
         report = run_plan(load_plan(write_plan(tmp_path, payload)))
         assert report.records[0].verdict is Verdict.DISCREPANT
         assert report.exit_code() == 2
+
+    def test_integral_float_budget_runs(self, tmp_path):
+        # json 400.0 is the integer 400, not a float the summation loop refuses
+        payload = dict(TRIVIAL_THREE, policy={"max_terms": 400.0, "consecutive_small": 3.0})
+        plan = load_plan(write_plan(tmp_path, payload))
+        assert plan.policy.max_terms == 400 and type(plan.policy.max_terms) is int
+        report = run_plan(plan)
+        assert [r.verdict for r in report.records] == [Verdict.VERIFIED] * 3
 
     def test_starved_budget_gives_inconclusive(self, tmp_path):
         payload = {
@@ -465,6 +482,9 @@ MALFORMED_PLANS = {
     "NaN grid value": ascending_plan({"nu": [float("nan")]}),
     "Infinity grid value": ascending_plan({"x": [float("inf")]}),
     "negative tolerances": ascending_plan(tol_abs=-1, tol_rel=-1),
+    "boolean tolerance": ascending_plan(tol_abs=True, perturb_rhs=0.5),
+    "unknown top-level key": json.dumps({"polcy": {"max_terms": 8}, "entries": [ASCENDING]}),
+    "unknown entry key": ascending_plan(tol_absolute=1e-30),
     "int past float range": ascending_plan({"x": [10**400]}),
 }
 
@@ -518,7 +538,7 @@ def test_every_domain_check_is_covered():
 
 
 class TestTolerances:
-    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), "1e-9", None])
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), "1e-9", None, True])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ValueError, match="tol_rel must be a finite number >= 0"):
             Tolerances(tol_rel=bad)

@@ -15,9 +15,7 @@ from besselsums import (
     EvaluationDomainError,
     SeriesEval,
     SummationPolicy,
-    binomial,
     central_derivative,
-    falling_factorial,
     h_tricomi,
     h_wright,
     hermite_m,
@@ -374,11 +372,10 @@ INTEGER_PARAMS = {
     "hybrid_k m": (lambda v: hybrid_k(0.0, v, 1.0, 1.0, 0.5), "m", 0),
     "stirling2 m": (lambda v: stirling2(v, 1), "m", EXACTNESS_BOUND + 1),
     "stirling2 k": (lambda v: stirling2(3, v), "k", -1),
-    "binomial n": (lambda v: binomial(v, 1), "n", EXACTNESS_BOUND + 1),
-    "binomial k": (lambda v: binomial(5, v), "k", -1),
-    "falling_factorial k": (lambda v: falling_factorial(2.0, v), "k", -1),
     "rule_multiple_order m": (lambda v: rule_multiple_order(v, 1.0, 0.1), "m", 0),
     "weighted_sum_E m": (lambda v: weighted_sum_E(0, v, 1.0), "m", 11),
+    "max_terms": (lambda v: SummationPolicy(max_terms=v), "max_terms", 7),
+    "consecutive_small": (lambda v: SummationPolicy(consecutive_small=v), "consecutive_small", 0),
 }
 
 

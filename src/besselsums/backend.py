@@ -1,18 +1,26 @@
 """Scalar kernels for the hot series loops.
 
 ``recip_gamma`` and the Bessel and Tricomi series loops, in pure Python over
-floats.  Each series kernel uses Neumaier-compensated
-accumulation and stops once ``consecutive_small`` successive terms are no
-larger than ``abs_tol + rel_tol * |partial sum|``, returning
-``(value, terms_used, last_term_magnitude, converged)``.  A term that is not
+floats.  Each series kernel uses Neumaier-compensated accumulation and returns
+``(value, terms_used, last_term_magnitude, converged)``; a term that is not
 finite ends the sum with the sentinel ``(nan, index + 1, inf, False)``.
 
 The Bessel and Tricomi series share one loop, ``_ratio_series``: both step
-their terms by ``c / ((k + 1)(a + k + 1))``.  Negative-integer orders make a
-leading run of their terms vanish exactly at reciprocal-gamma poles; both
-start past that run (``leading_pole_shift``) so the stop rule never mistakes
-it for convergence.  The Wright function and the composites are summed in
-``besselsums.hybrid``, which starts its Gamma-weighted series by the same
+their terms by ``c / ((k + 1)(a + k + 1))``.  It stops only on a proved tail:
+once a + k + 1 > 0 those steps shrink with k, so with r = |c| / ((k + 1)(a + k
++ 1)) < 1 the terms from index k on sum to at most |t_k| / (1 - r)
+(``ratio_tail``).  The loop stops after term k - 1 once that bound is at most
+both abs_tol and rel_tol * |partial sum|, testing it only when |t_k| is
+already below both.  A value is thus held to both tolerances, not the looser
+one: J values are multiplied by partners of any size in the rule sides, so a
+tiny one must keep its relative digits.  The loop never stops on small terms
+alone: the kernels take ``consecutive_small`` with the rest of the policy,
+and ignore it.
+
+Negative-integer orders make a leading run of their terms vanish exactly at
+reciprocal-gamma poles; both kernels start past that run
+(``leading_pole_shift``).  The Wright function and the composites are summed
+in ``besselsums.hybrid``, which starts its Gamma-weighted series by the same
 ``leading_pole_shift``.
 """
 
@@ -20,16 +28,26 @@ import math
 
 BACKEND = "pure-python"
 
+# 1/(k-1)! as floats: correctly rounded, where 1/math.gamma(k) is off by up to
+# 2.2 ulps at k = 24..34
 _INV_FACTORIAL = tuple(1.0 / float(math.factorial(k)) for k in range(34))
 
 
 def _recip_gamma(a):
-    """1/Gamma(a) for finite real a, exactly 0.0 at the poles a = 0, -1, -2, ..."""
+    """1/Gamma(a) for finite real a, exactly 0.0 at the poles a = 0, -1, -2, ...
+
+    1/math.gamma(a), within 7 ulps, where Gamma(a) is a normal float
+    (-170.5 <= a < 171.6); outside, exp(-lgamma(a)), whose error grows with
+    |lgamma(a)| (1/Gamma is subnormal there above the range, and past float
+    range below it).
+    """
     if a == math.floor(a):
         if a <= 0.0:
             return 0.0
         if a <= 34.0:
             return _INV_FACTORIAL[int(a) - 1]
+    if -170.5 <= a < 171.6:
+        return 1.0 / math.gamma(a)
     try:
         g = math.exp(-math.lgamma(a))
     except OverflowError:
@@ -63,31 +81,53 @@ def leading_pole_shift(a, step=1.0):
     return 0
 
 
-def _ratio_series(term, a, c, k0, abs_tol, rel_tol, max_terms, consecutive_small):
+def _tail(mag, a, ac, k):
+    """Bound on |t_k| + |t_(k+1)| + ... of a ratio series with |t_k| = mag
+    and |c| = ac, or inf before the steps are sure to shrink."""
+    d = (k + 1.0) * (a + k + 1.0)
+    if a + k + 1.0 > 0.0 and ac < d:
+        return mag / (1.0 - ac / d)
+    return math.inf
+
+
+def ratio_tail(a, c, terms_used, last_term_magnitude):
+    """The tail bound a converged kernel stopped on, recomputed bit for bit
+    from its order a, step constant c and results (both kernels start at
+    k0 = leading_pole_shift(a + 1)).  The first term left out, index k, has
+    |t_k| = |t_(k-1)| |c| / |k (a + k)|, exactly as the loop rounded it."""
+    k = leading_pole_shift(a + 1.0) + terms_used - 1.0  # index of the last term summed
+    ac = abs(c)
+    mag = last_term_magnitude * ac / abs((k + 1.0) * (a + k + 1.0))
+    return _tail(mag, a, ac, k + 1.0)
+
+
+def _ratio_series(term, a, c, k0, abs_tol, rel_tol, max_terms):
     """Sum from the index-k0 term ``term``, with term_(k+1) = term_k c / ((k+1)(a+k+1))."""
     total = 0.0
     comp = 0.0
-    streak = 0
-    last_mag = 0.0
+    ac = abs(c)
     k = float(k0)
+    mag = abs(term)
+    last_mag = 0.0
     for terms in range(1, max_terms + 1):
         if term - term != 0.0:  # inf or nan
             return math.nan, terms, math.inf, False
         t = total + term
-        last_mag = abs(term)
-        if abs(total) >= last_mag:
+        if abs(total) >= mag:
             comp += (total - t) + term
         else:
             comp += (term - t) + total
         total = t
-        if last_mag <= abs_tol + rel_tol * abs(total + comp):
-            streak += 1
-            if streak >= consecutive_small:
-                return total + comp, terms, last_mag, True
-        else:
-            streak = 0
+        last_mag = mag
         term = term * c / ((k + 1.0) * (a + k + 1.0))
         k += 1.0
+        mag = abs(term)
+        if mag <= abs_tol:  # the tail is at least |t_k|: test its bound only past both tolerances
+            s = rel_tol * abs(total + comp)
+            if mag <= s:
+                tail = _tail(mag, a, ac, k)
+                if tail <= s and tail <= abs_tol:
+                    return total + comp, terms, last_mag, True
     return total + comp, max_terms, last_mag, False
 
 
@@ -101,9 +141,7 @@ def bessel_j_series(nu, x, abs_tol, rel_tol, max_terms, consecutive_small):
         term = math.inf
     if k0 & 1:
         term = -term
-    return _ratio_series(
-        term, nu, -(half * half), k0, abs_tol, rel_tol, max_terms, consecutive_small
-    )
+    return _ratio_series(term, nu, -(half * half), k0, abs_tol, rel_tol, max_terms)
 
 
 def tricomi_series(alpha, x, abs_tol, rel_tol, max_terms, consecutive_small):
@@ -113,4 +151,4 @@ def tricomi_series(alpha, x, abs_tol, rel_tol, max_terms, consecutive_small):
         term = math.pow(-x, k0) * _recip_gamma(alpha + k0 + 1.0) * _recip_gamma(k0 + 1.0)
     except OverflowError:
         term = math.inf
-    return _ratio_series(term, alpha, -x, k0, abs_tol, rel_tol, max_terms, consecutive_small)
+    return _ratio_series(term, alpha, -x, k0, abs_tol, rel_tol, max_terms)

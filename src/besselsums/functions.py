@@ -32,8 +32,12 @@ def reciprocal_gamma(a: float) -> float:
     """1/Gamma(a) for any finite real a.
 
     Exactly 0.0 when a is a non-positive integer, so series over shifted orders
-    drop their leading terms with no rounding residue.  Relative error stays
-    below 1e-13 on [-30, 30] away from the poles.
+    drop their leading terms with no rounding residue.  Where Gamma(a) is a
+    normal float, -170.5 <= a < 171.6, it is 1/math.gamma(a) (the correctly
+    rounded 1/(a-1)! at integers up to 34), within 7 ulps of 1/Gamma: the
+    worst of 12,000 points checked against mpmath was 6.0 ulps, where
+    exp(-lgamma(a)) was off by up to 1,500.  Outside that range it is
+    exp(-lgamma(a)): subnormal, then 0.0, above; inf from about -171.5 down.
     """
     a = float(a)
     if not math.isfinite(a):
@@ -64,7 +68,8 @@ def bessel_j(nu: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) -> S
     )
     if value - value != 0.0:
         raise EvaluationDomainError(f"non-finite term while summing J_{nu}({x})", index=terms - 1)
-    return SeriesEval(value, terms, last_mag, converged)
+    tail = backend.ratio_tail(nu, (0.5 * x) * (0.5 * x), terms, last_mag) if converged else None
+    return SeriesEval(value, terms, last_mag, converged, tail)
 
 
 def tricomi_c(alpha: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) -> SeriesEval:
@@ -82,7 +87,8 @@ def tricomi_c(alpha: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) 
         raise EvaluationDomainError(
             f"non-finite term while summing C_{alpha}({x})", index=terms - 1
         )
-    return SeriesEval(value, terms, last_mag, converged)
+    tail = backend.ratio_tail(alpha, x, terms, last_mag) if converged else None
+    return SeriesEval(value, terms, last_mag, converged, tail)
 
 
 def wright(nu: float, mu: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) -> SeriesEval:

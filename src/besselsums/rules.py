@@ -209,11 +209,62 @@ def _mirror(nu: float, x: float, policy: SummationPolicy) -> SeriesEval:
         return bessel_j(nu, x, policy)  # raises again, naming the order asked for
     if j.value == 0.0 or not int(nu) & 1:
         return j
-    return SeriesEval(-j.value, j.terms_used, j.last_term_magnitude, j.converged)
+    return SeriesEval(-j.value, j.terms_used, j.last_term_magnitude, j.converged, j.tail_bound)
 
 
 def _j(nu: float, x: float, policy: SummationPolicy) -> float:
     return _bessel_j(nu, x, policy).value
+
+
+def _gamma_majorant(c: float, s: float, mu: float = 1.0, nu: float = 0.0, power: int = 0):
+    """n -> a bound on the sum over j > n of
+    M_j = j^power c^j s^(mu j + nu) / (j! Gamma(mu j + nu + 1)),  c, s >= 0.
+
+    M_j bounds |j^power c^j / j! J_(mu j + nu)(x)| for s = |x|/2 wherever
+    mu j + nu >= -1/2 (DLMF 10.14.4: |J_v(x)| <= |x/2|^v / Gamma(v + 1) for
+    real x and v >= -1/2), and each rule side's terms are bounded by such a
+    product.  From there on the ratio
+    rho_j = M_(j+1) / M_j = ((j+1)/j)^power c s^mu Gamma(z+1) / ((j+1) Gamma(z+mu+1)),
+    z = mu j + nu, falls with j (Gamma is log-convex), so the tail is at most
+    M_(n+1) / (1 - rho_(n+1)), up to the rounding of that expression.
+    Nothing is computed until the engine asks, about once per sum.  inf where
+    no bound holds: an order below -1/2, rho >= 1, or a degree or order past
+    170, where 1/Gamma underflows.
+    """
+
+    def tail(n: int) -> float:
+        j = n + 1
+        z = mu * j + nu
+        if not -0.5 <= z <= 170.0 or j > 170:
+            return math.inf
+        recip_gamma = backend.recip_gamma
+        rz = recip_gamma(z + 1.0)
+        try:
+            m = c**j * s**z * rz * recip_gamma(j + 1.0)
+            rho = c * s**mu * recip_gamma(z + mu + 1.0) / (rz * (j + 1))
+        except (OverflowError, ZeroDivisionError):  # 0.0 ** negative z raises the latter
+            return math.inf
+        if power:
+            m *= float(j) ** power
+            rho *= ((j + 1) / j) ** power
+        return m / (1.0 - rho) if rho < 1.0 else math.inf
+
+    return tail
+
+
+def _bilateral_majorant(up: float, down: float, s: float, nu: float, power: int = 0) -> tuple:
+    """The (n > 0, n < 0) majorants of sum_n w_n J_(n+nu)(x) J_n(y), s = |x|/2.
+
+    ``up`` and ``down`` are chosen so that |w_k| (|y|/2)^k <= k^power up^k and
+    |w_-k| (|y|/2)^k <= k^power down^k; with |J_(+-k)(y)| <= (|y|/2)^k / k!
+    the term at n = +-k is then at most k^power (up or down)^k / k! times
+    |J_(nu+-k)(x)|.  For integer nu, |J_(nu-k)(x)| = |J_(k-nu)(x)|; at
+    non-integer nu no such bound is at hand, so the n < 0 direction is left
+    to the negligible-term streak.
+    """
+    upper = _gamma_majorant(up, s, 1.0, nu, power)
+    lower = _gamma_majorant(down, s, 1.0, -nu, power) if float(nu).is_integer() else None
+    return upper, lower
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +287,11 @@ def rule_ascending_gen(
 ) -> VerificationRecord:
     """sum_n t^n/n! J_{nu+n}(x)  =  (x/(x-2t))^(nu/2) J_nu(sqrt(x^2-2xt)),  |2t| < x."""
     _check_gen(nu, x, t)
-    lhs = sum_series(lambda n: _taylor_weight(t, n) * _j(nu + n, x, policy), policy)
+    lhs = sum_series(
+        lambda n: _taylor_weight(t, n) * _j(nu + n, x, policy),
+        policy,
+        _gamma_majorant(abs(t), 0.5 * x, 1.0, nu),
+    )
     rhs_j = _bessel_j(nu, math.sqrt(x * x - 2.0 * x * t), policy)
     rhs = math.pow(x / (x - 2.0 * t), 0.5 * nu) * rhs_j.value
     return _record(
@@ -259,7 +314,9 @@ def rule_descending_gen(
 ) -> VerificationRecord:
     """sum_n (-t)^n/n! J_{nu-n}(x)  =  ((x-2t)/x)^(nu/2) J_nu(sqrt(x^2-2xt)),  |2t| < x."""
     _check_gen(nu, x, t)
-    lhs = sum_series(lambda n: _taylor_weight(-t, n) * _j(nu - n, x, policy), policy)
+    # |J_(nu-n)| = |J_(n-nu)| needs an integer order; otherwise the stop stays heuristic
+    majorant = _gamma_majorant(abs(t), 0.5 * x, 1.0, -nu) if float(nu).is_integer() else None
+    lhs = sum_series(lambda n: _taylor_weight(-t, n) * _j(nu - n, x, policy), policy, majorant)
     rhs_j = _bessel_j(nu, math.sqrt(x * x - 2.0 * x * t), policy)
     rhs = math.pow((x - 2.0 * t) / x, 0.5 * nu) * rhs_j.value
     return _record(
@@ -287,7 +344,11 @@ def rule_multiple_order(
     """sum_n t^n/n! J_{mn}(x)  =  HC_0^(m)(x^2/4, (-x/2)^m t), the Hermite-based
     Tricomi function."""
     m = _check_multiple(m, x, t)
-    lhs = sum_series(lambda n: _taylor_weight(t, n) * _j(float(m * n), x, policy), policy)
+    lhs = sum_series(
+        lambda n: _taylor_weight(t, n) * _j(float(m * n), x, policy),
+        policy,
+        _gamma_majorant(abs(t), 0.5 * abs(x), float(m)),
+    )
     rhs = h_tricomi(0.0, m, x * x / 4.0, math.pow(-x / 2.0, m) * t, policy)
     return _record(
         RuleId.MULTIPLE_ORDER,
@@ -317,7 +378,11 @@ def rule_fractional_order(
     """sum_n t^n/n! J_{n/m}(x)  =  HW_0^(m)(t (x/2)^(1/m), -x^2/4 | 1/m), the
     Hermite-based Wright function."""
     m = _check_fractional(m, x, t)
-    lhs = sum_series(lambda n: _taylor_weight(t, n) * _j(n / m, x, policy), policy)
+    lhs = sum_series(
+        lambda n: _taylor_weight(t, n) * _j(n / m, x, policy),
+        policy,
+        _gamma_majorant(abs(t), 0.5 * x, 1.0 / m),
+    )
     rhs = h_wright(0.0, m, 1.0 / m, t * math.pow(x / 2.0, 1.0 / m), -x * x / 4.0, policy)
     return _record(
         RuleId.FRACTIONAL_ORDER,
@@ -342,7 +407,12 @@ def rule_bessel_laguerre(
     Laguerre-based Tricomi function."""
     require_finite(z=z, x=x, y=y, t=t)
     lag = hybrid._laguerre_table(x, y)  # L_n(x, y)/n!
-    lhs = sum_series(lambda n: math.pow(t, n) * _j(float(n), z, policy) * lag(n), policy)
+    # |L_n(x, y)/n!| <= (|x| + |y|)^n / n! termwise from laguerre2's defining sum
+    lhs = sum_series(
+        lambda n: math.pow(t, n) * _j(float(n), z, policy) * lag(n),
+        policy,
+        _gamma_majorant(abs(t) * (abs(x) + abs(y)), 0.5 * abs(z)),
+    )
     rhs = l_tricomi(0.0, -x * t * z / 2.0, z * (z - 2.0 * y * t) / 4.0, policy)
     return _record(
         RuleId.BESSEL_LAGUERRE,
@@ -422,7 +492,9 @@ def rule_graf(
       =  ((x - y/t)/(x - yt))^(nu/2) J_nu(sqrt(x^2 + y^2 - xy(t + 1/t)))."""
     _check_graf_real(nu, x, y, t)
     lhs = sum_bilateral(
-        lambda n: math.pow(t, n) * _j(nu + n, x, policy) * _j(float(n), y, policy), policy
+        lambda n: math.pow(t, n) * _j(nu + n, x, policy) * _j(float(n), y, policy),
+        policy,
+        _bilateral_majorant(0.5 * t * abs(y), 0.5 * abs(y) / t, 0.5 * abs(x), nu),
     )
     arg = math.sqrt(x * x + y * y - x * y * (t + 1.0 / t))
     rhs_j = _bessel_j(nu, arg, policy)
@@ -468,6 +540,7 @@ def rule_graf_phase(
     lhs = sum_bilateral(
         lambda n: cmath.exp(1j * n * theta) * _j(nu + n, x, policy) * _j(float(n), y, policy),
         policy,
+        _bilateral_majorant(0.5 * y, 0.5 * y, 0.5 * x, nu),
     )
     rhs, rhs_j = _graf_phase_closed(nu, x, y, theta, policy)
     return _record(
@@ -502,9 +575,15 @@ def rule_neumann_ext(
     descending form is what gets verified here.
     """
     _check_neumann(x, y, t)
+    # |t^n J_n(x) J_2n(y)| <= (|t x|/2)^n / n! (y/2)^(2n) / (2n)!, and with
+    # |x| / (2|t|) in place of |t x|/2 for n < 0
     lhs = sum_bilateral(
         lambda n: math.pow(t, n) * _j(float(n), x, policy) * _j(float(2 * n), y, policy),
         policy,
+        (
+            _gamma_majorant(0.5 * abs(t * x), 0.5 * abs(y), 2.0),
+            _gamma_majorant(0.5 * abs(x / t), 0.5 * abs(y), 2.0),
+        ),
     )
     rhs = hybrid_k(0.0, -2, y * y / 4.0, x * y * y * t / 8.0, -2.0 * x / (y * y * t), policy)
     return _record(
@@ -568,6 +647,7 @@ def weighted_sum_S(
     brute = sum_bilateral(
         lambda n: float(n) ** m * _j(float(n + l), x, policy) * _j(float(n), y, policy),
         policy,
+        _bilateral_majorant(0.5 * y, 0.5 * y, 0.5 * x, float(l), m),
     )
 
     if m == 0:
@@ -613,7 +693,7 @@ def _weighted_closed_form(l: int, m: int, x: float, y: float, policy) -> float:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True must miss the entry of 1, and be refused
 def stirling2(m: int, k: int) -> int:
     """Stirling number of the second kind: partitions of an m-set into k blocks."""
     m = require_int("m", m, minimum=0, maximum=EXACTNESS_BOUND)
@@ -651,17 +731,22 @@ def weighted_sum_E(
     lhs = sum_series(
         lambda n: float(n) ** m * backend.recip_gamma(n + 1.0) * _j(float(n + l), x, policy),
         policy,
+        _gamma_majorant(1.0, 0.5 * abs(x), 1.0, float(l), m),
     )
     arg = (x * x - 2.0 * x) / 4.0
     rhs = 0.0
     rhs_converged = True
     rhs_terms = 0
+    rhs_tail = 0.0
     for k in range(1, m + 1):
         c = tricomi_c(float(l + k), arg, policy)
         rhs_converged = rhs_converged and c.converged
         rhs_terms += c.terms_used
-        rhs += stirling2(m, k) * math.pow(x / 2.0, l + k) * c.value
-    rhs_cert = SeriesEval(rhs, rhs_terms, 0.0, rhs_converged)
+        weight = stirling2(m, k) * math.pow(x / 2.0, l + k)
+        rhs += weight * c.value
+        if rhs_converged:
+            rhs_tail += abs(weight) * c.tail_bound
+    rhs_cert = SeriesEval(rhs, rhs_terms, 0.0, rhs_converged, rhs_tail if rhs_converged else None)
     return _record(
         RuleId.WEIGHTED_E,
         {"l": l, "m": m, "x": x},

@@ -10,15 +10,24 @@ and compensation in local variables of its own loop.
 A term whose computation raises ``OverflowError``, or that is not finite
 (``t - t != 0.0``: inf or nan, real or complex), raises
 ``EvaluationDomainError`` with the term's index.  A term is negligible when
-|t| <= abs_tol + rel_tol * |partial sum|; a sum stops, converged, after
-``consecutive_small`` negligible terms in a row, and unconverged after
-``max_terms`` terms.  The bilateral sum counts the streak per direction (the
-n = 0 term counts for neither) and is converged only when both directions
-stopped and the larger of their last term magnitudes is still negligible.
+|t| <= abs_tol + rel_tol * |partial sum|.  A sum given a ``majorant`` (a
+function of n bounding the sum of |term(j)| over j > n) stops, converged, once
+the majorant's tail after the latest term is at most
+max(abs_tol, rel_tol * |partial sum|), and records that tail in its
+certificate's ``tail_bound``; it asks the majorant only where the next term,
+extrapolated from the last two, would be negligible.  A sum without one stops,
+converged, after ``consecutive_small`` negligible terms in a row, with
+``tail_bound`` None.  Either stops unconverged after ``max_terms`` terms.
+
+The bilateral sum applies the rule per direction (the n = 0 term counts for
+neither), with a majorant per direction or none; a proved direction stops at
+half the threshold, so that the two tails together stay within it.  It is
+converged only when both directions stopped, and a direction stopped by the
+streak still ends with a negligible last term.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 Scalar = Union[float, complex]
@@ -43,9 +52,9 @@ def require_int(
     name: str, value, minimum: Optional[int] = None, maximum: Optional[int] = None
 ) -> int:
     """``value`` as an int; ValueError naming ``name`` unless it is integral
-    (so not inf or nan) and within the given bounds."""
+    (so not inf, nan or a bool) and within the given bounds."""
     try:
-        n = int(value)
+        n = None if isinstance(value, bool) else int(value)
     except (OverflowError, TypeError, ValueError):  # inf, nan, not a number
         n = None
     if n is None or n != value:
@@ -61,9 +70,24 @@ def require_int(
 class SummationPolicy:
     """Tolerances and budgets governing a series evaluation.
 
-    A term is negligible when |term| <= abs_tol + rel_tol * |partial sum|;
-    summation stops after ``consecutive_small`` negligible terms in a row
-    (single incidentally tiny terms of alternating series must not stop it).
+    A term is negligible when |term| <= abs_tol + rel_tol * |partial sum|.
+    Stops are proved where a bound on everything left out is at hand, all
+    up to rounding:
+
+    * The Bessel and Tricomi kernels stop once that bound is at most both
+      abs_tol and rel_tol * |partial sum|, so a value V is truncated by at
+      most min(abs_tol, rel_tol |V|): a rule side may multiply a tiny J value
+      by a large partner, so it keeps its relative digits.
+    * An engine sum given a majorant stops once the majorant's tail is at
+      most max(abs_tol, rel_tol * |partial sum|), half that per direction of
+      a bilateral sum: a rule side may cancel to near zero, where abs_tol
+      alone must do.
+
+    ``consecutive_small`` governs only engine sums without a majorant (the
+    composite families and the rule sides with no bound at hand): they stop
+    after that many negligible terms in a row, since single incidentally
+    tiny terms of alternating series must not stop them.  ``max_terms`` caps
+    every sum.
     """
 
     abs_tol: float = 1e-14
@@ -90,12 +114,18 @@ DEFAULT_POLICY = SummationPolicy()
 
 @dataclass(frozen=True)
 class SeriesEval:
-    """A summed value plus its convergence certificate."""
+    """A summed value plus its convergence certificate.
+
+    ``tail_bound`` is the proved bound on the terms left out when the stop was
+    proved, and None when it was heuristic or the sum did not converge.  It
+    takes no part in equality, so certificates compare as they did before it.
+    """
 
     value: Scalar
     terms_used: int
     last_term_magnitude: float
     converged: bool
+    tail_bound: Optional[float] = field(default=None, compare=False)
 
 
 def _term_error(n: int, t: Optional[Scalar] = None) -> EvaluationDomainError:
@@ -105,13 +135,25 @@ def _term_error(n: int, t: Optional[Scalar] = None) -> EvaluationDomainError:
     return EvaluationDomainError(f"non-finite series term {t!r} at index {n}", index=n)
 
 
-def sum_series(term: Callable[[int], Scalar], policy: SummationPolicy = DEFAULT_POLICY) -> SeriesEval:
-    """Sum term(0) + term(1) + ... adaptively; see SummationPolicy for the stop rule."""
+def sum_series(
+    term: Callable[[int], Scalar],
+    policy: SummationPolicy = DEFAULT_POLICY,
+    majorant: Optional[Callable[[int], float]] = None,
+) -> SeriesEval:
+    """Sum term(0) + term(1) + ... adaptively; see SummationPolicy for the stop rule.
+
+    ``majorant(n)`` bounds |term(n + 1)| + |term(n + 2)| + ... (inf where it
+    cannot yet).  It is asked only at terms t_k with t_k^2 <= |t_(k-1)| *
+    (abs_tol + rel_tol * |partial sum|), that is, when the next term,
+    extrapolated geometrically from the last two, would be negligible: a
+    cheap filter, so that neither a term nor a majorant is evaluated for
+    nothing on the way.
+    """
     abs_tol, rel_tol = policy.abs_tol, policy.rel_tol
     max_terms, need = policy.max_terms, policy.consecutive_small
     total = comp = 0.0
     streak = 0
-    mag = 0.0
+    mag = prev = 0.0
     for k in range(max_terms):
         try:
             t = term(k)
@@ -126,7 +168,13 @@ def sum_series(term: Callable[[int], Scalar], policy: SummationPolicy = DEFAULT_
         else:
             comp += (t - s) + total
         total = s
-        if mag <= abs_tol + rel_tol * abs(total + comp):
+        if majorant is not None:
+            if mag * mag <= prev * (abs_tol + rel_tol * abs(total + comp)):
+                tail = majorant(k)
+                if tail <= max(abs_tol, rel_tol * abs(total + comp)):
+                    return SeriesEval(total + comp, k + 1, mag, True, tail)
+            prev = mag
+        elif mag <= abs_tol + rel_tol * abs(total + comp):
             streak += 1
             if streak >= need:
                 return SeriesEval(total + comp, k + 1, mag, True)
@@ -135,19 +183,31 @@ def sum_series(term: Callable[[int], Scalar], policy: SummationPolicy = DEFAULT_
     return SeriesEval(total + comp, max_terms, mag, False)
 
 
-def sum_bilateral(term: Callable[[int], Scalar], policy: SummationPolicy = DEFAULT_POLICY) -> SeriesEval:
+def sum_bilateral(
+    term: Callable[[int], Scalar],
+    policy: SummationPolicy = DEFAULT_POLICY,
+    majorant: Optional[tuple] = None,
+) -> SeriesEval:
     """Sum term(n) over all integers n, expanding symmetrically from n = 0.
 
-    Each direction keeps its own negligible-term streak and stops
-    independently; the whole sum is converged only when both directions are.
-    ``max_terms`` budgets the total number of term evaluations.
+    Each direction stops independently; the whole sum is converged only when
+    both are.  ``majorant`` is a pair (upper, lower): upper(n) bounds the sum
+    of |term(j)| over j > n and lower(n) that of |term(-j)|; a None in either
+    place leaves that direction to the negligible-term streak.  A direction
+    stops on its proof at half the one-sided threshold.  The
+    certificate's ``tail_bound`` is the two proved tails summed, None unless
+    both directions were proved.  ``max_terms`` budgets the total number of
+    term evaluations.
     """
     abs_tol, rel_tol = policy.abs_tol, policy.rel_tol
     max_terms, need = policy.max_terms, policy.consecutive_small
+    bounds = majorant or (None, None)
     total = comp = 0.0
     # per direction, index 0 for n > 0 and 1 for n < 0
     streaks = [0, 0]
-    last = [0.0, 0.0]
+    last = [0.0, 0.0]  # |t| of the latest term
+    before = [0.0, 0.0]  # and of the one before it
+    tails = [None, None]
     live = [True, True]
     n, side = 0, 1  # n = 0 steps to n = 1 as a negative index would
     terms = 0
@@ -167,8 +227,17 @@ def sum_bilateral(term: Callable[[int], Scalar], policy: SummationPolicy = DEFAU
         total = s
         terms += 1
         if n:
+            before[side] = last[side]
             last[side] = mag
-            if mag <= abs_tol + rel_tol * abs(total + comp):
+            bound = bounds[side]
+            if bound is not None:
+                # the same filter as sum_series, per direction
+                if mag * mag <= before[side] * (abs_tol + rel_tol * abs(total + comp)):
+                    tail = bound(abs(n))
+                    if tail <= 0.5 * max(abs_tol, rel_tol * abs(total + comp)):
+                        tails[side] = tail
+                        live[side] = False
+            elif mag <= abs_tol + rel_tol * abs(total + comp):
                 streaks[side] += 1
                 if streaks[side] >= need:
                     live[side] = False
@@ -189,9 +258,13 @@ def sum_bilateral(term: Callable[[int], Scalar], policy: SummationPolicy = DEFAU
         else:
             break
     value = total + comp
-    last_mag = max(last)
-    converged = not (live[0] or live[1]) and last_mag <= abs_tol + rel_tol * abs(value)
-    return SeriesEval(value, terms, last_mag, converged)
+    negligible = abs_tol + rel_tol * abs(value)
+    # a proved direction stands on its tail; a heuristic one must still end negligible
+    converged = not (live[0] or live[1]) and all(
+        tail is not None or mag <= negligible for tail, mag in zip(tails, last)
+    )
+    proved = converged and None not in tails
+    return SeriesEval(value, terms, max(last), converged, tails[0] + tails[1] if proved else None)
 
 
 # Central-difference stencils with O(h^2) truncation error, per derivative order.

@@ -17,12 +17,18 @@ import pytest
 from besselsums.plan import default_plan_path, load_plan, run_plan
 from besselsums.report import render_json
 
-# Re-recorded when the Hermite and Laguerre weights moved to their recurrences
-# (ulps in the values of five rules, no verdict changed); before that they were
+# Re-recorded when the J and Tricomi kernels and the J-weighted rule sides
+# began to stop on proved tail bounds and 1/Gamma became 1/math.gamma (values
+# of every rule but LAGUERRE_HERMITE moved, and the certificates' term counts
+# fell; no verdict changed); before that they were
+# 427f305c7f9e1f18994c6998154aad2cbbfb53232e2082f8a34bcf689f5981ba and
+# aaf8175913a68be24d5a066b45c08f5439f8328b575f7fd6772c3eb7dba342cc.
+# Re-recorded before that when the Hermite and Laguerre weights moved to their
+# recurrences (ulps in the values of five rules, no verdict changed), from
 # 74cbcd1fa10029e411ac59740473e9a942a52374e7e255e3176f65b030712e84 and
 # fd574987f85822fba18fc3e94160dfeae04c1532f98707c6c3ba6be25028b0df.
-DEFAULT_REPORT_SHA256 = "427f305c7f9e1f18994c6998154aad2cbbfb53232e2082f8a34bcf689f5981ba"
-COMPOSITE_REPORT_SHA256 = "aaf8175913a68be24d5a066b45c08f5439f8328b575f7fd6772c3eb7dba342cc"
+DEFAULT_REPORT_SHA256 = "a84ee3d576cd715843d914d1d2382d7642096ded456a3709f4120e37621863f1"
+COMPOSITE_REPORT_SHA256 = "0f0bfffc7d43ed6183a5b1f883b3c69e3347926907468c7cccf8dff024598a89"
 
 # The default plan has 83 composite cases on a coarse grid.  This plan draws
 # 20 distinct points per composite rule from the default plan's ranges: a

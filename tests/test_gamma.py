@@ -1,6 +1,7 @@
 """Reciprocal gamma and the Stirling numbers of the second kind."""
 
 import math
+import random
 
 import pytest
 import scipy.special as sc
@@ -48,6 +49,29 @@ class TestReciprocalGamma:
             reciprocal_gamma(math.inf)
         with pytest.raises(ValueError):
             reciprocal_gamma(math.nan)
+
+
+def _ulps(a, mpmath):
+    got = reciprocal_gamma(a)
+    return float(abs(mpmath.mpf(got) - mpmath.rgamma(a))) / math.ulp(got)
+
+
+@pytest.mark.parametrize("a", [1e-20, 40.5, 100.5, 150.5])
+def test_reciprocal_gamma_within_two_ulps(a):
+    # exp(-lgamma(a)) was off by 5, 24, 41 and 729 ulps here
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        assert _ulps(a, mpmath) <= 2.0
+
+
+def test_reciprocal_gamma_within_seven_ulps_where_gamma_is_normal():
+    # the docstring's claim, on seeded points across -170.5 <= a < 171.6
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(11)
+    points = [rng.uniform(-170.5, 171.6) for _ in range(400)]
+    points += [rng.uniform(-20.0, 20.0) for _ in range(400)]
+    with mpmath.workdps(30):
+        assert max(_ulps(a, mpmath) for a in points) <= 7.0
 
 
 def _partitions_into_blocks(m, k):

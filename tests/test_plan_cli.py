@@ -483,6 +483,7 @@ MALFORMED_PLANS = {
     "Infinity grid value": ascending_plan({"x": [float("inf")]}),
     "negative tolerances": ascending_plan(tol_abs=-1, tol_rel=-1),
     "boolean tolerance": ascending_plan(tol_abs=True, perturb_rhs=0.5),
+    "boolean policy budget": json.dumps({"policy": {"consecutive_small": True}, "entries": [ASCENDING]}),
     "unknown top-level key": json.dumps({"polcy": {"max_terms": 8}, "entries": [ASCENDING]}),
     "unknown entry key": ascending_plan(tol_absolute=1e-30),
     "int past float range": ascending_plan({"x": [10**400]}),

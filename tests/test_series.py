@@ -179,6 +179,51 @@ class TestSumBilateral:
         assert err.value.index == -8
 
 
+class TestMajorant:
+    """A sum given a majorant stops on its proved tail and on nothing else."""
+
+    def test_stops_on_the_proof_and_records_it(self):
+        r = 0.3
+        asked = []
+
+        def majorant(n):  # sum_{j > n} r^j, exactly
+            asked.append(n)
+            return r ** (n + 1) / (1.0 - r)
+
+        ev = sum_series(lambda k: r**k, DEFAULT_POLICY, majorant)
+        assert ev.converged
+        assert ev.tail_bound == majorant(ev.terms_used - 1)
+        assert ev.tail_bound <= max(DEFAULT_POLICY.abs_tol, DEFAULT_POLICY.rel_tol * ev.value)
+        assert abs(1.0 / (1.0 - r) - ev.value) <= ev.tail_bound + 4 * math.ulp(ev.value)
+        # asked only once the next term, extrapolated, would be negligible
+        assert len(asked) <= 3
+        assert sum_series(lambda k: r**k).terms_used > ev.terms_used  # the streak sums more
+
+    def test_no_proof_no_stop(self):
+        ev = sum_series(lambda k: 0.0, SummationPolicy(max_terms=20), lambda n: math.inf)
+        assert not ev.converged
+        assert ev.terms_used == 20
+        assert ev.tail_bound is None
+
+    def test_without_majorant_the_stop_is_heuristic(self):
+        ev = sum_series(lambda k: 0.5**k)
+        assert ev.converged and ev.tail_bound is None
+
+    def test_bilateral_bound_per_direction(self):
+        r = 0.4
+        tail = lambda n: r ** (n + 1) / (1.0 - r)
+        both = sum_bilateral(lambda n: r ** abs(n), DEFAULT_POLICY, (tail, tail))
+        assert both.converged
+        # each direction stops at half the threshold, so both together stay within it
+        assert both.tail_bound <= max(DEFAULT_POLICY.abs_tol, DEFAULT_POLICY.rel_tol * both.value)
+        assert abs((1 + r) / (1 - r) - both.value) <= both.tail_bound + 8 * math.ulp(both.value)
+        upper_only = sum_bilateral(lambda n: r ** abs(n), DEFAULT_POLICY, (tail, None))
+        assert upper_only.converged and upper_only.tail_bound is None
+
+    def test_tail_bound_takes_no_part_in_equality(self):
+        assert SeriesEval(1.0, 3, 0.0, True, 1e-20) == SeriesEval(1.0, 3, 0.0, True)
+
+
 # ---------------------------------------------------------------------------
 # the engine against the accumulator-object implementation it replaced
 
@@ -379,10 +424,13 @@ INTEGER_PARAMS = {
 }
 
 
-@pytest.mark.parametrize("bad", ["inf", "nan", "2.5", "out of range"])
+@pytest.mark.parametrize("bad", ["inf", "nan", "2.5", "out of range", "True"])
 @pytest.mark.parametrize("param", list(INTEGER_PARAMS))
 def test_bad_integer_is_a_value_error_naming_it(param, bad):
     call, name, out_of_range = INTEGER_PARAMS[param]
-    value = out_of_range if bad == "out of range" else float(bad)
+    if bad == "out of range":
+        value = out_of_range
+    else:
+        value = True if bad == "True" else float(bad)  # int(True) == 1, but a bool is no count
     with pytest.raises(ValueError, match=f"^{name} must be "):
         call(value)

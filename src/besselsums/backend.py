@@ -2,20 +2,21 @@
 
 ``recip_gamma`` and the Bessel and Tricomi series loops, in pure Python over
 floats.  Each series kernel uses Neumaier-compensated accumulation and returns
-``(value, terms_used, last_term_magnitude, converged)``; a term that is not
-finite ends the sum with the sentinel ``(nan, index + 1, inf, False)``.
+``(value, terms_used, last_term_magnitude, converged, tail_bound)``; a term
+that is not finite ends the sum with the sentinel ``(nan, index + 1, inf,
+False, None)``.
 
 The Bessel and Tricomi series share one loop, ``_ratio_series``: both step
 their terms by ``c / ((k + 1)(a + k + 1))``.  It stops only on a proved tail:
 once a + k + 1 > 0 those steps shrink with k, so with r = |c| / ((k + 1)(a + k
 + 1)) < 1 the terms from index k on sum to at most |t_k| / (1 - r)
-(``ratio_tail``).  The loop stops after term k - 1 once that bound is at most
-both abs_tol and rel_tol * |partial sum|, testing it only when |t_k| is
-already below both.  A value is thus held to both tolerances, not the looser
-one: J values are multiplied by partners of any size in the rule sides, so a
-tiny one must keep its relative digits.  The loop never stops on small terms
-alone: the kernels take ``consecutive_small`` with the rest of the policy,
-and ignore it.
+(``_tail``).  The loop stops after term k - 1 once that bound is at most both
+abs_tol and rel_tol * |partial sum|, testing it only when |t_k| is already
+below both, and returns the bound it stopped on as ``tail_bound``; a sum that
+runs out of budget returns None there.  A value is thus held to both
+tolerances, not the looser one: J values are multiplied by partners of any
+size in the rule sides, so a tiny one must keep its relative digits.  The loop
+never stops on small terms alone.
 
 Negative-integer orders make a leading run of their terms vanish exactly at
 reciprocal-gamma poles; both kernels start past that run
@@ -90,19 +91,9 @@ def _tail(mag, a, ac, k):
     return math.inf
 
 
-def ratio_tail(a, c, terms_used, last_term_magnitude):
-    """The tail bound a converged kernel stopped on, recomputed bit for bit
-    from its order a, step constant c and results (both kernels start at
-    k0 = leading_pole_shift(a + 1)).  The first term left out, index k, has
-    |t_k| = |t_(k-1)| |c| / |k (a + k)|, exactly as the loop rounded it."""
-    k = leading_pole_shift(a + 1.0) + terms_used - 1.0  # index of the last term summed
-    ac = abs(c)
-    mag = last_term_magnitude * ac / abs((k + 1.0) * (a + k + 1.0))
-    return _tail(mag, a, ac, k + 1.0)
-
-
 def _ratio_series(term, a, c, k0, abs_tol, rel_tol, max_terms):
-    """Sum from the index-k0 term ``term``, with term_(k+1) = term_k c / ((k+1)(a+k+1))."""
+    """Sum from the index-k0 term ``term``, with term_(k+1) = term_k c / ((k+1)(a+k+1)),
+    returning the tail bound it stopped on, or None without a proved stop."""
     total = 0.0
     comp = 0.0
     ac = abs(c)
@@ -111,7 +102,7 @@ def _ratio_series(term, a, c, k0, abs_tol, rel_tol, max_terms):
     last_mag = 0.0
     for terms in range(1, max_terms + 1):
         if term - term != 0.0:  # inf or nan
-            return math.nan, terms, math.inf, False
+            return math.nan, terms, math.inf, False, None
         t = total + term
         if abs(total) >= mag:
             comp += (total - t) + term
@@ -127,11 +118,11 @@ def _ratio_series(term, a, c, k0, abs_tol, rel_tol, max_terms):
             if mag <= s:
                 tail = _tail(mag, a, ac, k)
                 if tail <= s and tail <= abs_tol:
-                    return total + comp, terms, last_mag, True
-    return total + comp, max_terms, last_mag, False
+                    return total + comp, terms, last_mag, True, tail
+    return total + comp, max_terms, last_mag, False, None
 
 
-def bessel_j_series(nu, x, abs_tol, rel_tol, max_terms, consecutive_small):
+def bessel_j_series(nu, x, abs_tol, rel_tol, max_terms):
     """Ascending series for J_nu(x): sum_k (-1)^k (x/2)^(2k+nu) / (k! Gamma(nu+k+1))."""
     half = 0.5 * x
     k0 = leading_pole_shift(nu + 1.0)
@@ -144,7 +135,7 @@ def bessel_j_series(nu, x, abs_tol, rel_tol, max_terms, consecutive_small):
     return _ratio_series(term, nu, -(half * half), k0, abs_tol, rel_tol, max_terms)
 
 
-def tricomi_series(alpha, x, abs_tol, rel_tol, max_terms, consecutive_small):
+def tricomi_series(alpha, x, abs_tol, rel_tol, max_terms):
     """Tricomi series C_alpha(x): sum_k (-x)^k / (k! Gamma(alpha+k+1))."""
     k0 = leading_pole_shift(alpha + 1.0)
     try:

@@ -6,13 +6,13 @@ a few dozen terms, and a single auditable code path is worth more than
 asymptotic switchovers.
 
 Reciprocal gamma and the Bessel and Tricomi series loops are the kernels in
-``besselsums.backend``; this layer checks the arguments and turns a series
-kernel's raw tuple into a ``SeriesEval`` certificate, raising
-``EvaluationDomainError`` on the kernels' non-finite sentinel.  The Wright
-function is the Hermite-based Wright composite at v = 0, summed by
-``besselsums.hybrid``.  The two polynomial families refuse a non-finite
-argument with ``ValueError`` naming it, and raise ``EvaluationDomainError``
-when a term overflows float range.
+``besselsums.backend``; this layer checks the arguments and passes a series
+kernel's raw tuple, which is in ``SeriesEval``'s field order, into a
+``SeriesEval`` certificate, raising ``EvaluationDomainError`` on the kernels'
+non-finite sentinel.  The Wright function is the Hermite-based Wright
+composite at v = 0, summed by ``besselsums.hybrid``.  The two polynomial
+families refuse a non-finite argument with ``ValueError`` naming it, and raise
+``EvaluationDomainError`` when a term overflows float range.
 """
 
 import math
@@ -63,13 +63,10 @@ def bessel_j(nu: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) -> S
         raise ValueError(f"bessel_j with non-integer nu={nu} requires x >= 0, got x={x}")
     if x == 0.0 and nu < 0.0 and not nu_is_int:
         raise ValueError(f"bessel_j diverges at x=0 for negative non-integer nu={nu}")
-    value, terms, last_mag, converged = backend.bessel_j_series(
-        nu, x, policy.abs_tol, policy.rel_tol, policy.max_terms, policy.consecutive_small
-    )
-    if value - value != 0.0:
-        raise EvaluationDomainError(f"non-finite term while summing J_{nu}({x})", index=terms - 1)
-    tail = backend.ratio_tail(nu, (0.5 * x) * (0.5 * x), terms, last_mag) if converged else None
-    return SeriesEval(value, terms, last_mag, converged, tail)
+    raw = backend.bessel_j_series(nu, x, policy.abs_tol, policy.rel_tol, policy.max_terms)
+    if raw[0] - raw[0] != 0.0:
+        raise EvaluationDomainError(f"non-finite term while summing J_{nu}({x})", index=raw[1] - 1)
+    return SeriesEval(*raw)
 
 
 def tricomi_c(alpha: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) -> SeriesEval:
@@ -80,15 +77,12 @@ def tricomi_c(alpha: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) 
     alpha, x = float(alpha), float(x)
     if alpha - alpha != 0.0 or x - x != 0.0:
         require_finite(alpha=alpha, x=x)
-    value, terms, last_mag, converged = backend.tricomi_series(
-        alpha, x, policy.abs_tol, policy.rel_tol, policy.max_terms, policy.consecutive_small
-    )
-    if value - value != 0.0:
+    raw = backend.tricomi_series(alpha, x, policy.abs_tol, policy.rel_tol, policy.max_terms)
+    if raw[0] - raw[0] != 0.0:
         raise EvaluationDomainError(
-            f"non-finite term while summing C_{alpha}({x})", index=terms - 1
+            f"non-finite term while summing C_{alpha}({x})", index=raw[1] - 1
         )
-    tail = backend.ratio_tail(alpha, x, terms, last_mag) if converged else None
-    return SeriesEval(value, terms, last_mag, converged, tail)
+    return SeriesEval(*raw)
 
 
 def wright(nu: float, mu: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) -> SeriesEval:

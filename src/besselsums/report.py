@@ -194,6 +194,11 @@ def render_csv(report: VerdictReport) -> str:
     return buf.getvalue()
 
 
+def _fmt_max(maxima: dict, rule: str) -> str:
+    """A rule's largest finite error, or n/a when none of its records had one."""
+    return f"{maxima[rule]:.3e}" if rule in maxima else "n/a"
+
+
 def render_table(report: VerdictReport) -> str:
     headers = ["rule", "params", "lhs", "rhs", "abs_err", "rel_err", "verdict"]
     rows = []
@@ -228,8 +233,8 @@ def render_table(report: VerdictReport) -> str:
     for rule, counts in report.summary.items():
         lines.append(
             f"  {rule}: {counts['verified']}/{sum(counts.values())} verified"
-            f"  (max abs err {report.max_abs_err.get(rule, 0.0):.3e},"
-            f" max rel err {report.max_rel_err.get(rule, 0.0):.3e})"
+            f"  (max abs err {_fmt_max(report.max_abs_err, rule)},"
+            f" max rel err {_fmt_max(report.max_rel_err, rule)})"
         )
     lines.append(f"wall time: {report.wall_time:.2f} s" if report.wall_time else "wall time: n/a")
     lines.append("(* report-only records never affect the exit code)")

@@ -4,6 +4,12 @@ the closed-form side of an identity and returns a verdict record.
 The brute-force side is ground truth.  A case is VERIFIED only when both
 sides' evaluations converged and the sides agree within tolerance; a case
 whose evaluations did not converge is INCONCLUSIVE, never VERIFIED.
+
+A record's certificates describe the values beside them: each side reaches
+``_record`` as a ``SeriesEval``, or as a bare number when it has none (a
+finite-difference derivative, the WEIGHTED_S routes).  A closed form that is
+a factor times one evaluated function is built by ``_scaled``, which carries
+the function's tail bound times |factor|.
 """
 
 import cmath
@@ -118,20 +124,20 @@ def _judge(abs_err, rel_err, converged: bool, tol: Tolerances) -> Verdict:
     return Verdict.DISCREPANT
 
 
+def _unpack(side) -> tuple:
+    """(value, converged, certificate) of a side: a SeriesEval, or a bare
+    number with no certificate."""
+    if isinstance(side, SeriesEval):
+        return side.value, side.converged, side
+    return side, True, None
+
+
 def _record(
-    rule_id: RuleId,
-    params: dict,
-    lhs,
-    rhs,
-    tol: Tolerances,
-    lhs_cert: Optional[SeriesEval] = None,
-    rhs_cert: Optional[SeriesEval] = None,
-    report_only: bool = False,
-    note: str = "",
+    rule_id: RuleId, params: dict, lhs, rhs, tol: Tolerances, report_only=False, note=""
 ) -> VerificationRecord:
+    lhs, lhs_ok, lhs_cert = _unpack(lhs)
+    rhs, rhs_ok, rhs_cert = _unpack(rhs)
     abs_err, rel_err = _errors(lhs, rhs)
-    lhs_ok = lhs_cert.converged if lhs_cert is not None else True
-    rhs_ok = rhs_cert.converged if rhs_cert is not None else True
     return VerificationRecord(
         case=RuleCase(rule_id, dict(params)),
         lhs=lhs,
@@ -143,6 +149,19 @@ def _record(
         rhs_certificate=rhs_cert,
         report_only=report_only,
         note=note,
+    )
+
+
+def _scaled(side: SeriesEval, factor) -> SeriesEval:
+    """factor * side, with the side's tail bound times |factor| (None stays
+    None); the term count and last term stay the inner sum's."""
+    tail = side.tail_bound
+    return SeriesEval(
+        factor * side.value,
+        side.terms_used,
+        side.last_term_magnitude,
+        side.converged,
+        None if tail is None else abs(factor) * tail,
     )
 
 
@@ -209,7 +228,7 @@ def _mirror(nu: float, x: float, policy: SummationPolicy) -> SeriesEval:
         return bessel_j(nu, x, policy)  # raises again, naming the order asked for
     if j.value == 0.0 or not int(nu) & 1:
         return j
-    return SeriesEval(-j.value, j.terms_used, j.last_term_magnitude, j.converged, j.tail_bound)
+    return _scaled(j, -1.0)
 
 
 def _j(nu: float, x: float, policy: SummationPolicy) -> float:
@@ -293,16 +312,8 @@ def rule_ascending_gen(
         _gamma_majorant(abs(t), 0.5 * x, 1.0, nu),
     )
     rhs_j = _bessel_j(nu, math.sqrt(x * x - 2.0 * x * t), policy)
-    rhs = math.pow(x / (x - 2.0 * t), 0.5 * nu) * rhs_j.value
-    return _record(
-        RuleId.ASCENDING_GEN,
-        {"nu": nu, "x": x, "t": t},
-        lhs.value,
-        rhs,
-        tolerances,
-        lhs_cert=lhs,
-        rhs_cert=rhs_j,
-    )
+    rhs = _scaled(rhs_j, math.pow(x / (x - 2.0 * t), 0.5 * nu))
+    return _record(RuleId.ASCENDING_GEN, {"nu": nu, "x": x, "t": t}, lhs, rhs, tolerances)
 
 
 def rule_descending_gen(
@@ -318,16 +329,8 @@ def rule_descending_gen(
     majorant = _gamma_majorant(abs(t), 0.5 * x, 1.0, -nu) if float(nu).is_integer() else None
     lhs = sum_series(lambda n: _taylor_weight(-t, n) * _j(nu - n, x, policy), policy, majorant)
     rhs_j = _bessel_j(nu, math.sqrt(x * x - 2.0 * x * t), policy)
-    rhs = math.pow((x - 2.0 * t) / x, 0.5 * nu) * rhs_j.value
-    return _record(
-        RuleId.DESCENDING_GEN,
-        {"nu": nu, "x": x, "t": t},
-        lhs.value,
-        rhs,
-        tolerances,
-        lhs_cert=lhs,
-        rhs_cert=rhs_j,
-    )
+    rhs = _scaled(rhs_j, math.pow((x - 2.0 * t) / x, 0.5 * nu))
+    return _record(RuleId.DESCENDING_GEN, {"nu": nu, "x": x, "t": t}, lhs, rhs, tolerances)
 
 
 def _check_multiple(m, x, t) -> int:
@@ -350,15 +353,7 @@ def rule_multiple_order(
         _gamma_majorant(abs(t), 0.5 * abs(x), float(m)),
     )
     rhs = h_tricomi(0.0, m, x * x / 4.0, math.pow(-x / 2.0, m) * t, policy)
-    return _record(
-        RuleId.MULTIPLE_ORDER,
-        {"m": m, "x": x, "t": t},
-        lhs.value,
-        rhs.value,
-        tolerances,
-        lhs_cert=lhs,
-        rhs_cert=rhs,
-    )
+    return _record(RuleId.MULTIPLE_ORDER, {"m": m, "x": x, "t": t}, lhs, rhs, tolerances)
 
 
 def _check_fractional(m, x, t) -> int:
@@ -384,15 +379,7 @@ def rule_fractional_order(
         _gamma_majorant(abs(t), 0.5 * x, 1.0 / m),
     )
     rhs = h_wright(0.0, m, 1.0 / m, t * math.pow(x / 2.0, 1.0 / m), -x * x / 4.0, policy)
-    return _record(
-        RuleId.FRACTIONAL_ORDER,
-        {"m": m, "x": x, "t": t},
-        lhs.value,
-        rhs.value,
-        tolerances,
-        lhs_cert=lhs,
-        rhs_cert=rhs,
-    )
+    return _record(RuleId.FRACTIONAL_ORDER, {"m": m, "x": x, "t": t}, lhs, rhs, tolerances)
 
 
 def rule_bessel_laguerre(
@@ -414,15 +401,8 @@ def rule_bessel_laguerre(
         _gamma_majorant(abs(t) * (abs(x) + abs(y)), 0.5 * abs(z)),
     )
     rhs = l_tricomi(0.0, -x * t * z / 2.0, z * (z - 2.0 * y * t) / 4.0, policy)
-    return _record(
-        RuleId.BESSEL_LAGUERRE,
-        {"z": z, "x": x, "y": y, "t": t},
-        lhs.value,
-        rhs.value,
-        tolerances,
-        lhs_cert=lhs,
-        rhs_cert=rhs,
-    )
+    params = {"z": z, "x": x, "y": y, "t": t}
+    return _record(RuleId.BESSEL_LAGUERRE, params, lhs, rhs, tolerances)
 
 
 def _check_laguerre_hermite(x, y, z, w, t):
@@ -452,16 +432,9 @@ def rule_laguerre_hermite(
     herm = hybrid._hermite_table(2, z, w)  # H_n^(2)(z, w)/n!
     lhs = sum_series(lambda n: lag(n) * hybrid._FACTORIAL[n] * herm(n) * math.pow(t, n), policy)
     rhs_h = h_tricomi(0.0, 2, x * t * (z + 2.0 * y * w * t), x * x * w * t * t, policy)
-    rhs = math.exp(y * t * (z + y * w * t)) * rhs_h.value
-    return _record(
-        RuleId.LAGUERRE_HERMITE,
-        {"x": x, "y": y, "z": z, "w": w, "t": t},
-        lhs.value,
-        rhs,
-        tolerances,
-        lhs_cert=lhs,
-        rhs_cert=rhs_h,
-    )
+    rhs = _scaled(rhs_h, math.exp(y * t * (z + y * w * t)))
+    params = {"x": x, "y": y, "z": z, "w": w, "t": t}
+    return _record(RuleId.LAGUERRE_HERMITE, params, lhs, rhs, tolerances)
 
 
 # ---------------------------------------------------------------------------
@@ -497,24 +470,15 @@ def rule_graf(
         _bilateral_majorant(0.5 * t * abs(y), 0.5 * abs(y) / t, 0.5 * abs(x), nu),
     )
     arg = math.sqrt(x * x + y * y - x * y * (t + 1.0 / t))
-    rhs_j = _bessel_j(nu, arg, policy)
-    rhs = math.pow((x - y / t) / (x - y * t), 0.5 * nu) * rhs_j.value
-    return _record(
-        RuleId.GRAF_REAL,
-        {"nu": nu, "x": x, "y": y, "t": t},
-        lhs.value,
-        rhs,
-        tolerances,
-        lhs_cert=lhs,
-        rhs_cert=rhs_j,
-    )
+    rhs = _scaled(_bessel_j(nu, arg, policy), math.pow((x - y / t) / (x - y * t), 0.5 * nu))
+    return _record(RuleId.GRAF_REAL, {"nu": nu, "x": x, "y": y, "t": t}, lhs, rhs, tolerances)
 
 
-def _graf_phase_closed(nu: float, x: float, y: float, theta: float, policy):
+def _graf_phase_closed(nu: float, x: float, y: float, theta: float, policy) -> SeriesEval:
     arg = math.sqrt(x * x + y * y - 2.0 * x * y * math.cos(theta))
     j = _bessel_j(nu, arg, policy)
     ratio = (x - y * cmath.exp(-1j * theta)) / (x - y * cmath.exp(1j * theta))
-    return ratio ** (0.5 * nu) * j.value, j
+    return _scaled(j, ratio ** (0.5 * nu))
 
 
 def _check_graf_phase(nu, x, y, theta):
@@ -542,21 +506,16 @@ def rule_graf_phase(
         policy,
         _bilateral_majorant(0.5 * y, 0.5 * y, 0.5 * x, nu),
     )
-    rhs, rhs_j = _graf_phase_closed(nu, x, y, theta, policy)
-    return _record(
-        RuleId.GRAF_PHASE,
-        {"nu": nu, "x": x, "y": y, "theta": theta},
-        lhs.value,
-        rhs,
-        tolerances,
-        lhs_cert=lhs,
-        rhs_cert=rhs_j,
-    )
+    rhs = _graf_phase_closed(nu, x, y, theta, policy)
+    params = {"nu": nu, "x": x, "y": y, "theta": theta}
+    return _record(RuleId.GRAF_PHASE, params, lhs, rhs, tolerances)
 
 
 def _check_neumann(x, y, t):
-    if t == 0.0:
-        raise ValueError("t must be nonzero (the expansion variable 2x/(y^2 t) is singular)")
+    if y * y * t == 0.0:  # also where y^2 t underflows
+        raise ValueError(
+            f"requires y^2 t != 0 (the expansion variable 2x/(y^2 t) is singular), got y={y}, t={t}"
+        )
 
 
 def rule_neumann_ext(
@@ -586,15 +545,7 @@ def rule_neumann_ext(
         ),
     )
     rhs = hybrid_k(0.0, -2, y * y / 4.0, x * y * y * t / 8.0, -2.0 * x / (y * y * t), policy)
-    return _record(
-        RuleId.NEUMANN_EXT,
-        {"x": x, "y": y, "t": t},
-        lhs.value,
-        rhs.value,
-        tolerances,
-        lhs_cert=lhs,
-        rhs_cert=rhs,
-    )
+    return _record(RuleId.NEUMANN_EXT, {"x": x, "y": y, "t": t}, lhs, rhs, tolerances)
 
 
 # ---------------------------------------------------------------------------
@@ -651,10 +602,10 @@ def weighted_sum_S(
     )
 
     if m == 0:
-        deriv = _graf_phase_closed(float(l), x, y, 0.0, policy)[0].real
+        deriv = _graf_phase_closed(float(l), x, y, 0.0, policy).value.real
     else:
         def g(th: float) -> complex:
-            return _graf_phase_closed(float(l), x, y, th, policy)[0]
+            return _graf_phase_closed(float(l), x, y, th, policy).value
 
         d = central_derivative(g, 0.0, m, _FD_STEP[m])
         deriv = ((-1j) ** m * d).real
@@ -734,28 +685,17 @@ def weighted_sum_E(
         _gamma_majorant(1.0, 0.5 * abs(x), 1.0, float(l), m),
     )
     arg = (x * x - 2.0 * x) / 4.0
-    rhs = 0.0
-    rhs_converged = True
-    rhs_terms = 0
-    rhs_tail = 0.0
-    for k in range(1, m + 1):
-        c = tricomi_c(float(l + k), arg, policy)
-        rhs_converged = rhs_converged and c.converged
-        rhs_terms += c.terms_used
-        weight = stirling2(m, k) * math.pow(x / 2.0, l + k)
-        rhs += weight * c.value
-        if rhs_converged:
-            rhs_tail += abs(weight) * c.tail_bound
-    rhs_cert = SeriesEval(rhs, rhs_terms, 0.0, rhs_converged, rhs_tail if rhs_converged else None)
-    return _record(
-        RuleId.WEIGHTED_E,
-        {"l": l, "m": m, "x": x},
-        lhs.value,
-        rhs,
-        tolerances,
-        lhs_cert=lhs,
-        rhs_cert=rhs_cert,
-    )
+    parts = [
+        _scaled(tricomi_c(float(l + k), arg, policy), stirling2(m, k) * math.pow(x / 2.0, l + k))
+        for k in range(1, m + 1)
+    ]
+    value = 0.0
+    for part in parts:  # plain left-to-right adds: fsum, or sum() on 3.12+, round differently
+        value += part.value
+    converged = all(part.converged for part in parts)
+    tail = math.fsum(part.tail_bound for part in parts) if converged else None
+    rhs = SeriesEval(value, sum(part.terms_used for part in parts), 0.0, converged, tail)
+    return _record(RuleId.WEIGHTED_E, {"l": l, "m": m, "x": x}, lhs, rhs, tolerances)
 
 
 # ---------------------------------------------------------------------------
@@ -763,8 +703,8 @@ def weighted_sum_E(
 
 
 def _check_appendix(nu, x):
-    if not x > 0.0:
-        raise ValueError(f"requires x > 0, got x={x}")
+    if not x > _FD_STEP[1]:  # the stencil samples x - h
+        raise ValueError(f"requires x > h = {_FD_STEP[1]:g}, the stencil's step, got x={x}")
 
 
 def appendix_derivative_check(
@@ -782,16 +722,8 @@ def appendix_derivative_check(
         return math.pow(s, nu) * _j(nu, s, policy)
 
     lhs = central_derivative(f, x, 1, _FD_STEP[1]) / x
-    rhs_j = _bessel_j(nu - 1.0, x, policy)
-    rhs = math.pow(x, nu - 1.0) * rhs_j.value
-    return _record(
-        RuleId.APPENDIX_DERIV,
-        {"nu": nu, "x": x},
-        lhs,
-        rhs,
-        tolerances,
-        rhs_cert=rhs_j,
-    )
+    rhs = _scaled(_bessel_j(nu - 1.0, x, policy), math.pow(x, nu - 1.0))
+    return _record(RuleId.APPENDIX_DERIV, {"nu": nu, "x": x}, lhs, rhs, tolerances)
 
 
 # ---------------------------------------------------------------------------
@@ -801,25 +733,19 @@ def appendix_derivative_check(
 def _run_weighted_S(params, policy, tolerances) -> list[VerificationRecord]:
     result = weighted_sum_S(**params, policy=policy)
     base = {"l": result.l, "m": result.m, "x": result.x, "y": result.y}
-    deriv_rec = _record(
-        RuleId.WEIGHTED_S,
-        {**base, "route": "derivative"},
-        result.brute.value,
-        result.derivative_route,
-        tolerances,
-        lhs_cert=result.brute,
-    )
-    closed_rec = _record(
-        RuleId.WEIGHTED_S,
-        {**base, "route": "closed"},
-        result.brute.value,
-        result.closed_form,
-        tolerances,
-        lhs_cert=result.brute,
-        report_only=True,
-        note="closed form is report-only: its printing is ambiguous",
-    )
-    return [deriv_rec, closed_rec]
+    deriv = {**base, "route": "derivative"}
+    return [
+        _record(RuleId.WEIGHTED_S, deriv, result.brute, result.derivative_route, tolerances),
+        _record(
+            RuleId.WEIGHTED_S,
+            {**base, "route": "closed"},
+            result.brute,
+            result.closed_form,
+            tolerances,
+            report_only=True,
+            note="closed form is report-only: its printing is ambiguous",
+        ),
+    ]
 
 
 @dataclass(frozen=True)
@@ -925,7 +851,7 @@ RULES: dict[RuleId, RuleSchema] = {
         statement=(
             "sum_{n in Z} t^n J_n(x) J_{2n}(y) = HK_0^(-2)(y^2/4, x y^2 t/8 | -2x/(y^2 t))"
         ),
-        constraint="t != 0",
+        constraint="y^2 t != 0 in floating point (y, t nonzero and y*y*t not underflowing)",
         run=_single(rule_neumann_ext),
         validate=_check_neumann,
     ),
@@ -956,7 +882,7 @@ RULES: dict[RuleId, RuleSchema] = {
     RuleId.APPENDIX_DERIV: RuleSchema(
         params=("nu", "x"),
         statement="(1/x) d/dx [x^nu J_nu(x)] = x^(nu-1) J_{nu-1}(x)",
-        constraint="x > 0",
+        constraint=f"x > {_FD_STEP[1]:g} (the finite-difference step)",
         run=_single(appendix_derivative_check),
         default_tolerances=Tolerances(tol_abs=1e-6, tol_rel=1e-6),
         validate=_check_appendix,

@@ -61,6 +61,13 @@ def _digest(report: str) -> str:
     return hashlib.sha256("".join(kept).encode()).hexdigest()
 
 
+def _assert_certificates_describe_values(report):
+    """Wherever a side has a certificate, it certifies the value beside it."""
+    for rec in report.records:
+        for value, cert in ((rec.lhs, rec.lhs_certificate), (rec.rhs, rec.rhs_certificate)):
+            assert cert is None or value == cert.value, (rec.case, value, cert)
+
+
 def _draw(rng: random.Random, spec):
     if isinstance(spec, list):
         spec = rng.choice(spec)
@@ -70,7 +77,9 @@ def _draw(rng: random.Random, spec):
 @pytest.mark.parametrize("parallelism", [1, 2])
 def test_default_report_digest(parallelism):
     plan = dataclasses.replace(load_plan(default_plan_path()), parallelism=parallelism)
-    assert _digest(render_json(run_plan(plan))) == DEFAULT_REPORT_SHA256
+    report = run_plan(plan)
+    _assert_certificates_describe_values(report)
+    assert _digest(render_json(report)) == DEFAULT_REPORT_SHA256
 
 
 def test_composite_sweep_report_digest(tmp_path):
@@ -90,4 +99,5 @@ def test_composite_sweep_report_digest(tmp_path):
     report = run_plan(load_plan(path))
     assert len(report.records) == 100
     assert {r.verdict.value for r in report.records} == {"VERIFIED"}
+    _assert_certificates_describe_values(report)
     assert _digest(render_json(report)) == COMPOSITE_REPORT_SHA256

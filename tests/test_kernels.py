@@ -1,13 +1,15 @@
 """The scalar kernels in ``besselsums.backend``.
 
 The pinned table holds kernel outputs as ``(value.hex(), terms_used,
-last_term_magnitude.hex(), converged)``, first recorded when the Bessel and
-Tricomi kernels still ran two separate loops.  The rows were re-recorded when
-the loop began to stop on a proved tail and 1/Gamma became 1/math.gamma; each
-keeps its previous record and ``err``, both records' errors against mpmath (40
-digits).  The new values are within min(abs_tol, rel_tol |value|), plus
-rounding, of the exact ones, as the stop rule promises; the old ones were
-closer only because the negligible-term streak summed a few terms past it.
+last_term_magnitude.hex(), converged)``; the fifth output, the tail bound the
+loop stopped on, is present exactly when the sum converged.  The table was
+first recorded when the Bessel and Tricomi kernels still ran two separate
+loops.  The rows were re-recorded when the loop began to stop on a proved tail
+and 1/Gamma became 1/math.gamma; each keeps its previous record and ``err``,
+both records' errors against mpmath (40 digits).  The new values are within
+min(abs_tol, rel_tol |value|), plus rounding, of the exact ones, as the stop
+rule promises; the old ones were closer only because the negligible-term
+streak summed a few terms past it.
 """
 
 import math
@@ -19,8 +21,8 @@ import besselsums
 from besselsums import SummationPolicy, backend, bessel_j, tricomi_c
 from besselsums.series import EvaluationDomainError
 
-POLICY_ARGS = (1e-14, 1e-12, 400, 3)
-EIGHT_TERMS = (1e-14, 1e-12, 8, 3)
+POLICY_ARGS = (1e-14, 1e-12, 400)
+EIGHT_TERMS = (1e-14, 1e-12, 8)
 
 PINNED = [
     # k0 = 0
@@ -76,16 +78,17 @@ PINNED = [
 
 @pytest.mark.parametrize("kernel, order, x, policy_args, expected", PINNED)
 def test_kernel_output_pinned(kernel, order, x, policy_args, expected):
-    value, terms, last_mag, converged = getattr(backend, kernel)(order, x, *policy_args)
+    value, terms, last_mag, converged, tail = getattr(backend, kernel)(order, x, *policy_args)
     assert (value.hex(), terms, last_mag.hex(), converged) == expected
+    assert (tail is not None) == converged
 
 
 @pytest.mark.parametrize("kernel", ["bessel_j_series", "tricomi_series"])
 def test_overflow_sentinel(kernel):
     # 1/Gamma(-199.5) overflows: the kernel hands back the nan sentinel
-    value, terms, last_mag, converged = getattr(backend, kernel)(-200.5, 5.0, *POLICY_ARGS)
+    value, terms, last_mag, converged, tail = getattr(backend, kernel)(-200.5, 5.0, *POLICY_ARGS)
     assert math.isnan(value)
-    assert (terms, last_mag, converged) == (1, math.inf, False)
+    assert (terms, last_mag, converged, tail) == (1, math.inf, False, None)
 
 
 @pytest.mark.parametrize("function", [bessel_j, tricomi_c])

@@ -1,6 +1,7 @@
 """Plan loading/validation, the runner, report emission, and the CLI."""
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from besselsums import (
 )
 from besselsums.cli import main
 from besselsums.report import render_csv, render_json, render_table, VerdictReport
+from besselsums.rules import RuleCase, VerificationRecord
 
 
 def write_plan(tmp_path, payload, name="plan.json"):
@@ -237,6 +239,20 @@ class TestRunPlan:
         rec = report.records[0]
         assert rec.verdict is Verdict.INCONCLUSIVE
         assert "synthetic failure" in rec.note
+
+
+def test_table_prints_na_for_a_rule_with_no_finite_error():
+    failed = VerificationRecord(
+        case=RuleCase(RuleId.NEUMANN_EXT, {"x": 1.0, "y": 0.0, "t": 1.0}),
+        lhs=math.nan,
+        rhs=math.nan,
+        abs_err=math.nan,
+        rel_err=math.nan,
+        verdict=Verdict.INCONCLUSIVE,
+        note="evaluation failed",
+    )
+    text = render_table(VerdictReport(records=[failed]))
+    assert "NEUMANN_EXT: 0/1 verified  (max abs err n/a, max rel err n/a)" in text
 
 
 class TestDefaultPlanEndToEnd:
@@ -487,6 +503,12 @@ MALFORMED_PLANS = {
     "unknown top-level key": json.dumps({"polcy": {"max_terms": 8}, "entries": [ASCENDING]}),
     "unknown entry key": ascending_plan(tol_absolute=1e-30),
     "int past float range": ascending_plan({"x": [10**400]}),
+    "NEUMANN_EXT y=0": json.dumps(
+        {"entries": [{"rule": "NEUMANN_EXT", "grid": {"x": [1], "y": [0], "t": [1]}}]}
+    ),
+    "APPENDIX_DERIV x inside the stencil": json.dumps(
+        {"entries": [{"rule": "APPENDIX_DERIV", "grid": {"nu": [0.5], "x": [0.0001]}}]}
+    ),
 }
 
 
@@ -513,11 +535,17 @@ OUT_OF_DOMAIN = [
     (RuleId.GRAF_REAL, rule_graf, {"nu": 0.0, "x": 1.0, "y": 2.0, "t": 1.0}),
     (RuleId.GRAF_PHASE, rule_graf_phase, {"nu": 0.0, "x": 1.0, "y": 2.0, "theta": 0.0}),
     (RuleId.NEUMANN_EXT, rule_neumann_ext, {"x": 1.0, "y": 1.0, "t": 0.0}),
+    # y^2 t is zero, or underflows to it: the right side divides by it
+    (RuleId.NEUMANN_EXT, rule_neumann_ext, {"x": 1.0, "y": 0.0, "t": 1.0}),
+    (RuleId.NEUMANN_EXT, rule_neumann_ext, {"x": 1.0, "y": 1e-200, "t": 1.0}),
     (RuleId.WEIGHTED_S, weighted_sum_S, {"l": 1, "m": 5, "x": 3.0, "y": 1.0}),
     (RuleId.WEIGHTED_S, weighted_sum_S, {"l": 31, "m": 1, "x": 3.0, "y": 1.0}),
     (RuleId.WEIGHTED_E, weighted_sum_E, {"l": 0, "m": 11, "x": 1.0}),
     (RuleId.WEIGHTED_E, weighted_sum_E, {"l": 31, "m": 1, "x": 1.0}),
     (RuleId.APPENDIX_DERIV, appendix_derivative_check, {"nu": 0.0, "x": 0.0}),
+    # x > 0 but the stencil samples x - h < 0, where x^0.5 has no real value
+    (RuleId.APPENDIX_DERIV, appendix_derivative_check, {"nu": 0.5, "x": 0.0001}),
+    (RuleId.APPENDIX_DERIV, appendix_derivative_check, {"nu": 0.5, "x": 0.0007}),
 ]
 
 

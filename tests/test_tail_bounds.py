@@ -16,6 +16,7 @@ were summed, which gets an allowance derived from a per-step rounding count
   term for the engine's compensated sum.
 """
 
+import cmath
 import math
 
 import pytest
@@ -83,8 +84,8 @@ def test_certificate_carries_the_bound_the_loop_accepted(function, order, x, mon
 
     monkeypatch.setattr(backend, "_tail", spy)
     cert = function(order, x)
-    # the loop's last bound, which stopped it, and the function layer's recomputation
-    assert bounds[-2] == bounds[-1] == cert.tail_bound
+    # the loop's last bound is the one that stopped it
+    assert bounds[-1] == cert.tail_bound
 
 
 def test_tiny_value_keeps_its_relative_digits():
@@ -254,13 +255,26 @@ def test_non_integer_descending_orders_stop_heuristically(call):
     assert cert.converged and cert.tail_bound is None
 
 
+def _closed_form_j(rule, params):
+    """(factor, J evaluation) of the ASCENDING_GEN or GRAF_PHASE right side;
+    GRAF_PHASE's factor is complex."""
+    nu, x = params["nu"], params["x"]
+    if rule == "ASCENDING_GEN":
+        t = params["t"]
+        return (x / (x - 2 * t)) ** (0.5 * nu), bessel_j(nu, math.sqrt(x * x - 2 * x * t))
+    y, theta = params["y"], params["theta"]
+    ratio = (x - y * cmath.exp(-1j * theta)) / (x - y * cmath.exp(1j * theta))
+    arg = math.sqrt(x * x + y * y - 2 * x * y * math.cos(theta))
+    return ratio ** (0.5 * nu), bessel_j(nu, arg)
+
+
 def test_default_plan_j_sides_stop_on_a_proof():
     from besselsums.plan import default_plan_path, load_plan, run_plan
 
     proved = {"ASCENDING_GEN", "MULTIPLE_ORDER", "FRACTIONAL_ORDER", "BESSEL_LAGUERRE",
               "NEUMANN_EXT", "WEIGHTED_S", "WEIGHTED_E"}
     integer_order = {"DESCENDING_GEN", "GRAF_REAL", "GRAF_PHASE"}
-    checked = 0
+    checked = scaled = 0
     for rec in run_plan(load_plan(default_plan_path())).records:
         rule, params = rec.case.rule_id.value, rec.case.params
         if rule in proved or (rule in integer_order and float(params["nu"]).is_integer()):
@@ -268,6 +282,9 @@ def test_default_plan_j_sides_stop_on_a_proof():
             checked += 1
         elif rule in integer_order:
             assert rec.lhs_certificate.tail_bound is None, (rule, params)
-        if rule == "ASCENDING_GEN":  # the right side is one J value, with the kernel's bound
-            assert math.isfinite(rec.rhs_certificate.tail_bound)
+        if rule in ("ASCENDING_GEN", "GRAF_PHASE"):  # the right side is a factor times one J
+            factor, j = _closed_form_j(rule, params)
+            assert rec.rhs_certificate.tail_bound == abs(factor) * j.tail_bound, (rule, params)
+            scaled += 1
     assert checked > 150
+    assert scaled > 50

@@ -9,7 +9,6 @@ Subcommands::
 
 Exit codes: 0 all verified; 2 discrepancies; 3 inconclusive results (and no
 discrepancy); 1 usage or I/O errors, including the ones argparse reports.
-The number of worker processes comes from the plan's ``parallelism`` key.
 """
 
 import argparse
@@ -110,6 +109,9 @@ def _cmd_eval(opts) -> int:
             return 1
         if key not in names:
             print(f"error: {opts.name} takes {names}, not {key!r}", file=sys.stderr)
+            return 1
+        if key in given:
+            print(f"error: {opts.name} got {key!r} more than once", file=sys.stderr)
             return 1
         try:
             given[key] = float(value)

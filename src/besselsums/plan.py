@@ -5,7 +5,6 @@ A plan is a json document::
     {
       "policy": {"abs_tol": 1e-14, "rel_tol": 1e-12,
                  "max_terms": 400, "consecutive_small": 3},
-      "parallelism": 0,
       "entries": [
         {"rule": "ASCENDING_GEN",
          "grid": {"nu": [0, 0.5], "x": [2], "t": [0, 0.2]},
@@ -19,8 +18,8 @@ validated against the rule's parameter schema and domain check before
 anything is evaluated.  Grid values must be finite numbers (json's NaN and
 Infinity are rejected); tolerances must be finite numbers >= 0, not booleans.
 Any key not named here is an error.
-``parallelism`` 0 means one worker per cpu; 1 disables multiprocessing.  The
-pool never starts more workers than there are cpus or cases.
+The optional ``parallelism`` (an integer >= 0) is checked but has no effect:
+every plan runs serially in the calling process.
 The per-entry ``perturb_rhs`` (a finite number added to every right side) is
 a test hook for exercising the DISCREPANT paths.  Every violation raises
 PlanError, which names the file or the entry at fault.
@@ -34,7 +33,6 @@ sweep of distinct points holds no more than one entry's values; outside
 
 import itertools
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -86,7 +84,7 @@ class PlanEntry:
 class VerificationPlan:
     entries: tuple
     policy: SummationPolicy = field(default_factory=SummationPolicy)
-    parallelism: int = 1
+    parallelism: int = 1  # checked on load, otherwise unused: every run is serial
 
 
 def default_plan_path() -> Path:
@@ -200,15 +198,8 @@ def _load_entry(raw: dict, idx: int) -> PlanEntry:
     return entry
 
 
-def _evaluate_case(task):
-    """Run one case; exceptions become INCONCLUSIVE records (worker-safe)."""
-    order, rule_value, params, policy, tol, perturb = task
-    rule_id = RuleId(rule_value)
-    memo = _J_MEMO.get()
-    if memo is None or memo.scope != order[:2] or memo.policy != policy:
-        memo = _JMemo(order[:2], policy)  # a new (rule, entry) or policy
-        _J_MEMO.set(memo)
-    policy = memo.policy  # equal by value; pool tasks carry unpickled copies
+def _evaluate_case(rule_id, params, policy, tol, perturb):
+    """Run one case; exceptions become INCONCLUSIVE records."""
     try:
         records = RULES[rule_id].run(params, policy, tol)
     except Exception as exc:  # contained: reported, never crashes the sweep
@@ -230,51 +221,25 @@ def _evaluate_case(task):
             converged = rec.verdict is not Verdict.INCONCLUSIVE
             rec.verdict = _judge(rec.abs_err, rec.rel_err, converged, tol)
             rec.note = (rec.note + "; " if rec.note else "") + f"rhs perturbed by {perturb:g}"
-    return order, records
-
-
-def _tasks(plan: VerificationPlan):
-    """Cases in deterministic order: rule id, then entry, then grid position."""
-    rule_order = {rule: i for i, rule in enumerate(RuleId)}
-    keyed = []
-    for entry_idx, entry in enumerate(plan.entries):
-        tol = entry.tolerances or RULES[entry.rule_id].default_tolerances
-        for case_idx, params in enumerate(entry.cases()):
-            keyed.append(
-                (
-                    (rule_order[entry.rule_id], entry_idx, case_idx),
-                    entry.rule_id.value,
-                    params,
-                    plan.policy,
-                    tol,
-                    entry.perturb_rhs,
-                )
-            )
-    keyed.sort(key=lambda task: task[0])
-    return keyed
+    return records
 
 
 def run_plan(plan: VerificationPlan) -> VerdictReport:
-    """Evaluate every case; records come back in deterministic order no matter
-    the parallelism."""
+    """Evaluate every case in one process, in deterministic order: rule id,
+    then entry, then grid position."""
     t0 = time.perf_counter()
-    tasks = _tasks(plan)
-    cpus = os.cpu_count() or 1
-    workers = min(plan.parallelism or cpus, cpus, len(tasks))
-    _J_MEMO.set(None)
+    rule_order = {rule: i for i, rule in enumerate(RuleId)}
+    records = []
     try:
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                chunk = max(1, len(tasks) // (4 * workers))
-                results = list(pool.map(_evaluate_case, tasks, chunksize=chunk))
-        else:
-            results = [_evaluate_case(task) for task in tasks]
+        for entry in sorted(plan.entries, key=lambda e: rule_order[e.rule_id]):
+            tol = entry.tolerances or RULES[entry.rule_id].default_tolerances
+            _J_MEMO.set(_JMemo(plan.policy))
+            for params in entry.cases():
+                records += _evaluate_case(
+                    entry.rule_id, params, plan.policy, tol, entry.perturb_rhs
+                )
     finally:
         _J_MEMO.set(None)
-    results.sort(key=lambda pair: pair[0])
-    records = [rec for _, recs in results for rec in recs]
     report = VerdictReport(records=records)
     report.wall_time = time.perf_counter() - t0
     return report

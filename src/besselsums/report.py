@@ -2,7 +2,8 @@
 
 Output is deterministic: two runs of the same plan differ only in
 ``wall_time``.  Floats are written with 17 significant digits in csv and json
-so values round-trip exactly.
+so values round-trip exactly; json writes a non-finite float as null, which
+reads back as nan, so a strict parser accepts every report.
 """
 
 import csv
@@ -80,16 +81,25 @@ def _fmt_scalar(v) -> str:
     return _fmt_float(v)
 
 
+def _float_to_json(v):
+    """A finite float as itself, anything else (nan, +-inf) as json's null."""
+    return v if math.isfinite(v) else None
+
+
+def _float_from_json(v):
+    return math.nan if v is None else v
+
+
 def _scalar_to_json(v):
     if isinstance(v, complex):
-        return {"re": v.real, "im": v.imag}
-    return v
+        return {"re": _float_to_json(v.real), "im": _float_to_json(v.imag)}
+    return _float_to_json(v)
 
 
 def _scalar_from_json(v):
     if isinstance(v, dict):
-        return complex(v["re"], v["im"])
-    return v
+        return complex(_float_from_json(v["re"]), _float_from_json(v["im"]))
+    return _float_from_json(v)
 
 
 def _cert_to_json(cert):
@@ -97,7 +107,7 @@ def _cert_to_json(cert):
         return None
     return {
         "terms_used": cert.terms_used,
-        "last_term_magnitude": cert.last_term_magnitude,
+        "last_term_magnitude": _float_to_json(cert.last_term_magnitude),
         "converged": cert.converged,
     }
 
@@ -115,8 +125,8 @@ def report_to_json_dict(report: VerdictReport) -> dict:
                 "params": {k: rec.case.params[k] for k in sorted(rec.case.params)},
                 "lhs": _scalar_to_json(rec.lhs),
                 "rhs": _scalar_to_json(rec.rhs),
-                "abs_err": rec.abs_err,
-                "rel_err": rec.rel_err,
+                "abs_err": _float_to_json(rec.abs_err),
+                "rel_err": _float_to_json(rec.rel_err),
                 "verdict": rec.verdict.value,
                 "report_only": rec.report_only,
                 "note": rec.note,
@@ -146,7 +156,7 @@ def report_from_json(text: str) -> VerdictReport:
                 else SeriesEval(
                     value=lhs if side == "lhs_certificate" else rhs,
                     terms_used=c["terms_used"],
-                    last_term_magnitude=c["last_term_magnitude"],
+                    last_term_magnitude=_float_from_json(c["last_term_magnitude"]),
                     converged=c["converged"],
                 )
             )
@@ -155,8 +165,8 @@ def report_from_json(text: str) -> VerdictReport:
                 case=RuleCase(RuleId(row["rule_id"]), dict(row["params"])),
                 lhs=lhs,
                 rhs=rhs,
-                abs_err=row["abs_err"],
-                rel_err=row["rel_err"],
+                abs_err=_float_from_json(row["abs_err"]),
+                rel_err=_float_from_json(row["rel_err"]),
                 verdict=Verdict(row["verdict"]),
                 lhs_certificate=certs["lhs_certificate"],
                 rhs_certificate=certs["rhs_certificate"],
@@ -170,7 +180,7 @@ def report_from_json(text: str) -> VerdictReport:
 
 
 def render_json(report: VerdictReport) -> str:
-    return json.dumps(report_to_json_dict(report), indent=2) + "\n"
+    return json.dumps(report_to_json_dict(report), indent=2, allow_nan=False) + "\n"
 
 
 def render_csv(report: VerdictReport) -> str:

@@ -177,19 +177,18 @@ def _taylor_weight(t: float, n: int) -> float:
 class _JMemo:
     """J values of one plan entry, valid for one summation policy.
 
-    ``scope`` names the entry; ``policy`` is the object the plan runner hands
-    the rules, so a lookup compares it by identity, not by value.
+    ``policy`` is the object the plan runner hands the rules, so a lookup
+    compares it by identity, not by value.
     """
 
-    __slots__ = ("scope", "policy", "table")
+    __slots__ = ("policy", "table")
 
-    def __init__(self, scope, policy: SummationPolicy):
-        self.scope = scope
+    def __init__(self, policy: SummationPolicy):
         self.policy = policy
         self.table = {}
 
 
-# Installed by plan._evaluate_case; None (no reuse) outside run_plan.
+# Installed by plan.run_plan for each entry; None (no reuse) outside run_plan.
 _J_MEMO: ContextVar[Optional[_JMemo]] = ContextVar("besselsums_j_memo", default=None)
 
 
@@ -442,6 +441,8 @@ def rule_laguerre_hermite(
 
 
 def _check_graf_real(nu, x, y, t):
+    if not (x > 0.0 or float(nu).is_integer()):  # J_{nu+n}(x <= 0) needs integer orders
+        raise ValueError(f"non-integer nu requires x > 0, got nu={nu}, x={x}")
     if not t > 0.0:
         raise ValueError(f"requires t > 0, got t={t}")
     if not x > y / t:
@@ -831,7 +832,7 @@ RULES: dict[RuleId, RuleSchema] = {
             "sum_{n in Z} t^n J_{n+nu}(x) J_n(y)"
             " = ((x-y/t)/(x-yt))^(nu/2) J_nu(sqrt(x^2+y^2-xy(t+1/t)))"
         ),
-        constraint="t > 0, x > y/t, x > y*t, x^2+y^2-xy(t+1/t) > 0",
+        constraint="t > 0, x > y/t, x > y*t, x^2+y^2-xy(t+1/t) > 0; x > 0 unless nu is an integer",
         run=_single(rule_graf),
         validate=_check_graf_real,
     ),

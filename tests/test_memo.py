@@ -55,7 +55,7 @@ def test_no_reuse_outside_run_plan(j_calls):
 
 def test_memo_is_not_used_for_another_policy(j_calls):
     policy = rules.SummationPolicy(max_terms=200)
-    token = rules._J_MEMO.set(rules._JMemo((0, 0), policy))
+    token = rules._J_MEMO.set(rules._JMemo(policy))
     try:
         rules._bessel_j(0.5, 2.0, policy)
         rules._bessel_j(0.5, 2.0, policy)
@@ -77,7 +77,7 @@ _X = st.sampled_from([0.0, -0.0, 0.25, 1.0, 2.0, 3.5, -2.0, 7.0])
 @given(points=st.lists(st.tuples(_NU, _X), min_size=1, max_size=12))
 def test_memo_returns_what_a_fresh_evaluation_returns(points):
     policy = rules.SummationPolicy()
-    token = rules._J_MEMO.set(rules._JMemo((0, 0), policy))
+    token = rules._J_MEMO.set(rules._JMemo(policy))
     try:
         for nu, x in points:
             try:
@@ -97,7 +97,7 @@ def test_memo_returns_what_a_fresh_evaluation_returns(points):
 @pytest.fixture
 def memo():
     policy = rules.SummationPolicy()
-    token = rules._J_MEMO.set(rules._JMemo((0, 0), policy))
+    token = rules._J_MEMO.set(rules._JMemo(policy))
     yield policy
     rules._J_MEMO.reset(token)
 

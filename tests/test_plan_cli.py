@@ -1,5 +1,6 @@
 """Plan loading/validation, the runner, report emission, and the CLI."""
 
+import itertools
 import json
 import math
 import tempfile
@@ -41,6 +42,21 @@ def write_plan(tmp_path, payload, name="plan.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+def fail_ascending_gen(monkeypatch):
+    """Make every ASCENDING_GEN case raise when the plan runner evaluates it."""
+    import besselsums.plan as plan_mod
+
+    def boom(params, policy, tol):
+        raise RuntimeError("synthetic failure")
+
+    schema = plan_mod.RULES[RuleId.ASCENDING_GEN]
+    monkeypatch.setitem(
+        plan_mod.RULES,
+        RuleId.ASCENDING_GEN,
+        schema.__class__(**{**schema.__dict__, "run": boom, "validate": None}),
+    )
 
 
 MINIMAL = {
@@ -219,22 +235,7 @@ class TestRunPlan:
         assert seq == par
 
     def test_contained_failure_is_inconclusive(self, tmp_path, monkeypatch):
-        import besselsums.plan as plan_mod
-
-        def boom(params, policy, tol):
-            raise RuntimeError("synthetic failure")
-
-        monkeypatch.setitem(
-            plan_mod.RULES,
-            RuleId.ASCENDING_GEN,
-            plan_mod.RULES[RuleId.ASCENDING_GEN].__class__(
-                **{
-                    **plan_mod.RULES[RuleId.ASCENDING_GEN].__dict__,
-                    "run": boom,
-                    "validate": None,
-                }
-            ),
-        )
+        fail_ascending_gen(monkeypatch)
         report = run_plan(load_plan(write_plan(tmp_path, MINIMAL)))
         rec = report.records[0]
         assert rec.verdict is Verdict.INCONCLUSIVE
@@ -284,6 +285,26 @@ class TestReportEmission:
         assert back.counts() == report.counts()
         assert len(back.records) == len(report.records)
 
+    def test_failed_case_gives_strict_json(self, tmp_path, monkeypatch):
+        fail_ascending_gen(monkeypatch)
+        plan = {"entries": [*MINIMAL["entries"], {"rule": "GRAF_REAL",
+                "grid": {"nu": [0], "x": [5], "y": [1], "t": [1.5]}}]}
+        out = tmp_path / "report.json"
+        assert main(["verify", "--plan", str(write_plan(tmp_path, plan)),
+                     "--format", "json", "--out", str(out)]) == 3
+        text = out.read_text()
+
+        def refuse(token):
+            raise ValueError(f"not json: {token}")
+
+        data = json.loads(text, parse_constant=refuse)
+        failed = data["records"][0]
+        assert failed["verdict"] == "INCONCLUSIVE"
+        assert [failed[k] for k in ("lhs", "rhs", "abs_err", "rel_err")] == [None] * 4
+        back = report_from_json(text)
+        assert math.isnan(back.records[0].lhs) and math.isnan(back.records[0].rel_err)
+        assert render_json(back) == text
+
     def test_single_record_json_summary(self, tmp_path):
         plan = load_plan(write_plan(tmp_path, MINIMAL))
         data = json.loads(render_json(run_plan(plan)))
@@ -317,6 +338,26 @@ class TestReportEmission:
         assert "j" in text.splitlines()[1]
 
 
+def readme_eval_examples():
+    """(argv, expected stdout) for each `$ besselsums eval ...` line of the
+    README: the expected output is the lines under it, up to a blank line."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ besselsums eval "):
+            shown = itertools.takewhile(lambda out: out and out[0] not in "$`", lines[i + 1:])
+            examples.append((line.split()[2:], "".join(out + "\n" for out in shown)))
+    return examples
+
+
+def test_readme_eval_examples_are_current(capsys):
+    examples = readme_eval_examples()
+    assert examples
+    for argv, expected in examples:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+
 class TestCli:
     def test_eval_bessel(self, capsys):
         assert main(["eval", "bessel_j", "nu=0", "x=0"]) == 0
@@ -343,6 +384,12 @@ class TestCli:
     def test_eval_unknown_function(self, capsys):
         assert main(["eval", "bessel_k", "nu=0", "x=1"]) == 1
         assert "unknown function" in capsys.readouterr().err
+
+    def test_eval_repeated_argument(self, capsys):
+        assert main(["eval", "bessel_j", "nu=1", "nu=2", "x=1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bessel_j got 'nu' more than once\n"
 
     def test_eval_missing_argument(self, capsys):
         assert main(["eval", "bessel_j", "nu=0"]) == 1
@@ -495,6 +542,9 @@ MALFORMED_PLANS = {
     "tol_abs not a number": ascending_plan(tol_abs="x"),
     "perturb_rhs not a number": ascending_plan(perturb_rhs="x"),
     "parallelism not a number": json.dumps({"parallelism": "x", "entries": [ASCENDING]}),
+    "parallelism negative": json.dumps({"parallelism": -1, "entries": [ASCENDING]}),
+    "parallelism fractional": json.dumps({"parallelism": 2.5, "entries": [ASCENDING]}),
+    "parallelism boolean": json.dumps({"parallelism": True, "entries": [ASCENDING]}),
     "NaN grid value": ascending_plan({"nu": [float("nan")]}),
     "Infinity grid value": ascending_plan({"x": [float("inf")]}),
     "negative tolerances": ascending_plan(tol_abs=-1, tol_rel=-1),
@@ -503,6 +553,9 @@ MALFORMED_PLANS = {
     "unknown top-level key": json.dumps({"polcy": {"max_terms": 8}, "entries": [ASCENDING]}),
     "unknown entry key": ascending_plan(tol_absolute=1e-30),
     "int past float range": ascending_plan({"x": [10**400]}),
+    "GRAF_REAL non-integer nu at x < 0": json.dumps(
+        {"entries": [{"rule": "GRAF_REAL", "grid": {"nu": [0.5], "x": [-5], "y": [-10], "t": [1]}}]}
+    ),
     "NEUMANN_EXT y=0": json.dumps(
         {"entries": [{"rule": "NEUMANN_EXT", "grid": {"x": [1], "y": [0], "t": [1]}}]}
     ),
@@ -533,6 +586,9 @@ OUT_OF_DOMAIN = [
     (RuleId.LAGUERRE_HERMITE, rule_laguerre_hermite,
      {"x": 1.0, "y": 1.0, "z": 1.0, "w": 1.0, "t": 0.5}),
     (RuleId.GRAF_REAL, rule_graf, {"nu": 0.0, "x": 1.0, "y": 2.0, "t": 1.0}),
+    # J_{nu+n}(x) at x <= 0 is real and finite for integer orders only
+    (RuleId.GRAF_REAL, rule_graf, {"nu": 0.5, "x": -5.0, "y": -10.0, "t": 1.0}),
+    (RuleId.GRAF_REAL, rule_graf, {"nu": 0.5, "x": -0.0, "y": -1.0, "t": 1.0}),
     (RuleId.GRAF_PHASE, rule_graf_phase, {"nu": 0.0, "x": 1.0, "y": 2.0, "theta": 0.0}),
     (RuleId.NEUMANN_EXT, rule_neumann_ext, {"x": 1.0, "y": 1.0, "t": 0.0}),
     # y^2 t is zero, or underflows to it: the right side divides by it
@@ -659,68 +715,25 @@ def test_load_plan_fuzz(doc):
     assert isinstance(plan, VerificationPlan)
 
 
-class _RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records the worker count asked for
-    and runs the tasks in this process."""
+@pytest.mark.parametrize("parallelism", [0, 2, 10_000])
+def test_parallelism_runs_serially(tmp_path, monkeypatch, capsys, parallelism):
+    """Any parallelism gives the records of a serial run, without a process pool."""
+    import concurrent.futures
 
-    requested = []
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
 
-    def __init__(self, max_workers):
-        self.requested.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks, chunksize=1):
-        return map(fn, tasks)
-
-
-class TestPoolCap:
-    @pytest.fixture
-    def pool(self, monkeypatch):
-        import concurrent.futures
-        import os
-
-        import besselsums.plan
-
-        # both places the runner could take the executor from: never a real pool
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
-        monkeypatch.setattr(besselsums.plan, "ProcessPoolExecutor", _RecordingExecutor,
-                            raising=False)
-        monkeypatch.setattr(_RecordingExecutor, "requested", [])
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        return _RecordingExecutor
-
-    @pytest.mark.parametrize("parallelism", [10_000, 0, 3])
-    def test_at_most_one_worker_per_case(self, tmp_path, pool, parallelism):
-        plan = load_plan(write_plan(tmp_path, {**TRIVIAL_THREE, "parallelism": parallelism}))
-        report = run_plan(plan)
-        assert pool.requested == [3]
-        assert [r.verdict for r in report.records] == [Verdict.VERIFIED] * 3
-
-    def test_at_most_one_worker_per_cpu(self, tmp_path, pool, monkeypatch):
-        import os
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        run_plan(load_plan(write_plan(tmp_path, {**TRIVIAL_THREE, "parallelism": 10_000})))
-        assert pool.requested == [2]
-
-    def test_one_case_runs_serially(self, tmp_path, pool):
-        run_plan(load_plan(write_plan(tmp_path, {**MINIMAL, "parallelism": 10_000})))
-        assert pool.requested == []
-
-    def test_cli_run_is_capped(self, tmp_path, pool, capsys):
-        path = write_plan(tmp_path, {**TRIVIAL_THREE, "parallelism": 10_000})
-        assert main(["verify", "--plan", str(path)]) == 0
-        capsys.readouterr()
-        assert pool.requested == [3]
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    serial = render_csv(run_plan(load_plan(
+        write_plan(tmp_path, {**TRIVIAL_THREE, "parallelism": 1}, "serial.json"))))
+    path = write_plan(tmp_path, {**TRIVIAL_THREE, "parallelism": parallelism})
+    assert render_csv(run_plan(load_plan(path))) == serial
+    assert main(["verify", "--plan", str(path), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == serial
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
-    """A serial run pays nothing for the pool: the import happens on first use."""
+    """The runner is serial, so the CLI never imports the process pool."""
     import os
     import subprocess
     import sys

@@ -20,7 +20,7 @@ from besselsums.plan import (
     load_plan,
     run_plan,
 )
-from besselsums.report import VerdictReport, emit_report, report_from_json, report_to_json_dict
+from besselsums.report import VerdictReport, emit_report, report_to_json_dict
 from besselsums.rules import (
     EXACTNESS_BOUND,
     RULES,
@@ -30,7 +30,6 @@ from besselsums.rules import (
     Tolerances,
     Verdict,
     VerificationRecord,
-    WeightedSumResult,
     appendix_derivative_check,
     rule_ascending_gen,
     rule_bessel_laguerre,
@@ -75,7 +74,6 @@ __all__ = [
     "Verdict",
     "VerificationPlan",
     "VerificationRecord",
-    "WeightedSumResult",
     "appendix_derivative_check",
     "bessel_j",
     "central_derivative",
@@ -89,7 +87,6 @@ __all__ = [
     "laguerre2",
     "load_plan",
     "reciprocal_gamma",
-    "report_from_json",
     "report_to_json_dict",
     "rule_ascending_gen",
     "rule_bessel_laguerre",

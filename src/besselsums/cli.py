@@ -8,11 +8,13 @@ Subcommands::
     besselsums list-rules
 
 Exit codes: 0 all verified; 2 discrepancies; 3 inconclusive results (and no
-discrepancy); 1 usage or I/O errors, including the ones argparse reports.
+discrepancy); 1 usage or I/O errors, including the ones argparse reports and
+a reader that leaves early (``besselsums list-rules | head -1``), which is quiet.
 """
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from besselsums import functions, hybrid
@@ -89,6 +91,8 @@ def _cmd_verify(opts) -> int:
     report = run_plan(plan)
     try:
         emit_report(report, fmt=opts.format, path=opts.out)
+    except BrokenPipeError:  # standard output closed early: main stops quietly
+        raise
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return 1
@@ -155,7 +159,7 @@ def _cmd_list_rules() -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def _dispatch(argv) -> int:
     try:
         opts = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error; 2 means discrepancies here
@@ -165,6 +169,16 @@ def main(argv=None) -> int:
     if opts.command == "eval":
         return _cmd_eval(opts)
     return _cmd_list_rules()
+
+
+def main(argv=None) -> int:
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()  # so a reader that left early shows here, not at interpreter exit
+    except BrokenPipeError:  # stop quietly; on devnull the final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

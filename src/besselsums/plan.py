@@ -24,35 +24,25 @@ The per-entry ``perturb_rhs`` (a finite number added to every right side) is
 a test hook for exercising the DISCREPANT paths.  Every violation raises
 PlanError, which names the file or the entry at fault.
 
-Within one plan entry of a run, a Bessel J evaluated once is reused by every
-later case of that entry (the brute-force sides re-evaluate the same
-J_{nu+n}(x) for each shift t or theta).  The reuse ends with the entry, so a
+Each entry's cases run through ``rules.run_cases``, which reuses a Bessel J
+evaluated once for every later case of that entry (the brute-force sides
+re-evaluate the same J_{nu+n}(x) for each shift t or theta) and turns a case
+that raises into an INCONCLUSIVE record.  The reuse ends with the entry, so a
 sweep of distinct points holds no more than one entry's values; outside
-``run_plan`` every rule evaluates each J afresh.
+``run_cases`` every rule evaluates each J afresh.
 """
 
 import itertools
+import json
 import math
 import sys
 import time
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 from besselsums.report import VerdictReport
-from besselsums.rules import (
-    RULES,
-    RuleCase,
-    RuleId,
-    Tolerances,
-    Verdict,
-    VerificationRecord,
-    _J_MEMO,
-    _JMemo,
-    _errors,
-    _judge,
-)
+from besselsums.rules import RULES, RuleId, Tolerances, run_cases
 from besselsums.series import SummationPolicy, require_int
 
 MAX_GRID_CASES = 100_000
@@ -89,14 +79,12 @@ class VerificationPlan:
 
 def default_plan_path() -> Path:
     """Path of the bundled default plan (the full shipped grid)."""
-    return Path(resources.files("besselsums").joinpath("data/default_plan.json"))
+    return Path(__file__).parent / "data" / "default_plan.json"
 
 
 def load_plan(path) -> VerificationPlan:
     """Parse and validate a plan file; raises PlanError with the offending
     entry index and parameter name on schema violations."""
-    import json
-
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -198,48 +186,15 @@ def _load_entry(raw: dict, idx: int) -> PlanEntry:
     return entry
 
 
-def _evaluate_case(rule_id, params, policy, tol, perturb):
-    """Run one case; exceptions become INCONCLUSIVE records."""
-    try:
-        records = RULES[rule_id].run(params, policy, tol)
-    except Exception as exc:  # contained: reported, never crashes the sweep
-        records = [
-            VerificationRecord(
-                case=RuleCase(rule_id, dict(params)),
-                lhs=math.nan,
-                rhs=math.nan,
-                abs_err=math.nan,
-                rel_err=math.nan,
-                verdict=Verdict.INCONCLUSIVE,
-                note=f"evaluation failed: {type(exc).__name__}: {exc}",
-            )
-        ]
-    if perturb:
-        for rec in records:
-            rec.rhs = rec.rhs + perturb
-            rec.abs_err, rec.rel_err = _errors(rec.lhs, rec.rhs)
-            converged = rec.verdict is not Verdict.INCONCLUSIVE
-            rec.verdict = _judge(rec.abs_err, rec.rel_err, converged, tol)
-            rec.note = (rec.note + "; " if rec.note else "") + f"rhs perturbed by {perturb:g}"
-    return records
-
-
 def run_plan(plan: VerificationPlan) -> VerdictReport:
     """Evaluate every case in one process, in deterministic order: rule id,
     then entry, then grid position."""
     t0 = time.perf_counter()
     rule_order = {rule: i for i, rule in enumerate(RuleId)}
     records = []
-    try:
-        for entry in sorted(plan.entries, key=lambda e: rule_order[e.rule_id]):
-            tol = entry.tolerances or RULES[entry.rule_id].default_tolerances
-            _J_MEMO.set(_JMemo(plan.policy))
-            for params in entry.cases():
-                records += _evaluate_case(
-                    entry.rule_id, params, plan.policy, tol, entry.perturb_rhs
-                )
-    finally:
-        _J_MEMO.set(None)
+    for entry in sorted(plan.entries, key=lambda e: rule_order[e.rule_id]):
+        tol = entry.tolerances or RULES[entry.rule_id].default_tolerances
+        records += run_cases(entry.rule_id, entry.cases(), plan.policy, tol, entry.perturb_rhs)
     report = VerdictReport(records=records)
     report.wall_time = time.perf_counter() - t0
     return report

@@ -2,17 +2,18 @@
 
 Output is deterministic: two runs of the same plan differ only in
 ``wall_time``.  Floats are written with 17 significant digits in csv and json
-so values round-trip exactly; json writes a non-finite float as null, which
-reads back as nan, so a strict parser accepts every report.
+so values round-trip exactly; json writes a non-finite float as null, so a
+strict parser accepts every report.
 """
 
 import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
-from besselsums.rules import RuleCase, RuleId, SeriesEval, Verdict, VerificationRecord
+from besselsums.rules import Verdict
 
 SCHEMA_VERSION = 1
 
@@ -86,20 +87,10 @@ def _float_to_json(v):
     return v if math.isfinite(v) else None
 
 
-def _float_from_json(v):
-    return math.nan if v is None else v
-
-
 def _scalar_to_json(v):
     if isinstance(v, complex):
         return {"re": _float_to_json(v.real), "im": _float_to_json(v.imag)}
     return _float_to_json(v)
-
-
-def _scalar_from_json(v):
-    if isinstance(v, dict):
-        return complex(_float_from_json(v["re"]), _float_from_json(v["im"]))
-    return _float_from_json(v)
 
 
 def _cert_to_json(cert):
@@ -136,47 +127,6 @@ def report_to_json_dict(report: VerdictReport) -> dict:
             for rec in report.records
         ],
     }
-
-
-def report_from_json(text: str) -> VerdictReport:
-    """Rebuild a report from its json emission (certificate values included)."""
-    data = json.loads(text)
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported report schema: {data.get('schema_version')!r}")
-    records = []
-    for row in data["records"]:
-        lhs = _scalar_from_json(row["lhs"])
-        rhs = _scalar_from_json(row["rhs"])
-        certs = {}
-        for side in ("lhs_certificate", "rhs_certificate"):
-            c = row[side]
-            certs[side] = (
-                None
-                if c is None
-                else SeriesEval(
-                    value=lhs if side == "lhs_certificate" else rhs,
-                    terms_used=c["terms_used"],
-                    last_term_magnitude=_float_from_json(c["last_term_magnitude"]),
-                    converged=c["converged"],
-                )
-            )
-        records.append(
-            VerificationRecord(
-                case=RuleCase(RuleId(row["rule_id"]), dict(row["params"])),
-                lhs=lhs,
-                rhs=rhs,
-                abs_err=_float_from_json(row["abs_err"]),
-                rel_err=_float_from_json(row["rel_err"]),
-                verdict=Verdict(row["verdict"]),
-                lhs_certificate=certs["lhs_certificate"],
-                rhs_certificate=certs["rhs_certificate"],
-                report_only=row["report_only"],
-                note=row["note"],
-            )
-        )
-    report = VerdictReport(records=records)
-    report.wall_time = data["wall_time"]
-    return report
 
 
 def render_json(report: VerdictReport) -> str:
@@ -257,8 +207,6 @@ def emit_report(report: VerdictReport, fmt: str = "table", path=None) -> None:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     text = {"table": render_table, "csv": render_csv, "json": render_json}[fmt](report)
     if path is None:
-        import sys
-
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:

@@ -5,17 +5,19 @@ The brute-force side is ground truth.  A case is VERIFIED only when both
 sides' evaluations converged and the sides agree within tolerance; a case
 whose evaluations did not converge is INCONCLUSIVE, never VERIFIED.
 
-A record's certificates describe the values beside them: each side reaches
+Every record is built by ``_record``, which also decides its verdict.  A
+record's certificates describe the values beside them: each side reaches
 ``_record`` as a ``SeriesEval``, or as a bare number when it has none (a
-finite-difference derivative, the WEIGHTED_S routes).  A closed form that is
-a factor times one evaluated function is built by ``_scaled``, which carries
-the function's tail bound times |factor|.
+finite-difference derivative, the WEIGHTED_S nested closed form).  A closed
+form that is a factor times one evaluated function is built by ``_scaled``,
+which carries the function's tail bound times |factor|.
 """
 
 import cmath
+import dataclasses
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Optional
@@ -80,6 +82,8 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
+# Looser, for the rules whose hard check is a finite-difference derivative.
+_FD_TOLERANCES = Tolerances(tol_abs=1e-6, tol_rel=1e-6)
 
 # Finite-difference steps: larger steps at higher orders trade truncation
 # error against the roundoff amplified by 1/h^m.
@@ -117,7 +121,7 @@ def _errors(lhs, rhs):
 
 
 def _judge(abs_err, rel_err, converged: bool, tol: Tolerances) -> Verdict:
-    if not converged:
+    if not (converged and math.isfinite(abs_err)):  # a nan or infinite side proves nothing
         return Verdict.INCONCLUSIVE
     if abs_err <= tol.tol_abs or rel_err <= tol.tol_rel:
         return Verdict.VERIFIED
@@ -188,7 +192,7 @@ class _JMemo:
         self.table = {}
 
 
-# Installed by plan.run_plan for each entry; None (no reuse) outside run_plan.
+# Installed by run_cases for each plan entry; None (no reuse) outside it.
 _J_MEMO: ContextVar[Optional[_JMemo]] = ContextVar("besselsums_j_memo", default=None)
 
 
@@ -553,31 +557,6 @@ def rule_neumann_ext(
 # weighted sums
 
 
-@dataclass
-class WeightedSumResult:
-    """The three routes to S_l^(m)(x, y) = sum_{n in Z} n^m J_{n+l}(x) J_n(y).
-
-    ``brute`` is ground truth.  ``derivative_route`` applies (-i d/dtheta)^m
-    to the phase-weighted addition theorem at theta = 0.  ``closed_form`` is
-    the nested finite sum over binomials and J_{l+p}(x - y), with the power
-    inside the R factor bound to the outermost summation index.
-    """
-
-    l: int
-    m: int
-    x: float
-    y: float
-    brute: SeriesEval
-    derivative_route: float
-    closed_form: float
-    deriv_abs_err: float = field(init=False)
-    closed_abs_err: float = field(init=False)
-
-    def __post_init__(self):
-        self.deriv_abs_err = abs(self.brute.value - self.derivative_route)
-        self.closed_abs_err = abs(self.brute.value - self.closed_form)
-
-
 def _check_weighted_s(l, m, x, y) -> tuple:
     # l: exact binomials in the closed form; m: finite-difference stability
     l = require_int("l", l, minimum=0, maximum=EXACTNESS_BOUND)
@@ -592,8 +571,12 @@ def weighted_sum_S(
     x: float,
     y: float,
     policy: SummationPolicy = DEFAULT_POLICY,
-) -> WeightedSumResult:
-    """Evaluate S_l^(m)(x, y) three ways (l in 0..30, m in 0..4, x > y > 0)."""
+    tolerances: Tolerances = _FD_TOLERANCES,
+) -> list[VerificationRecord]:
+    """Two records for S_l^(m)(x, y) = sum_{n in Z} n^m J_{n+l}(x) J_n(y), l in
+    0..30, m in 0..4, x > y > 0: brute force against (-i d/dtheta)^m of the
+    GRAF_PHASE closed form at theta = 0, then, report-only, against the nested
+    finite sum of ``_weighted_closed_form``."""
     l, m = _check_weighted_s(l, m, x, y)
 
     brute = sum_bilateral(
@@ -612,9 +595,14 @@ def weighted_sum_S(
         deriv = ((-1j) ** m * d).real
 
     closed = _weighted_closed_form(l, m, x, y, policy)
-    return WeightedSumResult(
-        l=l, m=m, x=x, y=y, brute=brute, derivative_route=deriv, closed_form=closed
-    )
+    params = {"l": l, "m": m, "x": x, "y": y}
+    return [
+        _record(RuleId.WEIGHTED_S, {**params, "route": "derivative"}, brute, deriv, tolerances),
+        _record(
+            RuleId.WEIGHTED_S, {**params, "route": "closed"}, brute, closed, tolerances,
+            report_only=True, note="closed form is report-only: its printing is ambiguous",
+        ),
+    ]
 
 
 def _weighted_closed_form(l: int, m: int, x: float, y: float, policy) -> float:
@@ -729,24 +717,6 @@ def appendix_derivative_check(
 
 # ---------------------------------------------------------------------------
 # registry consumed by the plan runner and the CLI
-
-
-def _run_weighted_S(params, policy, tolerances) -> list[VerificationRecord]:
-    result = weighted_sum_S(**params, policy=policy)
-    base = {"l": result.l, "m": result.m, "x": result.x, "y": result.y}
-    deriv = {**base, "route": "derivative"}
-    return [
-        _record(RuleId.WEIGHTED_S, deriv, result.brute, result.derivative_route, tolerances),
-        _record(
-            RuleId.WEIGHTED_S,
-            {**base, "route": "closed"},
-            result.brute,
-            result.closed_form,
-            tolerances,
-            report_only=True,
-            note="closed form is report-only: its printing is ambiguous",
-        ),
-    ]
 
 
 @dataclass(frozen=True)
@@ -865,8 +835,10 @@ RULES: dict[RuleId, RuleSchema] = {
             " (report-only)"
         ),
         constraint=f"integer 0 <= l <= {EXACTNESS_BOUND}, integer 0 <= m <= 4, x > y > 0",
-        run=_run_weighted_S,
-        default_tolerances=Tolerances(tol_abs=1e-6, tol_rel=1e-6),
+        run=lambda params, policy, tolerances: weighted_sum_S(
+            **params, policy=policy, tolerances=tolerances
+        ),
+        default_tolerances=_FD_TOLERANCES,
         validate=_check_weighted_s,
     ),
     RuleId.WEIGHTED_E: RuleSchema(
@@ -885,7 +857,44 @@ RULES: dict[RuleId, RuleSchema] = {
         statement="(1/x) d/dx [x^nu J_nu(x)] = x^(nu-1) J_{nu-1}(x)",
         constraint=f"x > {_FD_STEP[1]:g} (the finite-difference step)",
         run=_single(appendix_derivative_check),
-        default_tolerances=Tolerances(tol_abs=1e-6, tol_rel=1e-6),
+        default_tolerances=_FD_TOLERANCES,
         validate=_check_appendix,
     ),
 }
+
+
+# ---------------------------------------------------------------------------
+# one plan entry
+
+
+def run_cases(
+    rule_id: RuleId, cases, policy: SummationPolicy, tol: Tolerances, perturb: float = 0.0
+) -> list[VerificationRecord]:
+    """The records of one plan entry's cases, in order.  The cases share their
+    J values (see ``_bessel_j``); a case that raises gives one INCONCLUSIVE
+    record naming the error; a nonzero ``perturb`` is added to every right side."""
+    token = _J_MEMO.set(_JMemo(policy))
+    records = []
+    try:
+        for params in cases:
+            try:  # RULES is read per case, so a runner wrapped there sees every case
+                out = RULES[rule_id].run(params, policy, tol)
+            except Exception as exc:  # contained: reported, never crashes the sweep
+                note = f"evaluation failed: {type(exc).__name__}: {exc}"
+                out = [_record(rule_id, params, math.nan, math.nan, tol, note=note)]
+            if perturb:
+                out = [_perturbed(rec, perturb, tol) for rec in out]
+            records += out
+    finally:
+        _J_MEMO.reset(token)
+    return records
+
+
+def _perturbed(rec: VerificationRecord, delta: float, tol: Tolerances) -> VerificationRecord:
+    """``rec`` judged again with ``delta`` added to its right side; a right
+    certificate is shifted with it, so it still describes the value."""
+    lhs = rec.lhs if rec.lhs_certificate is None else rec.lhs_certificate
+    cert = rec.rhs_certificate
+    rhs = rec.rhs + delta if cert is None else dataclasses.replace(cert, value=cert.value + delta)
+    note = (rec.note + "; " if rec.note else "") + f"rhs perturbed by {delta:g}"
+    return _record(rec.case.rule_id, rec.case.params, lhs, rhs, tol, rec.report_only, note)

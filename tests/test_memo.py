@@ -53,6 +53,17 @@ def test_no_reuse_outside_run_plan(j_calls):
     assert rules._J_MEMO.get() is None
 
 
+def test_run_plan_leaves_an_outer_memo_installed():
+    outer = rules._JMemo(rules.SummationPolicy())
+    token = rules._J_MEMO.set(outer)
+    try:
+        run_plan(load_plan(default_plan_path()))
+        assert rules._J_MEMO.get() is outer
+        assert outer.table == {}  # each entry used a memo of its own
+    finally:
+        rules._J_MEMO.reset(token)
+
+
 def test_memo_is_not_used_for_another_policy(j_calls):
     policy = rules.SummationPolicy(max_terms=200)
     token = rules._J_MEMO.set(rules._JMemo(policy))

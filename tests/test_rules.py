@@ -270,29 +270,29 @@ class TestNeumannExt:
 
 class TestWeightedS:
     def test_m0_is_graf_at_theta_zero(self):
-        res = weighted_sum_S(0, 0, 3.0, 1.0)
-        assert res.brute.value == pytest.approx(J0_2, rel=1e-12)
-        assert res.deriv_abs_err <= 1e-12
-        assert res.closed_abs_err <= 1e-12
+        deriv, closed = weighted_sum_S(0, 0, 3.0, 1.0)
+        assert deriv.lhs == pytest.approx(J0_2, rel=1e-12)
+        assert deriv.abs_err <= 1e-12
+        assert closed.abs_err <= 1e-12
 
     def test_m1_l0_vanishes(self):
         # n J_n(x) J_n(y) is odd under n -> -n
-        res = weighted_sum_S(0, 1, 3.0, 1.0)
-        assert abs(res.brute.value) < 1e-14
-        assert abs(res.derivative_route) < 1e-10
-        assert abs(res.closed_form) < 1e-14
+        deriv, closed = weighted_sum_S(0, 1, 3.0, 1.0)
+        assert abs(deriv.lhs) < 1e-14
+        assert abs(deriv.rhs) < 1e-10
+        assert abs(closed.rhs) < 1e-14
 
     def test_brute_vs_deriv(self):
-        res = weighted_sum_S(1, 1, 3.0, 1.0)
-        assert res.deriv_abs_err <= 1e-6
+        deriv, _ = weighted_sum_S(1, 1, 3.0, 1.0)
+        assert deriv.abs_err <= 1e-6
 
     @pytest.mark.parametrize("l", [0, 1, 2])
     @pytest.mark.parametrize("m", [0, 1, 2])
     @pytest.mark.parametrize("xy", [(3.0, 1.0), (5.0, 2.0)])
     def test_cross_consistency_grid(self, l, m, xy):
-        res = weighted_sum_S(l, m, *xy)
-        assert res.brute.converged
-        assert res.deriv_abs_err <= 1e-6
+        deriv, _ = weighted_sum_S(l, m, *xy)
+        assert deriv.lhs_certificate.converged
+        assert deriv.abs_err <= 1e-6
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -356,4 +356,16 @@ class TestConsistencyWeb:
         from besselsums import SummationPolicy
 
         rec = rule_graf(0.0, 5.0, 1.0, 2.0, policy=SummationPolicy(max_terms=8))
+        assert rec.verdict is Verdict.INCONCLUSIVE
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs",
+    [(math.inf, 1.0), (1.0, -math.inf), (math.inf, math.inf), (math.nan, 1.0),
+     (math.nan, math.nan), (complex(math.inf, 0.0), 1.0), (complex(0.0, math.nan), 0.0)],
+)
+def test_a_non_finite_side_is_inconclusive(lhs, rhs):
+    # with tolerances that any finite pair would meet or miss alike
+    for tol in (Tolerances(0.0, 0.0), Tolerances(1e300, 1e300)):
+        rec = rules_mod._record(rules_mod.RuleId.ASCENDING_GEN, {}, lhs, rhs, tol)
         assert rec.verdict is Verdict.INCONCLUSIVE

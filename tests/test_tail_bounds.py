@@ -141,7 +141,7 @@ def _laguerre(n, x, y):  # L_n(x, y) / n!
     )
 
 
-# side, a call returning (value, certificate), the exact n-th term, bilateral
+# side, a call returning a record with that left side, the exact n-th term, bilateral
 SIDES = {
     "ASCENDING_GEN": (
         lambda: rules.rule_ascending_gen(0.5, 3.0, 0.6),
@@ -189,7 +189,7 @@ SIDES = {
         True,
     ),
     "WEIGHTED_S": (
-        lambda: rules.weighted_sum_S(2, 3, 5.0, 2.0).brute,
+        lambda: rules.weighted_sum_S(2, 3, 5.0, 2.0)[0],
         lambda n: mpmath.mpf(n) ** 3 * _j(n + 2, 5.0) * _j(n, 2.0),
         True,
     ),
@@ -201,17 +201,11 @@ SIDES = {
 }
 
 
-def _side(result):
-    """(value, certificate) of a rule record's left side, or of a bare SeriesEval."""
-    if isinstance(result, series.SeriesEval):
-        return result.value, result
-    return result.lhs, result.lhs_certificate
-
-
 @pytest.mark.parametrize("side", list(SIDES))
 def test_rule_side_error_within_tail_bound(side, recorded):
     call, exact_term, bilateral = SIDES[side]
-    value, cert = _side(call())
+    rec = call()
+    value, cert = rec.lhs, rec.lhs_certificate
     seen = recorded[0]
     assert cert.converged and cert.tail_bound is not None
     assert cert.terms_used == len(seen)

@@ -25,7 +25,6 @@ from besselsums.rules import (
     EXACTNESS_BOUND,
     RULES,
     DEFAULT_TOLERANCES,
-    RuleCase,
     RuleId,
     Tolerances,
     Verdict,
@@ -65,7 +64,6 @@ __all__ = [
     "PlanEntry",
     "PlanError",
     "RULES",
-    "RuleCase",
     "RuleId",
     "SeriesEval",
     "SummationPolicy",

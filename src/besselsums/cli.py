@@ -14,6 +14,7 @@ a reader that leaves early (``besselsums list-rules | head -1``), which is quiet
 
 import argparse
 import dataclasses
+import inspect
 import os
 import sys
 
@@ -23,18 +24,18 @@ from besselsums.report import FORMATS, emit_report
 from besselsums.rules import RULES
 from besselsums.series import SeriesEval
 
-# eval-subcommand dispatch: name -> (callable, argument names).  Every value is
-# parsed as a float; a function checks its own integer arguments.
+# eval-subcommand dispatch: name -> function, whose signature names its arguments
+# (policy aside).  Every value is parsed as a float; a function checks its integers.
 FUNCTIONS = {
-    "bessel_j": (functions.bessel_j, ("nu", "x")),
-    "tricomi_c": (functions.tricomi_c, ("alpha", "x")),
-    "laguerre2": (functions.laguerre2, ("n", "x", "y")),
-    "hermite_m": (functions.hermite_m, ("n", "m", "x", "y")),
-    "wright": (functions.wright, ("nu", "mu", "x")),
-    "h_tricomi": (hybrid.h_tricomi, ("nu", "m", "u", "v")),
-    "l_tricomi": (hybrid.l_tricomi, ("nu", "u", "v")),
-    "h_wright": (hybrid.h_wright, ("nu", "m", "mu", "u", "v")),
-    "hybrid_k": (hybrid.hybrid_k, ("mu", "m", "x", "y", "xi")),
+    "bessel_j": functions.bessel_j,
+    "tricomi_c": functions.tricomi_c,
+    "laguerre2": functions.laguerre2,
+    "hermite_m": functions.hermite_m,
+    "wright": functions.wright,
+    "h_tricomi": hybrid.h_tricomi,
+    "l_tricomi": hybrid.l_tricomi,
+    "h_wright": hybrid.h_wright,
+    "hybrid_k": hybrid.hybrid_k,
 }
 
 
@@ -104,7 +105,8 @@ def _cmd_eval(opts) -> int:
         print(f"error: unknown function {opts.name!r}; try one of: "
               f"{', '.join(sorted(FUNCTIONS))}", file=sys.stderr)
         return 1
-    fn, names = FUNCTIONS[opts.name]
+    fn = FUNCTIONS[opts.name]
+    names = tuple(name for name in inspect.signature(fn).parameters if name != "policy")
     given = {}
     for item in opts.args:
         key, sep, value = item.partition("=")

@@ -33,7 +33,7 @@ class VerdictReport:
         max_abs = {}
         max_rel = {}
         for rec in self.records:
-            rule = rec.case.rule_id.value
+            rule = rec.rule_id.value
             counts = summary.setdefault(
                 rule, {"verified": 0, "discrepant": 0, "inconclusive": 0}
             )
@@ -112,8 +112,8 @@ def report_to_json_dict(report: VerdictReport) -> dict:
         "wall_time": report.wall_time,
         "records": [
             {
-                "rule_id": rec.case.rule_id.value,
-                "params": {k: rec.case.params[k] for k in sorted(rec.case.params)},
+                "rule_id": rec.rule_id.value,
+                "params": {k: rec.params[k] for k in sorted(rec.params)},
                 "lhs": _scalar_to_json(rec.lhs),
                 "rhs": _scalar_to_json(rec.rhs),
                 "abs_err": _float_to_json(rec.abs_err),
@@ -134,14 +134,14 @@ def render_json(report: VerdictReport) -> str:
 
 
 def render_csv(report: VerdictReport) -> str:
-    param_names = sorted({name for rec in report.records for name in rec.case.params})
+    param_names = sorted({name for rec in report.records for name in rec.params})
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["rule_id", *param_names, "lhs", "rhs", "abs_err", "rel_err", "verdict"])
     for rec in report.records:
-        row = [rec.case.rule_id.value]
+        row = [rec.rule_id.value]
         for name in param_names:
-            v = rec.case.params.get(name, "")
+            v = rec.params.get(name, "")
             row.append(v if isinstance(v, str) else _fmt_float(v))
         row += [
             _fmt_scalar(rec.lhs),
@@ -164,15 +164,15 @@ def render_table(report: VerdictReport) -> str:
     rows = []
     for rec in report.records:
         params = ", ".join(
-            f"{k}={rec.case.params[k]:g}"
-            if not isinstance(rec.case.params[k], str)
-            else f"{k}={rec.case.params[k]}"
-            for k in sorted(rec.case.params)
+            f"{k}={rec.params[k]:g}"
+            if not isinstance(rec.params[k], str)
+            else f"{k}={rec.params[k]}"
+            for k in sorted(rec.params)
         )
         verdict = rec.verdict.value + ("*" if rec.report_only else "")
         rows.append(
             [
-                rec.case.rule_id.value,
+                rec.rule_id.value,
                 params,
                 f"{rec.lhs:.10g}",
                 f"{rec.rhs:.10g}",

@@ -11,11 +11,16 @@ record's certificates describe the values beside them: each side reaches
 finite-difference derivative, the WEIGHTED_S nested closed form).  A closed
 form that is a factor times one evaluated function is built by ``_scaled``,
 which carries the function's tail bound times |factor|.
+
+Each rule is declared once, by its function: the registry ``RULES`` runs it
+and reads its parameters, integers and default tolerances from its signature.
 """
 
 import cmath
 import dataclasses
+import inspect
 import math
+import sys
 from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
@@ -23,8 +28,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from besselsums import backend, hybrid
-# laguerre2, hermite_m: not called, the reference definitions of the tabled weights
-from besselsums.functions import bessel_j, hermite_m, laguerre2, tricomi_c  # noqa: F401
+from besselsums.functions import bessel_j, tricomi_c
 from besselsums.hybrid import h_tricomi, h_wright, hybrid_k, l_tricomi
 from besselsums.series import (
     DEFAULT_POLICY,
@@ -90,15 +94,10 @@ _FD_TOLERANCES = Tolerances(tol_abs=1e-6, tol_rel=1e-6)
 _FD_STEP = {1: 1e-3, 2: 1e-3, 3: 5e-3, 4: 5e-3}
 
 
-@dataclass(frozen=True)
-class RuleCase:
-    rule_id: RuleId
-    params: dict
-
-
 @dataclass
 class VerificationRecord:
-    case: RuleCase
+    rule_id: RuleId
+    params: dict
     lhs: complex
     rhs: complex
     abs_err: float
@@ -143,7 +142,8 @@ def _record(
     rhs, rhs_ok, rhs_cert = _unpack(rhs)
     abs_err, rel_err = _errors(lhs, rhs)
     return VerificationRecord(
-        case=RuleCase(rule_id, dict(params)),
+        rule_id=rule_id,
+        params=dict(params),
         lhs=lhs,
         rhs=rhs,
         abs_err=abs_err,
@@ -298,6 +298,10 @@ def _check_gen(nu, x, t):
         raise ValueError(f"x must be positive, got x={x}")
     if not abs(2.0 * t) < x:
         raise ValueError(f"requires |2t| < x, got t={t}, x={x}")
+    if not x * x - 2.0 * x * t >= sys.float_info.min:  # sqrt of it is J's argument
+        raise ValueError(
+            f"requires x^2 - 2xt >= {sys.float_info.min:g} (no underflow), got x={x}, t={t}"
+        )
 
 
 def rule_ascending_gen(
@@ -700,7 +704,7 @@ def appendix_derivative_check(
     nu: float,
     x: float,
     policy: SummationPolicy = DEFAULT_POLICY,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
+    tolerances: Tolerances = _FD_TOLERANCES,
 ) -> VerificationRecord:
     """First-order check of (1/x) d/dx [x^nu J_nu(x)] = x^(nu-1) J_{nu-1}(x)
     by central differences (the higher-order ladder is exercised through the
@@ -721,16 +725,16 @@ def appendix_derivative_check(
 
 @dataclass(frozen=True)
 class RuleSchema:
-    """Plan-facing description of one rule: parameter names, which of them are
-    integers, a human-readable statement, a precondition note, the runner, and
-    the domain check the rule function itself calls (raises ValueError)."""
+    """Plan-facing description of one rule: the rule function, the facts
+    ``_schema`` reads from its signature, a human-readable statement, a
+    precondition note, and the domain check the rule function itself calls."""
 
+    run: Callable[..., object]
     params: tuple
+    integer_params: tuple
+    default_tolerances: Tolerances
     statement: str
     constraint: str
-    run: Callable[[dict, SummationPolicy, Tolerances], list]
-    integer_params: tuple = ()
-    default_tolerances: Tolerances = DEFAULT_TOLERANCES
     validate: Optional[Callable[..., object]] = None
 
     def tolerances(self, tol_abs=None, tol_rel=None) -> Tolerances:
@@ -742,123 +746,103 @@ class RuleSchema:
         )
 
 
-def _single(fn):
-    def run(params, policy, tolerances):
-        return [fn(**params, policy=policy, tolerances=tolerances)]
+def _schema(run, validate, statement: str, constraint: str) -> RuleSchema:
+    """The schema of rule function ``run``: its parameters are all but
+    ``policy`` and ``tolerances``, its integers the ones annotated ``int``."""
+    sig = inspect.signature(run).parameters
+    params = tuple(name for name in sig if name not in ("policy", "tolerances"))
+    return RuleSchema(
+        run=run,
+        params=params,
+        integer_params=tuple(name for name in params if sig[name].annotation is int),
+        default_tolerances=sig["tolerances"].default,
+        statement=statement,
+        constraint=constraint,
+        validate=validate,
+    )
 
-    return run
 
+_GEN_DOMAIN = f"x > 0, |2t| < x and x^2-2xt >= {sys.float_info.min:g} (no underflow)"
 
 RULES: dict[RuleId, RuleSchema] = {
-    RuleId.ASCENDING_GEN: RuleSchema(
-        params=("nu", "x", "t"),
-        statement="sum_{n>=0} t^n/n! J_{nu+n}(x) = (x/(x-2t))^(nu/2) J_nu(sqrt(x^2-2xt))",
-        constraint="x > 0 and |2t| < x",
-        run=_single(rule_ascending_gen),
-        validate=_check_gen,
+    RuleId.ASCENDING_GEN: _schema(
+        rule_ascending_gen, _check_gen,
+        "sum_{n>=0} t^n/n! J_{nu+n}(x) = (x/(x-2t))^(nu/2) J_nu(sqrt(x^2-2xt))",
+        _GEN_DOMAIN,
     ),
-    RuleId.DESCENDING_GEN: RuleSchema(
-        params=("nu", "x", "t"),
-        statement="sum_{n>=0} (-t)^n/n! J_{nu-n}(x) = ((x-2t)/x)^(nu/2) J_nu(sqrt(x^2-2xt))",
-        constraint="x > 0 and |2t| < x",
-        run=_single(rule_descending_gen),
-        validate=_check_gen,
+    RuleId.DESCENDING_GEN: _schema(
+        rule_descending_gen, _check_gen,
+        "sum_{n>=0} (-t)^n/n! J_{nu-n}(x) = ((x-2t)/x)^(nu/2) J_nu(sqrt(x^2-2xt))",
+        _GEN_DOMAIN,
     ),
-    RuleId.MULTIPLE_ORDER: RuleSchema(
-        params=("m", "x", "t"),
-        integer_params=("m",),
-        statement="sum_{n>=0} t^n/n! J_{mn}(x) = HC_0^(m)(x^2/4, (-x/2)^m t)",
-        constraint="integer m >= 1",
-        run=_single(rule_multiple_order),
-        validate=_check_multiple,
+    RuleId.MULTIPLE_ORDER: _schema(
+        rule_multiple_order, _check_multiple,
+        "sum_{n>=0} t^n/n! J_{mn}(x) = HC_0^(m)(x^2/4, (-x/2)^m t)",
+        "integer m >= 1",
     ),
-    RuleId.FRACTIONAL_ORDER: RuleSchema(
-        params=("m", "x", "t"),
-        integer_params=("m",),
-        statement="sum_{n>=0} t^n/n! J_{n/m}(x) = HW_0^(m)(t (x/2)^(1/m), -x^2/4 | 1/m)",
-        constraint="integer m >= 1 and x > 0",
-        run=_single(rule_fractional_order),
-        validate=_check_fractional,
+    RuleId.FRACTIONAL_ORDER: _schema(
+        rule_fractional_order, _check_fractional,
+        "sum_{n>=0} t^n/n! J_{n/m}(x) = HW_0^(m)(t (x/2)^(1/m), -x^2/4 | 1/m)",
+        "integer m >= 1 and x > 0",
     ),
-    RuleId.BESSEL_LAGUERRE: RuleSchema(
-        params=("z", "x", "y", "t"),
-        statement="sum_{n>=0} t^n/n! J_n(z) L_n(x,y) = LC_0(-xtz/2, z(z-2yt)/4)",
-        constraint="finite inputs",
-        run=_single(rule_bessel_laguerre),
+    RuleId.BESSEL_LAGUERRE: _schema(
+        rule_bessel_laguerre, None,
+        "sum_{n>=0} t^n/n! J_n(z) L_n(x,y) = LC_0(-xtz/2, z(z-2yt)/4)",
+        "finite inputs",
     ),
-    RuleId.LAGUERRE_HERMITE: RuleSchema(
-        params=("x", "y", "z", "w", "t"),
-        statement=(
+    RuleId.LAGUERRE_HERMITE: _schema(
+        rule_laguerre_hermite, _check_laguerre_hermite,
+        (
             "sum_{n>=0} t^n/n! L_n(x,y) H_n^(2)(z,w)"
             " = e^{yt(z+ywt)} HC_0^(2)(xt(z+2ywt), x^2 w t^2)"
         ),
-        constraint="|t| <= 0.25",
-        run=_single(rule_laguerre_hermite),
-        validate=_check_laguerre_hermite,
+        "|t| <= 0.25",
     ),
-    RuleId.GRAF_REAL: RuleSchema(
-        params=("nu", "x", "y", "t"),
-        statement=(
+    RuleId.GRAF_REAL: _schema(
+        rule_graf, _check_graf_real,
+        (
             "sum_{n in Z} t^n J_{n+nu}(x) J_n(y)"
             " = ((x-y/t)/(x-yt))^(nu/2) J_nu(sqrt(x^2+y^2-xy(t+1/t)))"
         ),
-        constraint="t > 0, x > y/t, x > y*t, x^2+y^2-xy(t+1/t) > 0; x > 0 unless nu is an integer",
-        run=_single(rule_graf),
-        validate=_check_graf_real,
+        "t > 0, x > y/t, x > y*t, x^2+y^2-xy(t+1/t) > 0; x > 0 unless nu is an integer",
     ),
-    RuleId.GRAF_PHASE: RuleSchema(
-        params=("nu", "x", "y", "theta"),
-        statement=(
+    RuleId.GRAF_PHASE: _schema(
+        rule_graf_phase, _check_graf_phase,
+        (
             "sum_{n in Z} e^{in theta} J_{n+nu}(x) J_n(y)"
             " = ((x-y e^{-i theta})/(x-y e^{i theta}))^(nu/2)"
             " J_nu(sqrt(x^2+y^2-2xy cos theta))"
         ),
-        constraint="x > y > 0",
-        run=_single(rule_graf_phase),
-        validate=_check_graf_phase,
+        "x > y > 0",
     ),
-    RuleId.NEUMANN_EXT: RuleSchema(
-        params=("x", "y", "t"),
-        statement=(
+    RuleId.NEUMANN_EXT: _schema(
+        rule_neumann_ext, _check_neumann,
+        (
             "sum_{n in Z} t^n J_n(x) J_{2n}(y) = HK_0^(-2)(y^2/4, x y^2 t/8 | -2x/(y^2 t))"
         ),
-        constraint="y^2 t != 0 in floating point (y, t nonzero and y*y*t not underflowing)",
-        run=_single(rule_neumann_ext),
-        validate=_check_neumann,
+        "y^2 t != 0 in floating point (y, t nonzero and y*y*t not underflowing)",
     ),
-    RuleId.WEIGHTED_S: RuleSchema(
-        params=("l", "m", "x", "y"),
-        integer_params=("l", "m"),
-        statement=(
+    RuleId.WEIGHTED_S: _schema(
+        weighted_sum_S, _check_weighted_s,
+        (
             "S_l^(m)(x,y) = sum_{n in Z} n^m J_{n+l}(x) J_n(y); brute force vs"
             " the theta-derivative route (hard) and the nested closed form"
             " (report-only)"
         ),
-        constraint=f"integer 0 <= l <= {EXACTNESS_BOUND}, integer 0 <= m <= 4, x > y > 0",
-        run=lambda params, policy, tolerances: weighted_sum_S(
-            **params, policy=policy, tolerances=tolerances
-        ),
-        default_tolerances=_FD_TOLERANCES,
-        validate=_check_weighted_s,
+        f"integer 0 <= l <= {EXACTNESS_BOUND}, integer 0 <= m <= 4, x > y > 0",
     ),
-    RuleId.WEIGHTED_E: RuleSchema(
-        params=("l", "m", "x"),
-        integer_params=("l", "m"),
-        statement=(
+    RuleId.WEIGHTED_E: _schema(
+        weighted_sum_E, _check_weighted_e,
+        (
             "E_l^(m)(x) = sum_{n>=0} n^m/n! J_{n+l}(x)"
             " = sum_{k=1}^{m} S2(m,k) (x/2)^{l+k} C_{l+k}((x^2-2x)/4)"
         ),
-        constraint=f"integer 0 <= l <= {EXACTNESS_BOUND}, integer 1 <= m <= 10",
-        run=_single(weighted_sum_E),
-        validate=_check_weighted_e,
+        f"integer 0 <= l <= {EXACTNESS_BOUND}, integer 1 <= m <= 10",
     ),
-    RuleId.APPENDIX_DERIV: RuleSchema(
-        params=("nu", "x"),
-        statement="(1/x) d/dx [x^nu J_nu(x)] = x^(nu-1) J_{nu-1}(x)",
-        constraint=f"x > {_FD_STEP[1]:g} (the finite-difference step)",
-        run=_single(appendix_derivative_check),
-        default_tolerances=_FD_TOLERANCES,
-        validate=_check_appendix,
+    RuleId.APPENDIX_DERIV: _schema(
+        appendix_derivative_check, _check_appendix,
+        "(1/x) d/dx [x^nu J_nu(x)] = x^(nu-1) J_{nu-1}(x)",
+        f"x > {_FD_STEP[1]:g} (the finite-difference step)",
     ),
 }
 
@@ -878,13 +862,12 @@ def run_cases(
     try:
         for params in cases:
             try:  # RULES is read per case, so a runner wrapped there sees every case
-                out = RULES[rule_id].run(params, policy, tol)
+                out = RULES[rule_id].run(**params, policy=policy, tolerances=tol)
             except Exception as exc:  # contained: reported, never crashes the sweep
                 note = f"evaluation failed: {type(exc).__name__}: {exc}"
-                out = [_record(rule_id, params, math.nan, math.nan, tol, note=note)]
-            if perturb:
-                out = [_perturbed(rec, perturb, tol) for rec in out]
-            records += out
+                out = _record(rule_id, params, math.nan, math.nan, tol, note=note)
+            for rec in out if isinstance(out, list) else [out]:  # WEIGHTED_S gives a list
+                records.append(_perturbed(rec, perturb, tol) if perturb else rec)
     finally:
         _J_MEMO.reset(token)
     return records
@@ -897,4 +880,4 @@ def _perturbed(rec: VerificationRecord, delta: float, tol: Tolerances) -> Verifi
     cert = rec.rhs_certificate
     rhs = rec.rhs + delta if cert is None else dataclasses.replace(cert, value=cert.value + delta)
     note = (rec.note + "; " if rec.note else "") + f"rhs perturbed by {delta:g}"
-    return _record(rec.case.rule_id, rec.case.params, lhs, rhs, tol, rec.report_only, note)
+    return _record(rec.rule_id, rec.params, lhs, rhs, tol, rec.report_only, note)

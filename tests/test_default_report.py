@@ -65,7 +65,7 @@ def _assert_certificates_describe_values(report):
     """Wherever a side has a certificate, it certifies the value beside it."""
     for rec in report.records:
         for value, cert in ((rec.lhs, rec.lhs_certificate), (rec.rhs, rec.rhs_certificate)):
-            assert cert is None or value == cert.value, (rec.case, value, cert)
+            assert cert is None or value == cert.value, (rec.rule_id, rec.params, value, cert)
 
 
 def _draw(rng: random.Random, spec):

@@ -14,6 +14,7 @@ import scipy.special as sc
 from besselsums import (
     DEFAULT_POLICY,
     SummationPolicy,
+    functions,
     h_tricomi,
     h_wright,
     hermite_m,
@@ -344,10 +345,13 @@ def test_weight_tables_match_the_direct_definitions():
 def test_rule_sides_read_tables_not_the_direct_sums(monkeypatch):
     calls = []
     for name in ("laguerre2", "hermite_m"):
-        real = getattr(rules, name)
-        monkeypatch.setattr(
-            rules, name, lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args)
-        )
+        assert not hasattr(rules, name)
+
+        def spy(*args, _name=name, _real=getattr(functions, name)):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(functions, name, spy)
     run_plan(load_plan(default_plan_path()))
     assert calls == []
 

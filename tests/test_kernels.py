@@ -131,7 +131,10 @@ def test_perfbench_tracer_sites_resolve(monkeypatch):
 
     tracer = tracing.Tracer().install()
     try:
-        # the Wright kernel loop is gone: wright() sums through hybrid.h_wright
-        assert tracer.missing == ["kernels.wright_series"]
+        # the Wright kernel loop is gone: wright() sums through hybrid.h_wright;
+        # the rules read the tabled weights, not laguerre2 or hermite_m
+        assert tracer.missing == [
+            "kernels.wright_series", "besselsums.rules.laguerre2", "besselsums.rules.hermite_m"
+        ]
     finally:
         tracer.uninstall()

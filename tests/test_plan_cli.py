@@ -1,6 +1,8 @@
 """Plan loading/validation, the runner, report emission, and the CLI."""
 
 import dataclasses
+import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -22,6 +24,7 @@ from besselsums import (
     default_plan_path,
     load_plan,
     rule_ascending_gen,
+    rule_bessel_laguerre,
     rule_descending_gen,
     rule_fractional_order,
     rule_graf,
@@ -35,7 +38,7 @@ from besselsums import (
 )
 from besselsums.cli import main
 from besselsums.report import render_csv, render_json, render_table, VerdictReport
-from besselsums.rules import RuleCase, VerificationRecord
+from besselsums.rules import VerificationRecord
 
 
 def write_plan(tmp_path, payload, name="plan.json"):
@@ -48,7 +51,7 @@ def fail_ascending_gen(monkeypatch):
     """Make every ASCENDING_GEN case raise when the plan runner evaluates it."""
     import besselsums.plan as plan_mod
 
-    def boom(params, policy, tol):
+    def boom(**kwargs):
         raise RuntimeError("synthetic failure")
 
     schema = plan_mod.RULES[RuleId.ASCENDING_GEN]
@@ -197,7 +200,7 @@ class TestRunPlan:
             ]
         }
         report = run_plan(load_plan(write_plan(tmp_path, payload)))
-        routes = [r.case.params.get("route") for r in report.records]
+        routes = [r.params.get("route") for r in report.records]
         assert routes == ["derivative", "closed"]
         assert report.records[1].report_only
 
@@ -288,7 +291,8 @@ class TestRunPlan:
 
 def test_table_prints_na_for_a_rule_with_no_finite_error():
     failed = VerificationRecord(
-        case=RuleCase(RuleId.NEUMANN_EXT, {"x": 1.0, "y": 0.0, "t": 1.0}),
+        rule_id=RuleId.NEUMANN_EXT,
+        params={"x": 1.0, "y": 0.0, "t": 1.0},
         lhs=math.nan,
         rhs=math.nan,
         abs_err=math.nan,
@@ -391,6 +395,23 @@ def test_readme_eval_examples_are_current(capsys):
         assert capsys.readouterr().out == expected
 
 
+# sha256 of the `besselsums list-rules` output
+LIST_RULES_SHA256 = "6acd86e38cbb3ea6d0ce9c2daa9ee9b01064451762fcb8384094bf8b0eae2096"
+
+# The arguments `besselsums eval` takes: each function's signature but policy.
+EVAL_ARGUMENTS = {
+    "bessel_j": ("nu", "x"),
+    "tricomi_c": ("alpha", "x"),
+    "laguerre2": ("n", "x", "y"),
+    "hermite_m": ("n", "m", "x", "y"),
+    "wright": ("nu", "mu", "x"),
+    "h_tricomi": ("nu", "m", "u", "v"),
+    "l_tricomi": ("nu", "u", "v"),
+    "h_wright": ("nu", "m", "mu", "u", "v"),
+    "hybrid_k": ("mu", "m", "x", "y", "xi"),
+}
+
+
 class TestCli:
     def test_eval_bessel(self, capsys):
         assert main(["eval", "bessel_j", "nu=0", "x=0"]) == 0
@@ -470,6 +491,26 @@ class TestCli:
         for rule in RuleId:
             assert rule.value in out
         assert "parameters" in out
+
+    def test_list_rules_output_is_pinned(self, capsys):
+        assert main(["list-rules"]) == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert len(lines) == 5 * len(RuleId)
+        assert "    domain:     x > 0, |2t| < x and x^2-2xt >= 2.22507e-308 (no underflow)" in lines
+        assert lines[-3:] == [
+            "    parameters: nu, x",
+            "    domain:     x > 0.001 (the finite-difference step)",
+            "    default tolerances: abs 1e-06, rel 1e-06",
+        ]
+        assert hashlib.sha256(out.encode()).hexdigest() == LIST_RULES_SHA256
+
+    @pytest.mark.parametrize("name, names", EVAL_ARGUMENTS.items(), ids=EVAL_ARGUMENTS.keys())
+    def test_eval_unknown_key_names_the_signature(self, name, names, capsys):
+        assert main(["eval", name, "q=1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {name} takes {names}, not 'q'\n"
 
     def test_verify_exit_codes(self, tmp_path, capsys):
         ok = write_plan(tmp_path, TRIVIAL_THREE, "ok.json")
@@ -592,6 +633,12 @@ MALFORMED_PLANS = {
     "NEUMANN_EXT y=0": json.dumps(
         {"entries": [{"rule": "NEUMANN_EXT", "grid": {"x": [1], "y": [0], "t": [1]}}]}
     ),
+    "ASCENDING_GEN x^2 - 2xt underflows to zero": ascending_plan(
+        {"nu": [-0.3], "x": [1e-200], "t": [0.0]}
+    ),
+    "ASCENDING_GEN x^2 - 2xt subnormal": ascending_plan(
+        {"nu": [-0.3], "x": [1e-160], "t": [1e-161]}
+    ),
     "APPENDIX_DERIV x inside the stencil": json.dumps(
         {"entries": [{"rule": "APPENDIX_DERIV", "grid": {"nu": [0.5], "x": [0.0001]}}]}
     ),
@@ -613,6 +660,10 @@ def test_malformed_plan_is_a_located_error(tmp_path, capsys, text):
 # none).  Floats where the loader makes floats, so messages print alike.
 OUT_OF_DOMAIN = [
     (RuleId.ASCENDING_GEN, rule_ascending_gen, {"nu": 0.0, "x": 1.0, "t": 2.0}),
+    # x^2 - 2xt, the square of J's argument, underflows to zero or to a subnormal
+    (RuleId.ASCENDING_GEN, rule_ascending_gen, {"nu": -0.3, "x": 1e-200, "t": 0.0}),
+    (RuleId.ASCENDING_GEN, rule_ascending_gen, {"nu": -0.3, "x": 1e-160, "t": 1e-161}),
+    (RuleId.DESCENDING_GEN, rule_descending_gen, {"nu": -0.3, "x": 1e-160, "t": 1e-161}),
     (RuleId.DESCENDING_GEN, rule_descending_gen, {"nu": 0.0, "x": -1.0, "t": 0.0}),
     (RuleId.MULTIPLE_ORDER, rule_multiple_order, {"m": 0, "x": 1.0, "t": 0.1}),
     (RuleId.FRACTIONAL_ORDER, rule_fractional_order, {"m": 2, "x": -1.0, "t": 0.1}),
@@ -653,6 +704,37 @@ def test_loader_and_rule_share_the_domain_message(tmp_path, rule, fn, point):
 def test_every_domain_check_is_covered():
     checked = {rule for rule, schema in RULES.items() if schema.validate is not None}
     assert checked == {rule for rule, _, _ in OUT_OF_DOMAIN}
+
+
+RULE_FUNCTIONS = {
+    RuleId.ASCENDING_GEN: rule_ascending_gen,
+    RuleId.DESCENDING_GEN: rule_descending_gen,
+    RuleId.MULTIPLE_ORDER: rule_multiple_order,
+    RuleId.FRACTIONAL_ORDER: rule_fractional_order,
+    RuleId.BESSEL_LAGUERRE: rule_bessel_laguerre,
+    RuleId.LAGUERRE_HERMITE: rule_laguerre_hermite,
+    RuleId.GRAF_REAL: rule_graf,
+    RuleId.GRAF_PHASE: rule_graf_phase,
+    RuleId.NEUMANN_EXT: rule_neumann_ext,
+    RuleId.WEIGHTED_S: weighted_sum_S,
+    RuleId.WEIGHTED_E: weighted_sum_E,
+    RuleId.APPENDIX_DERIV: appendix_derivative_check,
+}
+
+
+def test_registry_runs_the_rule_functions():
+    assert {rule: schema.run for rule, schema in RULES.items()} == RULE_FUNCTIONS
+
+
+@pytest.mark.parametrize("rule", list(RuleId), ids=lambda rule: rule.value)
+def test_registry_reads_the_rule_signature(rule):
+    """A direct call and a plan entry judge at the same tolerances and read
+    the same parameters."""
+    schema = RULES[rule]
+    sig = inspect.signature(RULE_FUNCTIONS[rule]).parameters
+    assert sig["tolerances"].default == schema.default_tolerances
+    assert schema.integer_params == tuple(p for p in sig if sig[p].annotation is int)
+    assert (*schema.params, "policy", "tolerances") == tuple(sig)
 
 
 class TestTolerances:

@@ -270,7 +270,7 @@ def test_default_plan_j_sides_stop_on_a_proof():
     integer_order = {"DESCENDING_GEN", "GRAF_REAL", "GRAF_PHASE"}
     checked = scaled = 0
     for rec in run_plan(load_plan(default_plan_path())).records:
-        rule, params = rec.case.rule_id.value, rec.case.params
+        rule, params = rec.rule_id.value, rec.params
         if rule in proved or (rule in integer_order and float(params["nu"]).is_integer()):
             assert rec.lhs_certificate.tail_bound is not None, (rule, params)
             checked += 1

@@ -77,9 +77,13 @@ def _cmd_verify(opts) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if opts.tol_abs is not None or opts.tol_rel is not None:
+    flags = {"tol_abs": opts.tol_abs, "tol_rel": opts.tol_rel}
+    given = {key: value for key, value in flags.items() if value is not None}
+    if given:
         try:  # every rule's merge, so a bad flag fails even when no entry uses it
-            merged = {r: s.tolerances(opts.tol_abs, opts.tol_rel) for r, s in RULES.items()}
+            merged = {
+                r: dataclasses.replace(s.default_tolerances, **given) for r, s in RULES.items()
+            }
         except ValueError as exc:
             print(f"error: --tol-abs/--tol-rel: {exc}", file=sys.stderr)
             return 1

@@ -37,7 +37,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -166,9 +166,8 @@ def _load_entry(raw: dict, idx: int) -> PlanEntry:
             raise PlanError(f"{where}: {exc}") from exc
 
     try:
-        tol = None
-        if "tol_abs" in raw or "tol_rel" in raw:
-            tol = schema.tolerances(raw.get("tol_abs"), raw.get("tol_rel"))
+        given = {key: raw[key] for key in ("tol_abs", "tol_rel") if key in raw}
+        tol = replace(schema.default_tolerances, **given) if given else None
         perturb = float(_number("perturb_rhs", raw.get("perturb_rhs", 0.0)))
     except ValueError as exc:
         raise PlanError(f"{where}: {exc}") from exc

@@ -46,28 +46,13 @@ class VerdictReport:
         self.max_abs_err = max_abs
         self.max_rel_err = max_rel
 
-    def counts(self, report_only: bool = False):
-        """Total (verified, discrepant, inconclusive) over records, keeping or
-        dropping report-only ones."""
-        v = d = i = 0
-        for rec in self.records:
-            if rec.report_only and not report_only:
-                continue
-            if rec.verdict is Verdict.VERIFIED:
-                v += 1
-            elif rec.verdict is Verdict.DISCREPANT:
-                d += 1
-            else:
-                i += 1
-        return v, d, i
-
     def exit_code(self) -> int:
         """0 all verified, 2 any discrepancy, 3 any inconclusive (and no
         discrepancy); report-only records never affect the code."""
-        _, d, i = self.counts(report_only=False)
-        if d:
+        verdicts = {rec.verdict for rec in self.records if not rec.report_only}
+        if Verdict.DISCREPANT in verdicts:
             return 2
-        if i:
+        if Verdict.INCONCLUSIVE in verdicts:
             return 3
         return 0
 
@@ -188,7 +173,8 @@ def render_table(report: VerdictReport) -> str:
     ]
     lines += ["  ".join(r[i].ljust(widths[i]) for i in range(len(headers))) for r in rows]
     lines.append("")
-    v, d, i = report.counts(report_only=True)
+    columns = ("verified", "discrepant", "inconclusive")
+    v, d, i = (sum(counts[k] for counts in report.summary.values()) for k in columns)
     lines.append(f"records: {len(report.records)}  verified: {v}  discrepant: {d}  inconclusive: {i}")
     for rule, counts in report.summary.items():
         lines.append(

@@ -274,8 +274,9 @@ def _gamma_majorant(c: float, s: float, mu: float = 1.0, nu: float = 0.0, power:
     return tail
 
 
-def _bilateral_majorant(up: float, down: float, s: float, nu: float, power: int = 0) -> tuple:
-    """The (n > 0, n < 0) majorants of sum_n w_n J_(n+nu)(x) J_n(y), s = |x|/2.
+def _graf_sum(weight, nu, x, y, up, down, policy, power=0) -> SeriesEval:
+    """sum_{n in Z} w_n J_(n+nu)(x) J_n(y), w_n = weight(n), stopped on its
+    (n > 0, n < 0) majorants with s = |x|/2.
 
     ``up`` and ``down`` are chosen so that |w_k| (|y|/2)^k <= k^power up^k and
     |w_-k| (|y|/2)^k <= k^power down^k; with |J_(+-k)(y)| <= (|y|/2)^k / k!
@@ -284,9 +285,14 @@ def _bilateral_majorant(up: float, down: float, s: float, nu: float, power: int 
     non-integer nu no such bound is at hand, so the n < 0 direction is left
     to the negligible-term streak.
     """
+    s = 0.5 * abs(x)
     upper = _gamma_majorant(up, s, 1.0, nu, power)
     lower = _gamma_majorant(down, s, 1.0, -nu, power) if float(nu).is_integer() else None
-    return upper, lower
+    return sum_bilateral(
+        lambda n: weight(n) * _j(nu + n, x, policy) * _j(float(n), y, policy),
+        policy,
+        (upper, lower),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -473,11 +479,7 @@ def rule_graf(
     sum_{n in Z} t^n J_{n+nu}(x) J_n(y)
       =  ((x - y/t)/(x - yt))^(nu/2) J_nu(sqrt(x^2 + y^2 - xy(t + 1/t)))."""
     _check_graf_real(nu, x, y, t)
-    lhs = sum_bilateral(
-        lambda n: math.pow(t, n) * _j(nu + n, x, policy) * _j(float(n), y, policy),
-        policy,
-        _bilateral_majorant(0.5 * t * abs(y), 0.5 * abs(y) / t, 0.5 * abs(x), nu),
-    )
+    lhs = _graf_sum(lambda n: math.pow(t, n), nu, x, y, 0.5 * t * abs(y), 0.5 * abs(y) / t, policy)
     arg = math.sqrt(x * x + y * y - x * y * (t + 1.0 / t))
     rhs = _scaled(_bessel_j(nu, arg, policy), math.pow((x - y / t) / (x - y * t), 0.5 * nu))
     return _record(RuleId.GRAF_REAL, {"nu": nu, "x": x, "y": y, "t": t}, lhs, rhs, tolerances)
@@ -510,11 +512,7 @@ def rule_graf_phase(
     with principal-branch complex powers.  Both sides are compared as complex
     values."""
     _check_graf_phase(nu, x, y, theta)
-    lhs = sum_bilateral(
-        lambda n: cmath.exp(1j * n * theta) * _j(nu + n, x, policy) * _j(float(n), y, policy),
-        policy,
-        _bilateral_majorant(0.5 * y, 0.5 * y, 0.5 * x, nu),
-    )
+    lhs = _graf_sum(lambda n: cmath.exp(1j * n * theta), nu, x, y, 0.5 * y, 0.5 * y, policy)
     rhs = _graf_phase_closed(nu, x, y, theta, policy)
     params = {"nu": nu, "x": x, "y": y, "theta": theta}
     return _record(RuleId.GRAF_PHASE, params, lhs, rhs, tolerances)
@@ -582,12 +580,7 @@ def weighted_sum_S(
     GRAF_PHASE closed form at theta = 0, then, report-only, against the nested
     finite sum of ``_weighted_closed_form``."""
     l, m = _check_weighted_s(l, m, x, y)
-
-    brute = sum_bilateral(
-        lambda n: float(n) ** m * _j(float(n + l), x, policy) * _j(float(n), y, policy),
-        policy,
-        _bilateral_majorant(0.5 * y, 0.5 * y, 0.5 * x, float(l), m),
-    )
+    brute = _graf_sum(lambda n: float(n) ** m, float(l), x, y, 0.5 * y, 0.5 * y, policy, m)
 
     if m == 0:
         deriv = _graf_phase_closed(float(l), x, y, 0.0, policy).value.real
@@ -736,14 +729,6 @@ class RuleSchema:
     statement: str
     constraint: str
     validate: Optional[Callable[..., object]] = None
-
-    def tolerances(self, tol_abs=None, tol_rel=None) -> Tolerances:
-        """The default tolerances with the given overrides (None keeps a default)."""
-        base = self.default_tolerances
-        return Tolerances(
-            tol_abs=base.tol_abs if tol_abs is None else tol_abs,
-            tol_rel=base.tol_rel if tol_rel is None else tol_rel,
-        )
 
 
 def _schema(run, validate, statement: str, constraint: str) -> RuleSchema:

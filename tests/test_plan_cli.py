@@ -304,11 +304,34 @@ def test_table_prints_na_for_a_rule_with_no_finite_error():
     assert "NEUMANN_EXT: 0/1 verified  (max abs err n/a, max rel err n/a)" in text
 
 
+def test_table_totals_count_report_only_records():
+    """The totals line counts every record; the exit code reads the hard ones."""
+
+    def record(verdict, report_only):
+        return VerificationRecord(
+            rule_id=RuleId.WEIGHTED_S, params={"l": 1.0}, lhs=1.0, rhs=1.0, abs_err=0.0,
+            rel_err=0.0, verdict=verdict, report_only=report_only,
+        )
+
+    report = VerdictReport(records=[
+        record(Verdict.VERIFIED, False),
+        record(Verdict.VERIFIED, False),
+        record(Verdict.DISCREPANT, True),
+        record(Verdict.INCONCLUSIVE, True),
+        record(Verdict.INCONCLUSIVE, True),
+    ])
+    lines = render_table(report).splitlines()
+    assert "records: 5  verified: 2  discrepant: 1  inconclusive: 2" in lines
+    assert "  WEIGHTED_S: 2/5 verified  (max abs err 0.000e+00, max rel err 0.000e+00)" in lines
+    assert report.exit_code() == 0
+
+
 class TestDefaultPlanEndToEnd:
     def test_shipped_plan_all_verified(self):
         report = run_plan(load_plan(default_plan_path()))
         assert report.exit_code() == 0
-        v, d, i = report.counts(report_only=True)
+        d = sum(counts["discrepant"] for counts in report.summary.values())
+        i = sum(counts["inconclusive"] for counts in report.summary.values())
         assert d == 0 and i == 0
         assert len(report.records) == 296
         # every rule of the shipped plan appears in the summary

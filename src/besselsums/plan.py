@@ -15,9 +15,9 @@ A plan is a json document::
 Every key outside "entries" is optional, as are the per-entry tolerance
 overrides.  Each entry expands to the cartesian product of its grid lists,
 validated against the rule's parameter schema and domain check before
-anything is evaluated.  Grid values must be finite numbers (json's NaN and
-Infinity are rejected); tolerances must be finite numbers >= 0, not booleans.
-Any key not named here is an error.
+anything is evaluated.  Grid and policy values must be finite numbers (json's
+NaN and Infinity are rejected); tolerances must be finite numbers >= 0, not
+booleans or null.  Any key not named here is an error.
 The optional ``parallelism`` (an integer >= 0) is checked but has no effect:
 every plan runs serially in the calling process.
 The per-entry ``perturb_rhs`` (a finite number added to every right side) is
@@ -37,7 +37,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -47,6 +47,7 @@ from besselsums.series import SummationPolicy, require_int
 
 MAX_GRID_CASES = 100_000
 _PLAN_KEYS = ("policy", "parallelism", "entries")
+_POLICY_KEYS = tuple(f.name for f in fields(SummationPolicy))
 _ENTRY_KEYS = ("rule", "grid", "tol_abs", "tol_rel", "perturb_rhs")
 
 
@@ -94,10 +95,13 @@ def load_plan(path) -> VerificationPlan:
         raise PlanError(f"{path}: plan must be an object with an 'entries' list")
     _reject_unknown_keys(data, _PLAN_KEYS, str(path))
 
-    policy_kwargs = data.get("policy", {})
+    raw = data.get("policy", {})
+    if not isinstance(raw, dict):
+        raise PlanError(f"{path}: policy must be an object, got {raw!r}")
+    _reject_unknown_keys(raw, _POLICY_KEYS, f"{path}: policy")
     try:
-        policy = SummationPolicy(**policy_kwargs)
-    except (TypeError, ValueError) as exc:
+        policy = SummationPolicy(**{key: _number(key, value) for key, value in raw.items()})
+    except ValueError as exc:
         raise PlanError(f"{path}: bad policy: {exc}") from exc
 
     try:

@@ -3,7 +3,13 @@ the closed-form side of an identity and returns a verdict record.
 
 The brute-force side is ground truth.  A case is VERIFIED only when both
 sides' evaluations converged and the sides agree within tolerance; a case
-whose evaluations did not converge is INCONCLUSIVE, never VERIFIED.
+whose evaluations did not converge is INCONCLUSIVE, never VERIFIED.  Two
+sides both within tol_abs of zero agree only on the relative test (see
+``Tolerances``).
+
+GRAF_REAL, GRAF_PHASE and WEIGHTED_S share one left side, the Graf-type sum
+sum_{n in Z} w_n J_(n+nu)(x) J_n(y) with weights t^n, e^(in theta) and n^m;
+``_graf_sum`` builds it and its majorants for all three.
 
 Every record is built by ``_record``, which also decides its verdict.  A
 record's certificates describe the values beside them: each side reaches
@@ -71,9 +77,11 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Verdict tolerances: a side pair agrees when abs_err <= tol_abs or
-    rel_err <= tol_rel.  Defaults sit an order of magnitude above the engine
-    tolerances to absorb cancellation."""
+    """Verdict tolerances: a side pair agrees when rel_err <= tol_rel, or when
+    abs_err <= tol_abs and one side exceeds tol_abs in magnitude.  Two sides
+    both within tol_abs of zero that miss tol_rel are INCONCLUSIVE: at that
+    scale a truncated or underflowed side agrees with anything.  Defaults sit
+    an order of magnitude above the engine tolerances to absorb cancellation."""
 
     tol_abs: float = 1e-9
     tol_rel: float = 1e-8
@@ -110,19 +118,24 @@ class VerificationRecord:
 
 
 def _errors(lhs, rhs):
+    """(abs_err, rel_err, size), size = max(|lhs|, |rhs|)."""
     abs_err = abs(lhs - rhs)
-    denom = max(abs(lhs), abs(rhs))
-    if denom == 0.0:
+    size = max(abs(lhs), abs(rhs))
+    if size == 0.0:
         rel_err = 0.0 if abs_err == 0.0 else math.inf
     else:
-        rel_err = abs_err / denom
-    return abs_err, rel_err
+        rel_err = abs_err / size
+    return abs_err, rel_err, size
 
 
-def _judge(abs_err, rel_err, converged: bool, tol: Tolerances) -> Verdict:
+def _judge(abs_err, rel_err, size, converged: bool, tol: Tolerances) -> Verdict:
     if not (converged and math.isfinite(abs_err)):  # a nan or infinite side proves nothing
         return Verdict.INCONCLUSIVE
-    if abs_err <= tol.tol_abs or rel_err <= tol.tol_rel:
+    if rel_err <= tol.tol_rel:
+        return Verdict.VERIFIED
+    if size <= tol.tol_abs:  # both sides within tol_abs of 0: their agreement is no evidence
+        return Verdict.INCONCLUSIVE
+    if abs_err <= tol.tol_abs:
         return Verdict.VERIFIED
     return Verdict.DISCREPANT
 
@@ -140,7 +153,7 @@ def _record(
 ) -> VerificationRecord:
     lhs, lhs_ok, lhs_cert = _unpack(lhs)
     rhs, rhs_ok, rhs_cert = _unpack(rhs)
-    abs_err, rel_err = _errors(lhs, rhs)
+    abs_err, rel_err, size = _errors(lhs, rhs)
     return VerificationRecord(
         rule_id=rule_id,
         params=dict(params),
@@ -148,7 +161,7 @@ def _record(
         rhs=rhs,
         abs_err=abs_err,
         rel_err=rel_err,
-        verdict=_judge(abs_err, rel_err, lhs_ok and rhs_ok, tol),
+        verdict=_judge(abs_err, rel_err, size, lhs_ok and rhs_ok, tol),
         lhs_certificate=lhs_cert,
         rhs_certificate=rhs_cert,
         report_only=report_only,

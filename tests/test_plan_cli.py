@@ -630,6 +630,29 @@ def ascending_plan(grid=(), **options):
     return json.dumps({"entries": [entry]})
 
 
+# A policy is checked like an entry: the message names the key, not python's
+# own complaint about the call it would have made.
+POLICY_MISTAKES = {
+    "abs_tol null": ({"abs_tol": None}, "bad policy: abs_tol has non-numeric value None"),
+    "misspelt key": (
+        {"abs_tols": 1e-14},
+        "policy: unknown key 'abs_tols' (expected one of abs_tol, rel_tol, max_terms,"
+        " consecutive_small)",
+    ),
+    "not an object": ([1, 2], "policy must be an object, got [1, 2]"),
+}
+
+
+@pytest.mark.parametrize("policy, message", POLICY_MISTAKES.values(), ids=POLICY_MISTAKES.keys())
+def test_policy_mistake_is_named(tmp_path, policy, message):
+    path = write_plan(tmp_path, {"policy": policy, "entries": [ASCENDING]})
+    with pytest.raises(PlanError) as err:
+        load_plan(path)
+    assert str(err.value) == f"{path}: {message}"
+    for python_text in ("not supported between", "unexpected keyword", "must be a mapping"):
+        assert python_text not in str(err.value)
+
+
 # json.dumps writes float('nan') as NaN and float('inf') as Infinity, both of
 # which json.load accepts.
 MALFORMED_PLANS = {
@@ -645,8 +668,13 @@ MALFORMED_PLANS = {
     "NaN grid value": ascending_plan({"nu": [float("nan")]}),
     "Infinity grid value": ascending_plan({"x": [float("inf")]}),
     "negative tolerances": ascending_plan(tol_abs=-1, tol_rel=-1),
+    "tol_abs null": ascending_plan(tol_abs=None),
+    "tol_rel null": ascending_plan(tol_rel=None),
+    "tol_abs given, tol_rel null": ascending_plan(tol_abs=1e-9, tol_rel=None),
     "boolean tolerance": ascending_plan(tol_abs=True, perturb_rhs=0.5),
     "boolean policy budget": json.dumps({"policy": {"consecutive_small": True}, "entries": [ASCENDING]}),
+    **{f"policy {name}": json.dumps({"policy": policy, "entries": [ASCENDING]})
+       for name, (policy, _) in POLICY_MISTAKES.items()},
     "unknown top-level key": json.dumps({"polcy": {"max_terms": 8}, "entries": [ASCENDING]}),
     "unknown entry key": ascending_plan(tol_absolute=1e-30),
     "int past float range": ascending_plan({"x": [10**400]}),

@@ -282,6 +282,13 @@ class TestWeightedS:
         assert abs(deriv.rhs) < 1e-10
         assert abs(closed.rhs) < 1e-14
 
+    @pytest.mark.parametrize("xy", [(3.0, 1.0), (5.0, 2.0)])
+    def test_exact_zero_sides_are_verified(self, xy):
+        # both sides below tol_abs, but equal: rel_err is 0, so the relative test holds
+        for rec in weighted_sum_S(0, 1, *xy):
+            assert rec.lhs == rec.rhs == 0.0
+            assert rec.verdict is Verdict.VERIFIED
+
     def test_brute_vs_deriv(self):
         deriv, _ = weighted_sum_S(1, 1, 3.0, 1.0)
         assert deriv.abs_err <= 1e-6
@@ -318,6 +325,15 @@ class TestWeightedE:
         rec = weighted_sum_E(0, 2, 1.5)
         assert rec.verdict is Verdict.VERIFIED
         assert rec.lhs == pytest.approx(E_BRUTE_0_2_15, rel=1e-10)
+
+    @pytest.mark.parametrize("l", [12, 15, 20, 30])
+    def test_sides_within_tol_abs_need_the_relative_test(self, l):
+        # at l >= 15 the left side is 0.0: its sum stops after the n = 0 term
+        rec = weighted_sum_E(l, 2, 1.5)
+        tol = rules_mod.DEFAULT_TOLERANCES
+        assert max(abs(rec.lhs), abs(rec.rhs)) <= tol.tol_abs
+        assert rec.rel_err > tol.tol_rel
+        assert rec.verdict is Verdict.INCONCLUSIVE
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -649,8 +649,6 @@ def test_policy_mistake_is_named(tmp_path, policy, message):
     with pytest.raises(PlanError) as err:
         load_plan(path)
     assert str(err.value) == f"{path}: {message}"
-    for python_text in ("not supported between", "unexpected keyword", "must be a mapping"):
-        assert python_text not in str(err.value)
 
 
 # json.dumps writes float('nan') as NaN and float('inf') as Infinity, both of

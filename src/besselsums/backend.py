@@ -2,9 +2,9 @@
 
 ``recip_gamma`` and the Bessel and Tricomi series loops, in pure Python over
 floats.  Each series kernel uses Neumaier-compensated accumulation and returns
-``(value, terms_used, last_term_magnitude, converged, tail_bound)``; a term
-that is not finite ends the sum with the sentinel ``(nan, index + 1, inf,
-False, None)``.
+the ``SeriesEval`` certificate of its sum.  A term that is not finite, or a
+sum that overflows, raises ``EvaluationDomainError`` with the index of the
+last term summed.
 
 The Bessel and Tricomi series share one loop, ``_ratio_series``: both step
 their terms by ``c / ((k + 1)(a + k + 1))``.  It stops only on a proved tail:
@@ -26,6 +26,8 @@ in ``besselsums.hybrid``, which starts its Gamma-weighted series by the same
 """
 
 import math
+
+from besselsums.series import EvaluationDomainError, SeriesEval
 
 BACKEND = "pure-python"
 
@@ -52,8 +54,8 @@ def _recip_gamma(a):
     try:
         g = math.exp(-math.lgamma(a))
     except OverflowError:
-        # 1/Gamma past float range becomes inf, so a kernel summing it hands
-        # back the nan sentinel instead of raising
+        # 1/Gamma past float range becomes inf, so a kernel summing it raises
+        # EvaluationDomainError, not OverflowError
         g = math.inf
     if a > 0.0:
         return g
@@ -91,24 +93,26 @@ def _tail(mag, a, ac, k):
     return math.inf
 
 
-def _ratio_series(term, a, c, k0, abs_tol, rel_tol, max_terms):
+def _ratio_series(term, a, c, k0, abs_tol, rel_tol, max_terms, symbol, x):
     """Sum from the index-k0 term ``term``, with term_(k+1) = term_k c / ((k+1)(a+k+1)),
-    returning the tail bound it stopped on, or None without a proved stop."""
+    certified with the tail bound it stopped on, or None without a proved stop;
+    ``symbol``_a(x) names the sum in the error a non-finite term or total raises."""
     total = 0.0
     comp = 0.0
     ac = abs(c)
     k = float(k0)
     mag = abs(term)
     last_mag = 0.0
+    tail = None
     for terms in range(1, max_terms + 1):
-        if term - term != 0.0:  # inf or nan
-            return math.nan, terms, math.inf, False, None
         t = total + term
         if abs(total) >= mag:
             comp += (total - t) + term
         else:
             comp += (term - t) + total
         total = t
+        if t - t != 0.0:  # the term, or the sum with it, is inf or nan
+            break
         last_mag = mag
         term = term * c / ((k + 1.0) * (a + k + 1.0))
         k += 1.0
@@ -116,10 +120,14 @@ def _ratio_series(term, a, c, k0, abs_tol, rel_tol, max_terms):
         if mag <= abs_tol:  # the tail is at least |t_k|: test its bound only past both tolerances
             s = rel_tol * abs(total + comp)
             if mag <= s:
-                tail = _tail(mag, a, ac, k)
-                if tail <= s and tail <= abs_tol:
-                    return total + comp, terms, last_mag, True, tail
-    return total + comp, max_terms, last_mag, False, None
+                bound = _tail(mag, a, ac, k)
+                if bound <= s and bound <= abs_tol:
+                    tail = bound
+                    break
+    value = total + comp  # non-finite once total is, or if the compensation overflows it
+    if value - value != 0.0:
+        raise EvaluationDomainError(f"non-finite term while summing {symbol}_{a}({x})", index=terms - 1)
+    return SeriesEval(value, terms, last_mag, tail is not None, tail)
 
 
 def bessel_j_series(nu, x, abs_tol, rel_tol, max_terms):
@@ -132,7 +140,7 @@ def bessel_j_series(nu, x, abs_tol, rel_tol, max_terms):
         term = math.inf
     if k0 & 1:
         term = -term
-    return _ratio_series(term, nu, -(half * half), k0, abs_tol, rel_tol, max_terms)
+    return _ratio_series(term, nu, -(half * half), k0, abs_tol, rel_tol, max_terms, "J", x)
 
 
 def tricomi_series(alpha, x, abs_tol, rel_tol, max_terms):
@@ -142,4 +150,4 @@ def tricomi_series(alpha, x, abs_tol, rel_tol, max_terms):
         term = math.pow(-x, k0) * _recip_gamma(alpha + k0 + 1.0) * _recip_gamma(k0 + 1.0)
     except OverflowError:
         term = math.inf
-    return _ratio_series(term, alpha, -x, k0, abs_tol, rel_tol, max_terms)
+    return _ratio_series(term, alpha, -x, k0, abs_tol, rel_tol, max_terms, "C", x)

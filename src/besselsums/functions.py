@@ -6,13 +6,13 @@ a few dozen terms, and a single auditable code path is worth more than
 asymptotic switchovers.
 
 Reciprocal gamma and the Bessel and Tricomi series loops are the kernels in
-``besselsums.backend``; this layer checks the arguments and passes a series
-kernel's raw tuple, which is in ``SeriesEval``'s field order, into a
-``SeriesEval`` certificate, raising ``EvaluationDomainError`` on the kernels'
-non-finite sentinel.  The Wright function is the Hermite-based Wright
-composite at v = 0, summed by ``besselsums.hybrid``.  The two polynomial
-families refuse a non-finite argument with ``ValueError`` naming it, and raise
-``EvaluationDomainError`` when a term overflows float range.
+``besselsums.backend``; this layer checks the arguments and returns the
+``SeriesEval`` certificate that a series kernel built.  The kernels raise
+``EvaluationDomainError`` themselves on a term or sum that is not finite.  The
+Wright function is the Hermite-based Wright composite at v = 0, summed by
+``besselsums.hybrid``.  The two polynomial families refuse a non-finite
+argument with ``ValueError`` naming it, and raise ``EvaluationDomainError``
+when a term overflows float range.
 """
 
 import math
@@ -63,10 +63,7 @@ def bessel_j(nu: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) -> S
         raise ValueError(f"bessel_j with non-integer nu={nu} requires x >= 0, got x={x}")
     if x == 0.0 and nu < 0.0 and not nu_is_int:
         raise ValueError(f"bessel_j diverges at x=0 for negative non-integer nu={nu}")
-    raw = backend.bessel_j_series(nu, x, policy.abs_tol, policy.rel_tol, policy.max_terms)
-    if raw[0] - raw[0] != 0.0:
-        raise EvaluationDomainError(f"non-finite term while summing J_{nu}({x})", index=raw[1] - 1)
-    return SeriesEval(*raw)
+    return backend.bessel_j_series(nu, x, policy.abs_tol, policy.rel_tol, policy.max_terms)
 
 
 def tricomi_c(alpha: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) -> SeriesEval:
@@ -77,12 +74,7 @@ def tricomi_c(alpha: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) 
     alpha, x = float(alpha), float(x)
     if alpha - alpha != 0.0 or x - x != 0.0:
         require_finite(alpha=alpha, x=x)
-    raw = backend.tricomi_series(alpha, x, policy.abs_tol, policy.rel_tol, policy.max_terms)
-    if raw[0] - raw[0] != 0.0:
-        raise EvaluationDomainError(
-            f"non-finite term while summing C_{alpha}({x})", index=raw[1] - 1
-        )
-    return SeriesEval(*raw)
+    return backend.tricomi_series(alpha, x, policy.abs_tol, policy.rel_tol, policy.max_terms)
 
 
 def wright(nu: float, mu: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) -> SeriesEval:
@@ -132,10 +124,11 @@ def hermite_m(n: int, m: int, x: float, y: float) -> float:
     if x - x != 0.0 or y - y != 0.0:
         require_finite(x=x, y=y)
     out = 0.0
-    fact_n = math.factorial(n)
     try:
         for k in range(n // m + 1):
-            coeff = fact_n // (math.factorial(n - m * k) * math.factorial(k))
+            # n! / ((n-mk)! k!) as an exact integer, without n! itself, whose
+            # size makes every term slow at large n
+            coeff = math.comb(n, m * k) * (math.factorial(m * k) // math.factorial(k))
             out += coeff * math.pow(x, n - m * k) * math.pow(y, k)
     except OverflowError as exc:
         raise EvaluationDomainError(f"overflow in term {k} of H_{n}^({m})({x}, {y})", index=k) from exc

@@ -195,7 +195,5 @@ def hybrid_k(
         return math.pow(xi, k) * inner.value / float(math.factorial(k))
 
     out = sum_series(term, policy)
-    if not inner_ok:
-        return SeriesEval(out.value, out.terms_used, out.last_term_magnitude, False)
-    return out
+    return out if inner_ok else out._replace(converged=False)
 

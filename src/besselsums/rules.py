@@ -23,7 +23,6 @@ and reads its parameters, integers and default tolerances from its signature.
 """
 
 import cmath
-import dataclasses
 import inspect
 import math
 import sys
@@ -173,13 +172,9 @@ def _scaled(side: SeriesEval, factor) -> SeriesEval:
     """factor * side, with the side's tail bound times |factor| (None stays
     None); the term count and last term stay the inner sum's."""
     tail = side.tail_bound
-    return SeriesEval(
-        factor * side.value,
-        side.terms_used,
-        side.last_term_magnitude,
-        side.converged,
-        None if tail is None else abs(factor) * tail,
-    )
+    if tail is not None:
+        tail *= abs(factor)
+    return side._replace(value=factor * side.value, tail_bound=tail)
 
 
 def _taylor_weight(t: float, n: int) -> float:
@@ -876,6 +871,6 @@ def _perturbed(rec: VerificationRecord, delta: float, tol: Tolerances) -> Verifi
     certificate is shifted with it, so it still describes the value."""
     lhs = rec.lhs if rec.lhs_certificate is None else rec.lhs_certificate
     cert = rec.rhs_certificate
-    rhs = rec.rhs + delta if cert is None else dataclasses.replace(cert, value=cert.value + delta)
+    rhs = rec.rhs + delta if cert is None else cert._replace(value=cert.value + delta)
     note = (rec.note + "; " if rec.note else "") + f"rhs perturbed by {delta:g}"
     return _record(rec.rule_id, rec.params, lhs, rhs, tol, rec.report_only, note)

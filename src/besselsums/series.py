@@ -27,8 +27,8 @@ streak still ends with a negligible last term.
 """
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Union
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple, Optional, Union
 
 Scalar = Union[float, complex]
 
@@ -112,20 +112,21 @@ class SummationPolicy:
 DEFAULT_POLICY = SummationPolicy()
 
 
-@dataclass(frozen=True)
-class SeriesEval:
+class SeriesEval(NamedTuple):
     """A summed value plus its convergence certificate.
 
+    Built once, by the loop that summed the value: the engine sums here and
+    the Bessel and Tricomi kernels in ``besselsums.backend``.  A value derived
+    from another (scaled, shifted) takes its certificate by ``_replace``.
     ``tail_bound`` is the proved bound on the terms left out when the stop was
-    proved, and None when it was heuristic or the sum did not converge.  It
-    takes no part in equality, so certificates compare as they did before it.
+    proved, and None when it was heuristic or the sum did not converge.
     """
 
     value: Scalar
     terms_used: int
     last_term_magnitude: float
     converged: bool
-    tail_bound: Optional[float] = field(default=None, compare=False)
+    tail_bound: Optional[float] = None
 
 
 def _term_error(n: int, t: Optional[Scalar] = None) -> EvaluationDomainError:

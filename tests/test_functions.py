@@ -9,7 +9,15 @@ import scipy.special as sc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besselsums import SummationPolicy, bessel_j, hermite_m, laguerre2, tricomi_c, wright
+from besselsums import (
+    EvaluationDomainError,
+    SummationPolicy,
+    bessel_j,
+    hermite_m,
+    laguerre2,
+    tricomi_c,
+    wright,
+)
 
 # frozen from 30-term direct sums
 J0_1 = 0.7651976865579666
@@ -173,6 +181,31 @@ class TestHermiteM:
     def test_bad_order(self):
         with pytest.raises(ValueError):
             hermite_m(2, 0, 1.0, 1.0)
+
+    def test_large_degree_fails_fast(self, monkeypatch):
+        # n! has about a million digits at n = 200000, and a coefficient
+        # divided down from it costs another such factorial, (n-k)!, per term:
+        # the overflow at term 81 must come without forming any of them
+        real = math.factorial
+
+        def small_factorial(k):
+            if k > 10_000:
+                raise AssertionError(f"factorial({k}) formed")
+            return real(k)
+
+        monkeypatch.setattr(math, "factorial", small_factorial)
+        with pytest.raises(EvaluationDomainError) as info:
+            hermite_m(200_000, 1, 1.0, 1.0)
+        assert str(info.value) == "overflow in term 81 of H_200000^(1)(1.0, 1.0)"
+        assert info.value.index == 81
+        # the coefficients are the same integers, summed in the same order:
+        # the values do not move
+        for n, m, x, y in ((60, 1, 0.9, -0.3), (97, 2, -1.1, 0.4), (150, 5, 0.7, 2.5)):
+            expected = 0.0
+            for k in range(n // m + 1):
+                coeff = real(n) // (real(n - m * k) * real(k))
+                expected += coeff * math.pow(x, n - m * k) * math.pow(y, k)
+            assert hermite_m(n, m, x, y) == expected
 
 
 @pytest.mark.parametrize(

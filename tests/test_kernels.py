@@ -12,13 +12,22 @@ rule promises; the old ones were closer only because the negligible-term
 streak summed a few terms past it.
 """
 
-import math
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 import besselsums
-from besselsums import SummationPolicy, backend, bessel_j, tricomi_c
+from besselsums import (
+    SummationPolicy,
+    Verdict,
+    backend,
+    bessel_j,
+    default_plan_path,
+    load_plan,
+    run_plan,
+    tricomi_c,
+)
 from besselsums.series import EvaluationDomainError
 
 POLICY_ARGS = (1e-14, 1e-12, 400)
@@ -85,16 +94,33 @@ def test_kernel_output_pinned(kernel, order, x, policy_args, expected):
 
 @pytest.mark.parametrize("kernel", ["bessel_j_series", "tricomi_series"])
 def test_overflow_sentinel(kernel):
-    # 1/Gamma(-199.5) overflows: the kernel hands back the nan sentinel
-    value, terms, last_mag, converged, tail = getattr(backend, kernel)(-200.5, 5.0, *POLICY_ARGS)
-    assert math.isnan(value)
-    assert (terms, last_mag, converged, tail) == (1, math.inf, False, None)
+    # 1/Gamma(-199.5) overflows: the kernel itself refuses the sum at its first term
+    with pytest.raises(EvaluationDomainError) as info:
+        getattr(backend, kernel)(-200.5, 5.0, *POLICY_ARGS)
+    assert info.value.index == 0
 
 
 @pytest.mark.parametrize("function", [bessel_j, tricomi_c])
 def test_overflow_sentinel_raises_at_first_term(function):
     with pytest.raises(EvaluationDomainError) as info:
         function(-200.5, 5.0, SummationPolicy(*POLICY_ARGS))
+    assert info.value.index == 0
+
+
+def test_a_sum_of_finite_terms_that_overflows_is_refused():
+    # with a = 0 and c = 1 the second term equals the first: both finite, their sum not
+    with pytest.raises(EvaluationDomainError) as info:
+        backend._ratio_series(1e308, 0.0, 1.0, 0, *POLICY_ARGS, "C", -1.0)
+    assert str(info.value) == "non-finite term while summing C_0.0(-1.0)"
+    assert info.value.index == 1
+
+
+@pytest.mark.parametrize("function, symbol", [(bessel_j, "J"), (tricomi_c, "C")])
+def test_non_finite_term_message_is_pinned(function, symbol):
+    # the message reaches `eval`'s stderr and the notes of failed records
+    with pytest.raises(EvaluationDomainError) as info:
+        function(-200.5, 5.0)
+    assert str(info.value) == f"non-finite term while summing {symbol}_-200.5(5.0)"
     assert info.value.index == 0
 
 
@@ -138,3 +164,19 @@ def test_perfbench_tracer_sites_resolve(monkeypatch):
         ]
     finally:
         tracer.uninstall()
+
+
+def test_perfbench_tracer_counts_kernel_terms(monkeypatch):
+    # the tracer reads a kernel's term count as result[1], an engine sum's as
+    # result.terms_used: a certificate must be a tuple with both
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    plan = load_plan(default_plan_path())
+    first = dataclasses.replace(plan, entries=plan.entries[:1], parallelism=1)  # ASCENDING_GEN
+    with tracing.Tracer() as tracer:
+        report = run_plan(first)
+    spans = tracer.snapshot()
+    assert report.records and {rec.verdict for rec in report.records} == {Verdict.VERIFIED}
+    assert spans["kernels.bessel_j_series"]["terms"] > 0
+    assert spans["series.sum_series"]["terms"] > 0

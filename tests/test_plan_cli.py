@@ -1,6 +1,5 @@
 """Plan loading/validation, the runner, report emission, and the CLI."""
 
-import dataclasses
 import hashlib
 import inspect
 import itertools
@@ -282,7 +281,7 @@ class TestRunPlan:
                 assert new.rhs_certificate is None
                 continue
             assert new.rhs_certificate.value == new.rhs
-            assert dataclasses.replace(new.rhs_certificate, value=old.rhs) == old.rhs_certificate
+            assert new.rhs_certificate._replace(value=old.rhs) == old.rhs_certificate
         # the json certificates are unchanged by the shift
         old_rows = json.loads(render_json(plain))["records"]
         new_rows = json.loads(render_json(shifted))["records"]

@@ -220,8 +220,11 @@ class TestMajorant:
         upper_only = sum_bilateral(lambda n: r ** abs(n), DEFAULT_POLICY, (tail, None))
         assert upper_only.converged and upper_only.tail_bound is None
 
-    def test_tail_bound_takes_no_part_in_equality(self):
-        assert SeriesEval(1.0, 3, 0.0, True, 1e-20) == SeriesEval(1.0, 3, 0.0, True)
+    def test_tail_bound_takes_part_in_equality(self):
+        # a certificate is a tuple of all five fields, the proved tail included
+        assert SeriesEval(1.0, 3, 0.0, True, 1e-20) != SeriesEval(1.0, 3, 0.0, True)
+        assert SeriesEval(1.0, 3, 0.0, True, 1e-20) == (1.0, 3, 0.0, True, 1e-20)
+        assert SeriesEval(1.0, 3, 0.0, True).tail_bound is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,65 @@
+# Checks of the installed `besselsums` console script, shared by the CI jobs:
+#
+#     bash -e .github/console_checks.sh DIR
+#
+# DIR receives the files the checks write.  bash -e does not stop on a failing
+# test inside an `if` or on a "!"-negated command, so each check exits by hand.
+dir=${1:?usage: bash -e console_checks.sh DIR}
+
+# run a command with its stderr in $dir/err (echoed) and its exit code in $code
+run() {
+  code=0
+  "$@" 2>"$dir/err" || code=$?
+  cat "$dir/err"
+}
+fail() {
+  echo "console check failed: $*" >&2
+  exit 1
+}
+
+echo "== console script"
+# eval reads each function's arguments from its signature; a missing one must fail
+besselsums list-rules
+besselsums verify --format json --out "$dir/report.json"
+besselsums eval bessel_j nu=0 x=1
+besselsums eval hybrid_k mu=0 m=-2 x=0.25 y=0.1 xi=-1
+if besselsums eval bessel_j nu=0; then fail "eval with a missing argument exited 0"; fi
+# 1/Gamma(nu + k + 1) underflows to 0 past lgamma's range, so the sum is 0
+besselsums eval bessel_j nu=1e306 x=1
+
+echo "== the report is strict json"
+python -c 'import json, sys;
+json.load(open(sys.argv[1]), parse_constant=lambda t: sys.exit(f"not json: {t}"))' "$dir/report.json"
+
+echo "== a null tolerance is a located error"
+# a json null is refused, not read as "use the default"
+echo '{"entries": [{"rule": "ASCENDING_GEN", "grid": {"nu": [0], "x": [2], "t": [0.1]}, "tol_abs": null}]}' > "$dir/null.json"
+run besselsums verify --plan "$dir/null.json"
+if [ "$code" -ne 1 ]; then fail "null tolerance exited $code"; fi
+if [ "$(head -c 14 "$dir/err")" != "error: entry 0" ]; then fail "null tolerance is not located"; fi
+if grep -q Traceback "$dir/err"; then fail "null tolerance printed a traceback"; fi
+
+echo "== a plan nested past the recursion limit is a located error"
+python -c 'print("{\"entries\": " + "[" * 200000 + "]" * 200000 + "}")' > "$dir/deep.json"
+run besselsums verify --plan "$dir/deep.json"
+if [ "$code" -ne 1 ]; then fail "deep plan exited $code"; fi
+if grep -q Traceback "$dir/err"; then fail "deep plan printed a traceback"; fi
+
+echo "== kernel errors fail located, and fast"
+# a non-finite kernel sum is one error line (stderr compared whole, so no
+# traceback); a hermite_m degree whose terms overflow fails within seconds,
+# where timeout would exit 124
+run besselsums eval bessel_j nu=-200.5 x=5
+if [ "$code" -ne 1 ]; then fail "non-finite J sum exited $code"; fi
+if [ "$(cat "$dir/err")" != "error: non-finite term while summing J_-200.5(5.0)" ]; then
+  fail "non-finite J sum gave another message"
+fi
+run timeout 20 besselsums eval hermite_m n=200000 m=1 x=1 y=1
+if [ "$code" -ne 1 ]; then fail "overflowing hermite_m exited $code"; fi
+
+echo "== a reader that leaves early gets no traceback"
+# judge stderr, not the pipeline's status, which depends on pipefail
+besselsums list-rules 2>"$dir/err" | head -1 || true
+if [ -s "$dir/err" ]; then cat "$dir/err"; fail "an early reader made list-rules write to stderr"; fi
+
+echo "console checks passed"

@@ -1,7 +1,9 @@
 """Scalar kernels for the hot series loops.
 
 ``recip_gamma`` and the Bessel and Tricomi series loops, in pure Python over
-floats.  Each series kernel uses Neumaier-compensated accumulation and returns
+floats.  Each series kernel takes the ``SummationPolicy`` and reads its
+``abs_tol``, ``rel_tol`` and ``max_terms`` itself, like the engine sums in
+``besselsums.series``; it uses Neumaier-compensated accumulation and returns
 the ``SeriesEval`` certificate of its sum.  A term that is not finite, or a
 sum that overflows, raises ``EvaluationDomainError`` with the index of the
 last term summed.
@@ -41,8 +43,8 @@ def _recip_gamma(a):
 
     1/math.gamma(a), within 7 ulps, where Gamma(a) is a normal float
     (-170.5 <= a < 171.6); outside, exp(-lgamma(a)), whose error grows with
-    |lgamma(a)| (1/Gamma is subnormal there above the range, and past float
-    range below it).
+    |lgamma(a)| (1/Gamma is subnormal, then 0.0, above the range, and past
+    float range below it).
     """
     if a == math.floor(a):
         if a <= 0.0:
@@ -54,9 +56,10 @@ def _recip_gamma(a):
     try:
         g = math.exp(-math.lgamma(a))
     except OverflowError:
-        # 1/Gamma past float range becomes inf, so a kernel summing it raises
-        # EvaluationDomainError, not OverflowError
-        g = math.inf
+        # above the range lgamma(a) itself overflows (from a = 2.56e305), and
+        # 1/Gamma is 0.0; below it 1/Gamma is past float range and becomes inf,
+        # so a kernel summing it raises EvaluationDomainError, not OverflowError
+        g = 0.0 if a > 0.0 else math.inf
     if a > 0.0:
         return g
     # sign of Gamma alternates between consecutive negative-axis poles
@@ -93,10 +96,11 @@ def _tail(mag, a, ac, k):
     return math.inf
 
 
-def _ratio_series(term, a, c, k0, abs_tol, rel_tol, max_terms, symbol, x):
+def _ratio_series(term, a, c, k0, policy, symbol, x):
     """Sum from the index-k0 term ``term``, with term_(k+1) = term_k c / ((k+1)(a+k+1)),
     certified with the tail bound it stopped on, or None without a proved stop;
     ``symbol``_a(x) names the sum in the error a non-finite term or total raises."""
+    abs_tol, rel_tol = policy.abs_tol, policy.rel_tol
     total = 0.0
     comp = 0.0
     ac = abs(c)
@@ -104,7 +108,7 @@ def _ratio_series(term, a, c, k0, abs_tol, rel_tol, max_terms, symbol, x):
     mag = abs(term)
     last_mag = 0.0
     tail = None
-    for terms in range(1, max_terms + 1):
+    for terms in range(1, policy.max_terms + 1):
         t = total + term
         if abs(total) >= mag:
             comp += (total - t) + term
@@ -130,7 +134,7 @@ def _ratio_series(term, a, c, k0, abs_tol, rel_tol, max_terms, symbol, x):
     return SeriesEval(value, terms, last_mag, tail is not None, tail)
 
 
-def bessel_j_series(nu, x, abs_tol, rel_tol, max_terms):
+def bessel_j_series(nu, x, policy):
     """Ascending series for J_nu(x): sum_k (-1)^k (x/2)^(2k+nu) / (k! Gamma(nu+k+1))."""
     half = 0.5 * x
     k0 = leading_pole_shift(nu + 1.0)
@@ -140,14 +144,14 @@ def bessel_j_series(nu, x, abs_tol, rel_tol, max_terms):
         term = math.inf
     if k0 & 1:
         term = -term
-    return _ratio_series(term, nu, -(half * half), k0, abs_tol, rel_tol, max_terms, "J", x)
+    return _ratio_series(term, nu, -(half * half), k0, policy, "J", x)
 
 
-def tricomi_series(alpha, x, abs_tol, rel_tol, max_terms):
+def tricomi_series(alpha, x, policy):
     """Tricomi series C_alpha(x): sum_k (-x)^k / (k! Gamma(alpha+k+1))."""
     k0 = leading_pole_shift(alpha + 1.0)
     try:
         term = math.pow(-x, k0) * _recip_gamma(alpha + k0 + 1.0) * _recip_gamma(k0 + 1.0)
     except OverflowError:
         term = math.inf
-    return _ratio_series(term, alpha, -x, k0, abs_tol, rel_tol, max_terms, "C", x)
+    return _ratio_series(term, alpha, -x, k0, policy, "C", x)

@@ -10,6 +10,10 @@ Subcommands::
 Exit codes: 0 all verified; 2 discrepancies; 3 inconclusive results (and no
 discrepancy); 1 usage or I/O errors, including the ones argparse reports and
 a reader that leaves early (``besselsums list-rules | head -1``), which is quiet.
+
+``verify`` prints the ``PlanError`` that ``load_plan`` raises for any plan that
+fails to load.  ``--tol-abs``/``--tol-rel`` are checked once, as a ``Tolerances``,
+then merged over the rule defaults of each entry that sets no tolerance itself.
 """
 
 import argparse
@@ -21,7 +25,7 @@ import sys
 from besselsums import functions, hybrid
 from besselsums.plan import PlanError, default_plan_path, load_plan, run_plan
 from besselsums.report import FORMATS, emit_report
-from besselsums.rules import RULES
+from besselsums.rules import RULES, Tolerances
 from besselsums.series import SeriesEval
 
 # eval-subcommand dispatch: name -> function, whose signature names its arguments
@@ -67,12 +71,6 @@ def _cmd_verify(opts) -> int:
     path = opts.plan if opts.plan is not None else default_plan_path()
     try:
         plan = load_plan(path)
-    except FileNotFoundError:
-        print(f"error: plan file not found: {path}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # a directory, no read permission, ...
-        print(f"error: cannot read plan file: {path}: {exc.strerror or exc}", file=sys.stderr)
-        return 1
     except PlanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -80,15 +78,15 @@ def _cmd_verify(opts) -> int:
     flags = {"tol_abs": opts.tol_abs, "tol_rel": opts.tol_rel}
     given = {key: value for key, value in flags.items() if value is not None}
     if given:
-        try:  # every rule's merge, so a bad flag fails even when no entry uses it
-            merged = {
-                r: dataclasses.replace(s.default_tolerances, **given) for r, s in RULES.items()
-            }
+        try:  # checked here, so a bad flag fails even when no entry uses it
+            Tolerances(**given)
         except ValueError as exc:
             print(f"error: --tol-abs/--tol-rel: {exc}", file=sys.stderr)
             return 1
         entries = tuple(
-            e if e.tolerances is not None else dataclasses.replace(e, tolerances=merged[e.rule_id])
+            e if e.tolerances is not None else dataclasses.replace(
+                e, tolerances=dataclasses.replace(RULES[e.rule_id].default_tolerances, **given)
+            )
             for e in plan.entries
         )
         plan = dataclasses.replace(plan, entries=entries)

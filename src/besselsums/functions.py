@@ -6,8 +6,9 @@ a few dozen terms, and a single auditable code path is worth more than
 asymptotic switchovers.
 
 Reciprocal gamma and the Bessel and Tricomi series loops are the kernels in
-``besselsums.backend``; this layer checks the arguments and returns the
-``SeriesEval`` certificate that a series kernel built.  The kernels raise
+``besselsums.backend``; this layer checks the arguments, passes the
+``SummationPolicy`` on as it is, and returns the ``SeriesEval`` certificate
+that a series kernel built.  The kernels raise
 ``EvaluationDomainError`` themselves on a term or sum that is not finite.  The
 Wright function is the Hermite-based Wright composite at v = 0, summed by
 ``besselsums.hybrid``.  The two polynomial families refuse a non-finite
@@ -63,7 +64,7 @@ def bessel_j(nu: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) -> S
         raise ValueError(f"bessel_j with non-integer nu={nu} requires x >= 0, got x={x}")
     if x == 0.0 and nu < 0.0 and not nu_is_int:
         raise ValueError(f"bessel_j diverges at x=0 for negative non-integer nu={nu}")
-    return backend.bessel_j_series(nu, x, policy.abs_tol, policy.rel_tol, policy.max_terms)
+    return backend.bessel_j_series(nu, x, policy)
 
 
 def tricomi_c(alpha: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) -> SeriesEval:
@@ -74,7 +75,7 @@ def tricomi_c(alpha: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) 
     alpha, x = float(alpha), float(x)
     if alpha - alpha != 0.0 or x - x != 0.0:
         require_finite(alpha=alpha, x=x)
-    return backend.tricomi_series(alpha, x, policy.abs_tol, policy.rel_tol, policy.max_terms)
+    return backend.tricomi_series(alpha, x, policy)
 
 
 def wright(nu: float, mu: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) -> SeriesEval:

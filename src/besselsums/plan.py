@@ -22,7 +22,8 @@ The optional ``parallelism`` (an integer >= 0) is checked but has no effect:
 every plan runs serially in the calling process.
 The per-entry ``perturb_rhs`` (a finite number added to every right side) is
 a test hook for exercising the DISCREPANT paths.  Every violation raises
-PlanError, which names the file or the entry at fault.
+PlanError, which names the file or the entry at fault; so does a file that
+cannot be opened, read or parsed as json.
 
 Each entry's cases run through ``rules.run_cases``, which reuses a Bessel J
 evaluated once for every later case of that entry (the brute-force sides
@@ -84,13 +85,18 @@ def default_plan_path() -> Path:
 
 
 def load_plan(path) -> VerificationPlan:
-    """Parse and validate a plan file; raises PlanError with the offending
-    entry index and parameter name on schema violations."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """Parse and validate a plan file; raises PlanError for a file that cannot
+    be read or parsed, and with the offending entry index and parameter name
+    on schema violations."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except ValueError as exc:  # bad json, bad utf-8, or an int beyond python's digit limit
-            raise PlanError(f"{path}: not valid json: {exc}") from exc
+    except FileNotFoundError:
+        raise PlanError(f"plan file not found: {path}") from None
+    except OSError as exc:  # a directory, no read permission, ...
+        raise PlanError(f"cannot read plan file: {path}: {exc.strerror or exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad json or utf-8, a huge int, deep nesting
+        raise PlanError(f"{path}: not valid json: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
         raise PlanError(f"{path}: plan must be an object with an 'entries' list")
     _reject_unknown_keys(data, _PLAN_KEYS, str(path))

@@ -299,3 +299,19 @@ class TestWright:
                 ev = wright(nu, mu, x)
                 assert ev.converged, (nu, mu, x)
                 assert abs(ev.value - exact) <= 1e-14 * scale + rounding, (nu, mu, x)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bessel_j(1e306, 1.0),
+        lambda: tricomi_c(1e306, 1.0),
+        lambda: wright(1e308, 1.0, 1.0),
+    ],
+    ids=["bessel_j", "tricomi_c", "wright"],
+)
+def test_order_past_lgamma_range_sums_to_zero(call):
+    # every 1/Gamma weight underflows to 0.0, so the sum is 0, not a non-finite term
+    result = call()
+    assert result.value == 0.0
+    assert result.converged

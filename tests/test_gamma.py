@@ -50,6 +50,11 @@ class TestReciprocalGamma:
         with pytest.raises(ValueError):
             reciprocal_gamma(math.nan)
 
+    @pytest.mark.parametrize("a", [2.56e305, 3e305, 1e306, 1.7e308])
+    def test_zero_where_lgamma_overflows(self, a):
+        # math.lgamma(a) overflows from a = 2.56e305; 1/Gamma(a) is 0.0 there, not inf
+        assert reciprocal_gamma(a) == 0.0
+
 
 def _ulps(a, mpmath):
     got = reciprocal_gamma(a)

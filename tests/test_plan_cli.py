@@ -5,6 +5,7 @@ import inspect
 import itertools
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -72,6 +73,13 @@ TRIVIAL_THREE = {
 }
 
 
+# 200,000 levels: past the recursion limit of the json decoder
+DEEP_NESTING = {
+    "arrays": '{"entries": ' + "[" * 200_000 + "]" * 200_000 + "}",
+    "objects": '{"entries": [' + '{"a": ' * 200_000 + "{}" + "}" * 200_000 + "]}",
+}
+
+
 class TestLoadPlan:
     def test_minimal(self, tmp_path):
         plan = load_plan(write_plan(tmp_path, MINIMAL))
@@ -133,8 +141,20 @@ class TestLoadPlan:
             load_plan(write_plan(tmp_path, bad))
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_plan(tmp_path / "absent.json")
+        path = tmp_path / "absent.json"
+        with pytest.raises(PlanError, match=f"^plan file not found: {re.escape(str(path))}$"):
+            load_plan(path)
+
+    def test_directory_is_a_plan_error(self, tmp_path):
+        with pytest.raises(PlanError, match=f"^cannot read plan file: {re.escape(str(tmp_path))}: "):
+            load_plan(tmp_path)
+
+    @pytest.mark.parametrize("nest", sorted(DEEP_NESTING))
+    def test_nesting_past_the_recursion_limit(self, tmp_path, nest):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_NESTING[nest])
+        with pytest.raises(PlanError, match=f"^{re.escape(str(path))}: not valid json: "):
+            load_plan(path)
 
     def test_bad_policy(self, tmp_path):
         bad = dict(MINIMAL, policy={"max_terms": 1})
@@ -556,14 +576,25 @@ class TestCli:
         capsys.readouterr()
 
     def test_verify_missing_plan(self, tmp_path, capsys):
-        assert main(["verify", "--plan", str(tmp_path / "none.json")]) == 1
-        assert "not found" in capsys.readouterr().err
+        path = tmp_path / "none.json"
+        assert main(["verify", "--plan", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: plan file not found: {path}\n"
 
     def test_verify_plan_is_a_directory(self, tmp_path, capsys):
         assert main(["verify", "--plan", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read plan file: {tmp_path}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("nest", sorted(DEEP_NESTING))
+    def test_verify_deep_plan(self, tmp_path, capsys, nest):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_NESTING[nest])
+        assert main(["verify", "--plan", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: not valid json: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_verify_invalid_plan(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -817,6 +848,54 @@ class TestTolerances:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be a finite number >= 0" in captured.err
+
+    @staticmethod
+    def verify_tolerances(tmp_path, monkeypatch, capsys, entries, *flags):
+        """The tolerances each entry reaches the plan runner with under ``flags``."""
+        import besselsums.cli as cli_mod
+
+        seen = []
+
+        def runner(plan):
+            seen.extend(entry.tolerances for entry in plan.entries)
+            return VerdictReport(records=[])
+
+        monkeypatch.setattr(cli_mod, "run_plan", runner)
+        path = write_plan(tmp_path, {"entries": entries})
+        assert main(["verify", "--plan", str(path), "--format", "csv", *flags]) == 0
+        capsys.readouterr()
+        return seen
+
+    def test_entry_tolerance_beats_every_flag(self, tmp_path, monkeypatch, capsys):
+        # an entry with only tol_rel keeps its rule's tol_abs, not --tol-abs
+        entries = [{**ASCENDING, "tol_rel": 1e-5}]
+        seen = self.verify_tolerances(tmp_path, monkeypatch, capsys, entries, "--tol-abs", "1e-3")
+        assert seen == [Tolerances(tol_abs=1e-9, tol_rel=1e-5)]
+
+    @pytest.mark.parametrize(
+        "flags, ascending, derivative",
+        [
+            (("--tol-abs", "1e-3"), Tolerances(1e-3, 1e-8), Tolerances(1e-3, 1e-6)),
+            (("--tol-rel", "1e-4"), Tolerances(1e-9, 1e-4), Tolerances(1e-6, 1e-4)),
+            (("--tol-abs", "0", "--tol-rel", "0"), Tolerances(0, 0), Tolerances(0, 0)),
+        ],
+    )
+    def test_flags_merge_over_rule_defaults(
+        self, tmp_path, monkeypatch, capsys, flags, ascending, derivative
+    ):
+        # an entry without tolerances takes the flags over its own rule's
+        # defaults: the finite-difference rule keeps 1e-6 on the field not given
+        entries = [ASCENDING, {"rule": "APPENDIX_DERIV", "grid": {"nu": [1], "x": [2]}}]
+        seen = self.verify_tolerances(tmp_path, monkeypatch, capsys, entries, *flags)
+        assert seen == [ascending, derivative]
+
+    def test_bad_flag_fails_when_no_entry_uses_it(self, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        path.write_text(ascending_plan(tol_abs=1e-9, tol_rel=1e-8))
+        assert main(["verify", "--plan", str(path), "--tol-rel", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --tol-abs/--tol-rel: tol_rel must be a finite number >= 0, got -1.0\n"
 
 
 # Fuzzing: arbitrary json made from the words a plan uses, and plan-shaped

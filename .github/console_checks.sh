@@ -31,6 +31,20 @@ echo "== the report is strict json"
 python -c 'import json, sys;
 json.load(open(sys.argv[1]), parse_constant=lambda t: sys.exit(f"not json: {t}"))' "$dir/report.json"
 
+echo "== the report is indent-2 json"
+# render_json fills in one template per record; the file must be byte for byte
+# what json.dumps(indent=2) writes for the same document
+python -c 'import json, sys; text = open(sys.argv[1]).read()
+sys.exit(text != json.dumps(json.loads(text), indent=2) + "\n")' "$dir/report.json" ||
+  fail "the json report is not what json.dumps(indent=2) writes"
+
+echo "== a plan error echoes a huge value abbreviated"
+python -c 'import json; print(json.dumps({"entries": [{"rule": "ASCENDING_GEN",
+"grid": {"nu": [0], "x": [[0] * 100000], "t": [0.1]}}]}))' > "$dir/huge.json"
+run besselsums verify --plan "$dir/huge.json"
+if [ "$code" -ne 1 ]; then fail "huge grid value exited $code"; fi
+if [ "$(wc -c < "$dir/err")" -ge 500 ]; then fail "huge grid value gave $(wc -c < "$dir/err") bytes of stderr"; fi
+
 echo "== a null tolerance is a located error"
 # a json null is refused, not read as "use the default"
 echo '{"entries": [{"rule": "ASCENDING_GEN", "grid": {"nu": [0], "x": [2], "t": [0.1]}, "tol_abs": null}]}' > "$dir/null.json"

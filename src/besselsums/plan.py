@@ -36,6 +36,7 @@ sweep of distinct points holds no more than one entry's values; outside
 import itertools
 import json
 import math
+import reprlib
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -50,6 +51,12 @@ MAX_GRID_CASES = 100_000
 _PLAN_KEYS = ("policy", "parallelism", "entries")
 _POLICY_KEYS = tuple(f.name for f in fields(SummationPolicy))
 _ENTRY_KEYS = ("rule", "grid", "tol_abs", "tol_rel", "perturb_rhs")
+# Messages echo the offending json value abbreviated, to about 2 kB at most, so
+# a 100,000-number grid list is not one 300 kB line.  Short values print as
+# repr prints them.
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel = 2
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 40
 
 
 class PlanError(ValueError):
@@ -103,7 +110,7 @@ def load_plan(path) -> VerificationPlan:
 
     raw = data.get("policy", {})
     if not isinstance(raw, dict):
-        raise PlanError(f"{path}: policy must be an object, got {raw!r}")
+        raise PlanError(f"{path}: policy must be an object, got {_ECHO.repr(raw)}")
     _reject_unknown_keys(raw, _POLICY_KEYS, f"{path}: policy")
     try:
         policy = SummationPolicy(**{key: _number(key, value) for key, value in raw.items()})
@@ -124,9 +131,9 @@ def load_plan(path) -> VerificationPlan:
 def _number(what: str, value):
     """``value`` if it is a finite json number, else ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} has non-numeric value {value!r}")
+        raise ValueError(f"{what} has non-numeric value {_ECHO.repr(value)}")
     if not abs(value) <= sys.float_info.max:  # NaN, +-Infinity, or an int past float range
-        raise ValueError(f"{what} has non-finite value {value!r}")
+        raise ValueError(f"{what} has non-finite value {_ECHO.repr(value)}")
     return value
 
 
@@ -134,19 +141,21 @@ def _reject_unknown_keys(obj: dict, known: tuple, where: str) -> None:
     """Refuse a misspelt setting rather than drop it."""
     for key in obj:
         if key not in known:
-            raise PlanError(f"{where}: unknown key {key!r} (expected one of {', '.join(known)})")
+            raise PlanError(
+                f"{where}: unknown key {_ECHO.repr(key)} (expected one of {', '.join(known)})"
+            )
 
 
 def _load_entry(raw: dict, idx: int) -> PlanEntry:
     where = f"entry {idx}"
     if not isinstance(raw, dict):
-        raise PlanError(f"{where}: must be an object, got {raw!r}")
+        raise PlanError(f"{where}: must be an object, got {_ECHO.repr(raw)}")
     if "rule" not in raw:
         raise PlanError(f"{where}: missing 'rule'")
     try:
         rule_id = RuleId(raw["rule"])
     except ValueError:
-        raise PlanError(f"{where}: unknown rule {raw['rule']!r}") from None
+        raise PlanError(f"{where}: unknown rule {_ECHO.repr(raw['rule'])}") from None
     schema = RULES[rule_id]
     where = f"entry {idx} ({rule_id.value})"
     _reject_unknown_keys(raw, _ENTRY_KEYS, where)
@@ -159,7 +168,7 @@ def _load_entry(raw: dict, idx: int) -> PlanEntry:
     if missing:
         raise PlanError(f"{where}: missing parameter {sorted(missing)}")
     if extra:
-        raise PlanError(f"{where}: unexpected parameter {sorted(extra)}")
+        raise PlanError(f"{where}: unexpected parameter {_ECHO.repr(sorted(extra))}")
 
     clean = {}
     for name in schema.params:  # keep schema order for deterministic case order

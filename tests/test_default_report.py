@@ -5,17 +5,25 @@ are hybrid composites.
 A change that leaves every number the same must leave these digests the same.
 They were recorded on x86-64 with Python 3.11 and the pure-python kernels;
 another libm may round ``pow``/``lgamma`` differently and move them.
+
+The json writer fills in one template per record; here it is checked byte for
+byte against the dict tree it replaced, dumped by ``json.dumps(indent=2)``.
 """
 
 import dataclasses
 import hashlib
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besselsums.plan import default_plan_path, load_plan, run_plan
-from besselsums.report import render_json
+from besselsums.report import VerdictReport, render_json, report_to_json_dict
+from besselsums.rules import RuleId, Verdict, VerificationRecord, rule_ascending_gen, weighted_sum_S
+from besselsums.series import SeriesEval
 
 # Re-recorded when the J and Tricomi kernels and the J-weighted rule sides
 # began to stop on proved tail bounds and 1/Gamma became 1/math.gamma (values
@@ -82,7 +90,7 @@ def test_default_report_digest(parallelism):
     assert _digest(render_json(report)) == DEFAULT_REPORT_SHA256
 
 
-def test_composite_sweep_report_digest(tmp_path):
+def _composite_plan(tmp_path):
     rng = random.Random(7)
     entries = [
         {
@@ -96,8 +104,137 @@ def test_composite_sweep_report_digest(tmp_path):
     ]
     path = tmp_path / "composite_plan.json"
     path.write_text(json.dumps({"entries": entries}), encoding="utf-8")
-    report = run_plan(load_plan(path))
+    return load_plan(path)
+
+
+def test_composite_sweep_report_digest(tmp_path):
+    report = run_plan(_composite_plan(tmp_path))
     assert len(report.records) == 100
     assert {r.verdict.value for r in report.records} == {"VERIFIED"}
     _assert_certificates_describe_values(report)
     assert _digest(render_json(report)) == COMPOSITE_REPORT_SHA256
+
+
+def _old_float(v):
+    return v if math.isfinite(v) else None
+
+
+def _old_scalar(v):
+    if isinstance(v, complex):
+        return {"re": _old_float(v.real), "im": _old_float(v.imag)}
+    return _old_float(v)
+
+
+def _old_cert(cert):
+    if cert is None:
+        return None
+    return {"terms_used": cert.terms_used, "last_term_magnitude": _old_float(cert.last_term_magnitude),
+            "converged": cert.converged}
+
+
+def _old_json(report):
+    """The dict builder the template writer replaced, as json.dumps wrote it."""
+    doc = {
+        "schema_version": 1,
+        "summary": report.summary,
+        "max_abs_err": report.max_abs_err,
+        "max_rel_err": report.max_rel_err,
+        "wall_time": report.wall_time,
+        "records": [
+            {
+                "rule_id": rec.rule_id.value,
+                "params": {k: rec.params[k] for k in sorted(rec.params)},
+                "lhs": _old_scalar(rec.lhs),
+                "rhs": _old_scalar(rec.rhs),
+                "abs_err": _old_float(rec.abs_err),
+                "rel_err": _old_float(rec.rel_err),
+                "verdict": rec.verdict.value,
+                "report_only": rec.report_only,
+                "note": rec.note,
+                "lhs_certificate": _old_cert(rec.lhs_certificate),
+                "rhs_certificate": _old_cert(rec.rhs_certificate),
+            }
+            for rec in report.records
+        ],
+    }
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def _assert_written_as_before(report):
+    text = render_json(report)
+    assert text == _old_json(report)
+    assert report_to_json_dict(report) == json.loads(text)
+
+
+@pytest.mark.parametrize("which", ["default", "composite"])
+def test_writer_matches_the_dict_builder(tmp_path, which):
+    plan = load_plan(default_plan_path()) if which == "default" else _composite_plan(tmp_path)
+    _assert_written_as_before(run_plan(plan))
+
+
+def test_empty_report_is_written_as_before():
+    _assert_written_as_before(VerdictReport(records=[]))
+
+
+NAN, INF = math.nan, math.inf
+CERT = SeriesEval(0.5, 12, 5e-324, True, 1e-17)
+
+
+def _hand_built(**fields):
+    base = dict(rule_id=RuleId.GRAF_PHASE, params={"x": 1.0}, lhs=0.25, rhs=0.25, abs_err=0.0,
+                rel_err=0.0, verdict=Verdict.VERIFIED)
+    return VerificationRecord(**{**base, **fields})
+
+
+def test_odd_records_are_written_as_before():
+    records = [
+        _hand_built(lhs=complex(NAN, 1.0), rhs=complex(-0.0, INF), abs_err=NAN, rel_err=NAN,
+                    verdict=Verdict.INCONCLUSIVE),
+        _hand_built(abs_err=INF, rel_err=-INF, verdict=Verdict.DISCREPANT),
+        _hand_built(params={"nu": -0.0, "x": 5e-324, "y": 1e308}, lhs=-0.0, rhs=5e-324,
+                    abs_err=1e308, rel_err=1.0,
+                    lhs_certificate=CERT, rhs_certificate=CERT._replace(last_term_magnitude=NAN)),
+        rule_ascending_gen(0, 40, 1),  # int params
+        *weighted_sum_S(2, 1, 3.0, 1.0),  # the route string, a report-only record
+        _hand_built(note='quote " backslash \\ newline \n tab \t \u00e9 \U0001f600', report_only=True),
+        _hand_built(params={}, lhs_certificate=None, rhs_certificate=None),
+    ]
+    assert isinstance(records[3].params["x"], int) and records[4].params["route"] == "derivative"
+    report = VerdictReport(records=records, wall_time=0.125)
+    _assert_written_as_before(report)
+    assert "\\ud83d\\ude00" in render_json(report)  # ensure_ascii, as json.dumps
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+def test_non_finite_param_is_refused(bad):
+    report = VerdictReport(records=[_hand_built(params={"x": bad})])
+    with pytest.raises(ValueError):
+        _old_json(report)
+    with pytest.raises(ValueError):
+        render_json(report)
+
+
+_NUMBERS = st.floats() | st.integers(-(10**30), 10**30)
+_CERTS = st.none() | st.builds(SeriesEval, st.floats(), st.integers(0, 10**6), st.floats(),
+                               st.booleans(), st.none() | st.floats())
+_RECORDS = st.builds(
+    VerificationRecord,
+    rule_id=st.sampled_from(RuleId),
+    params=st.dictionaries(st.text(), st.floats(allow_nan=False, allow_infinity=False)
+                           | st.integers(-(10**30), 10**30) | st.text(), max_size=5),
+    lhs=_NUMBERS | st.complex_numbers(),
+    rhs=_NUMBERS | st.complex_numbers(),
+    abs_err=st.floats(),
+    rel_err=st.floats(),
+    verdict=st.sampled_from(Verdict),
+    lhs_certificate=_CERTS,
+    rhs_certificate=_CERTS,
+    report_only=st.booleans(),
+    note=st.text(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_RECORDS, max_size=4), st.floats(0.0, 1e3))
+def test_random_records_are_written_as_before(records, wall_time):
+    _assert_written_as_before(VerdictReport(records=records, wall_time=wall_time))

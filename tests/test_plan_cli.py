@@ -681,6 +681,29 @@ def test_policy_mistake_is_named(tmp_path, policy, message):
     assert str(err.value) == f"{path}: {message}"
 
 
+# An error echoes the offending json value abbreviated: echoed whole, a grid
+# value of 100,000 zeros made one 300 kB line.
+HUGE_VALUES = {
+    "100,000 zeros": (ascending_plan({"x": [[0] * 100_000]}), "parameter 'x' has non-numeric"),
+    "900-deep list": (
+        ascending_plan({"x": ["DEEP"]}).replace('"DEEP"', "[" * 899 + "]" * 899),
+        "parameter 'x' has non-numeric",
+    ),
+    "1 MB unknown key": (ascending_plan(**{"k" * 1_000_000: 1}), "unknown key 'kkkk"),
+    "400-digit int": (ascending_plan({"x": [10**400]}), "parameter 'x' has non-finite"),
+}
+
+
+@pytest.mark.parametrize("text, says", HUGE_VALUES.values(), ids=HUGE_VALUES.keys())
+def test_huge_plan_value_is_echoed_short(tmp_path, capsys, text, says):
+    path = tmp_path / "plan.json"
+    path.write_text(text)
+    assert main(["verify", "--plan", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: entry 0 (ASCENDING_GEN): ") and says in err
+    assert err.count("\n") == 1 and len(err.encode()) < 300
+
+
 # json.dumps writes float('nan') as NaN and float('inf') as Infinity, both of
 # which json.load accepts.
 MALFORMED_PLANS = {

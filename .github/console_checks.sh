@@ -59,6 +59,16 @@ run besselsums verify --plan "$dir/deep.json"
 if [ "$code" -ne 1 ]; then fail "deep plan exited $code"; fi
 if grep -q Traceback "$dir/err"; then fail "deep plan printed a traceback"; fi
 
+echo "== the derivative rules verify where finite differences did not"
+# WEIGHTED_S at m = 3, 4 was DISCREPANT off a finite-difference derivative, and
+# APPENDIX_DERIV refused an x inside the stencil's step
+echo '{"entries": [{"rule": "WEIGHTED_S", "grid": {"l": [0, 1, 2, 3, 4, 5], "m": [3, 4], "x": [3], "y": [1]}}]}' > "$dir/weighted.json"
+run besselsums verify --plan "$dir/weighted.json"
+if [ "$code" -ne 0 ]; then fail "WEIGHTED_S at m = 3, 4 exited $code"; fi
+echo '{"entries": [{"rule": "APPENDIX_DERIV", "grid": {"nu": [0.5], "x": [0.0001]}}]}' > "$dir/appendix.json"
+run besselsums verify --plan "$dir/appendix.json"
+if [ "$code" -ne 0 ]; then fail "APPENDIX_DERIV at x = 1e-4 exited $code"; fi
+
 echo "== kernel errors fail located, and fast"
 # a non-finite kernel sum is one error line (stderr compared whole, so no
 # traceback); a hermite_m degree whose terms overflow fails within seconds,

@@ -48,7 +48,6 @@ from besselsums.series import (
     EvaluationDomainError,
     SeriesEval,
     SummationPolicy,
-    central_derivative,
     sum_bilateral,
     sum_series,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "VerificationRecord",
     "appendix_derivative_check",
     "bessel_j",
-    "central_derivative",
     "default_plan_path",
     "emit_report",
     "h_tricomi",

@@ -12,8 +12,9 @@ discrepancy); 1 usage or I/O errors, including the ones argparse reports and
 a reader that leaves early (``besselsums list-rules | head -1``), which is quiet.
 
 ``verify`` prints the ``PlanError`` that ``load_plan`` raises for any plan that
-fails to load.  ``--tol-abs``/``--tol-rel`` are checked once, as a ``Tolerances``,
-then merged over the rule defaults of each entry that sets no tolerance itself.
+fails to load.  ``--tol-abs``/``--tol-rel`` are checked once, as a ``Tolerances``
+whose unset field keeps its default, and that value is given to each entry that
+sets no tolerance itself.
 """
 
 import argparse
@@ -25,7 +26,7 @@ import sys
 from besselsums import functions, hybrid
 from besselsums.plan import PlanError, default_plan_path, load_plan, run_plan
 from besselsums.report import FORMATS, emit_report
-from besselsums.rules import RULES, Tolerances
+from besselsums.rules import DEFAULT_TOLERANCES, RULES, Tolerances
 from besselsums.series import SeriesEval
 
 # eval-subcommand dispatch: name -> function, whose signature names its arguments
@@ -79,14 +80,12 @@ def _cmd_verify(opts) -> int:
     given = {key: value for key, value in flags.items() if value is not None}
     if given:
         try:  # checked here, so a bad flag fails even when no entry uses it
-            Tolerances(**given)
+            tol = Tolerances(**given)
         except ValueError as exc:
             print(f"error: --tol-abs/--tol-rel: {exc}", file=sys.stderr)
             return 1
         entries = tuple(
-            e if e.tolerances is not None else dataclasses.replace(
-                e, tolerances=dataclasses.replace(RULES[e.rule_id].default_tolerances, **given)
-            )
+            e if e.tolerances is not None else dataclasses.replace(e, tolerances=tol)
             for e in plan.entries
         )
         plan = dataclasses.replace(plan, entries=entries)
@@ -149,6 +148,10 @@ def _cmd_eval(opts) -> int:
 
 
 def _cmd_list_rules() -> int:
+    print(
+        f"default tolerances of every rule: abs {DEFAULT_TOLERANCES.tol_abs:g},"
+        f" rel {DEFAULT_TOLERANCES.tol_rel:g}"
+    )
     for rule_id, schema in RULES.items():
         ints = set(schema.integer_params)
         params = ", ".join(f"{p} (int)" if p in ints else p for p in schema.params)
@@ -156,10 +159,6 @@ def _cmd_list_rules() -> int:
         print(f"    identity:   {schema.statement}")
         print(f"    parameters: {params}")
         print(f"    domain:     {schema.constraint}")
-        print(
-            f"    default tolerances: abs {schema.default_tolerances.tol_abs:g},"
-            f" rel {schema.default_tolerances.tol_rel:g}"
-        )
     return 0
 
 

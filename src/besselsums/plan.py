@@ -36,7 +36,6 @@ sweep of distinct points holds no more than one entry's values; outside
 import itertools
 import json
 import math
-import reprlib
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -44,19 +43,13 @@ from pathlib import Path
 from typing import Optional
 
 from besselsums.report import VerdictReport
-from besselsums.rules import RULES, RuleId, Tolerances, run_cases
-from besselsums.series import SummationPolicy, require_int
+from besselsums.rules import DEFAULT_TOLERANCES, RULES, RuleId, Tolerances, run_cases
+from besselsums.series import SummationPolicy, require_int, short_repr
 
 MAX_GRID_CASES = 100_000
 _PLAN_KEYS = ("policy", "parallelism", "entries")
 _POLICY_KEYS = tuple(f.name for f in fields(SummationPolicy))
 _ENTRY_KEYS = ("rule", "grid", "tol_abs", "tol_rel", "perturb_rhs")
-# Messages echo the offending json value abbreviated, to about 2 kB at most, so
-# a 100,000-number grid list is not one 300 kB line.  Short values print as
-# repr prints them.
-_ECHO = reprlib.Repr()
-_ECHO.maxlevel = 2
-_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 40
 
 
 class PlanError(ValueError):
@@ -110,7 +103,7 @@ def load_plan(path) -> VerificationPlan:
 
     raw = data.get("policy", {})
     if not isinstance(raw, dict):
-        raise PlanError(f"{path}: policy must be an object, got {_ECHO.repr(raw)}")
+        raise PlanError(f"{path}: policy must be an object, got {short_repr(raw)}")
     _reject_unknown_keys(raw, _POLICY_KEYS, f"{path}: policy")
     try:
         policy = SummationPolicy(**{key: _number(key, value) for key, value in raw.items()})
@@ -131,9 +124,9 @@ def load_plan(path) -> VerificationPlan:
 def _number(what: str, value):
     """``value`` if it is a finite json number, else ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} has non-numeric value {_ECHO.repr(value)}")
+        raise ValueError(f"{what} has non-numeric value {short_repr(value)}")
     if not abs(value) <= sys.float_info.max:  # NaN, +-Infinity, or an int past float range
-        raise ValueError(f"{what} has non-finite value {_ECHO.repr(value)}")
+        raise ValueError(f"{what} has non-finite value {short_repr(value)}")
     return value
 
 
@@ -142,20 +135,20 @@ def _reject_unknown_keys(obj: dict, known: tuple, where: str) -> None:
     for key in obj:
         if key not in known:
             raise PlanError(
-                f"{where}: unknown key {_ECHO.repr(key)} (expected one of {', '.join(known)})"
+                f"{where}: unknown key {short_repr(key)} (expected one of {', '.join(known)})"
             )
 
 
 def _load_entry(raw: dict, idx: int) -> PlanEntry:
     where = f"entry {idx}"
     if not isinstance(raw, dict):
-        raise PlanError(f"{where}: must be an object, got {_ECHO.repr(raw)}")
+        raise PlanError(f"{where}: must be an object, got {short_repr(raw)}")
     if "rule" not in raw:
         raise PlanError(f"{where}: missing 'rule'")
     try:
         rule_id = RuleId(raw["rule"])
     except ValueError:
-        raise PlanError(f"{where}: unknown rule {_ECHO.repr(raw['rule'])}") from None
+        raise PlanError(f"{where}: unknown rule {short_repr(raw['rule'])}") from None
     schema = RULES[rule_id]
     where = f"entry {idx} ({rule_id.value})"
     _reject_unknown_keys(raw, _ENTRY_KEYS, where)
@@ -168,7 +161,7 @@ def _load_entry(raw: dict, idx: int) -> PlanEntry:
     if missing:
         raise PlanError(f"{where}: missing parameter {sorted(missing)}")
     if extra:
-        raise PlanError(f"{where}: unexpected parameter {_ECHO.repr(sorted(extra))}")
+        raise PlanError(f"{where}: unexpected parameter {short_repr(sorted(extra))}")
 
     clean = {}
     for name in schema.params:  # keep schema order for deterministic case order
@@ -186,7 +179,7 @@ def _load_entry(raw: dict, idx: int) -> PlanEntry:
 
     try:
         given = {key: raw[key] for key in ("tol_abs", "tol_rel") if key in raw}
-        tol = replace(schema.default_tolerances, **given) if given else None
+        tol = replace(DEFAULT_TOLERANCES, **given) if given else None
         perturb = float(_number("perturb_rhs", raw.get("perturb_rhs", 0.0)))
     except ValueError as exc:
         raise PlanError(f"{where}: {exc}") from exc
@@ -200,7 +193,8 @@ def _load_entry(raw: dict, idx: int) -> PlanEntry:
             try:
                 schema.validate(**params)
             except ValueError as exc:
-                raise PlanError(f"{where}: grid point {params}: {exc}") from exc
+                point = ", ".join(f"{name!r}: {short_repr(v)}" for name, v in params.items())
+                raise PlanError(f"{where}: grid point {{{point}}}: {exc}") from exc
     return entry
 
 
@@ -211,7 +205,7 @@ def run_plan(plan: VerificationPlan) -> VerdictReport:
     rule_order = {rule: i for i, rule in enumerate(RuleId)}
     records = []
     for entry in sorted(plan.entries, key=lambda e: rule_order[e.rule_id]):
-        tol = entry.tolerances or RULES[entry.rule_id].default_tolerances
+        tol = entry.tolerances or DEFAULT_TOLERANCES
         records += run_cases(entry.rule_id, entry.cases(), plan.policy, tol, entry.perturb_rhs)
     report = VerdictReport(records=records)
     report.wall_time = time.perf_counter() - t0

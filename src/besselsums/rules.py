@@ -13,13 +13,17 @@ sum_{n in Z} w_n J_(n+nu)(x) J_n(y) with weights t^n, e^(in theta) and n^m;
 
 Every record is built by ``_record``, which also decides its verdict.  A
 record's certificates describe the values beside them: each side reaches
-``_record`` as a ``SeriesEval``, or as a bare number when it has none (a
-finite-difference derivative, the WEIGHTED_S nested closed form).  A closed
-form that is a factor times one evaluated function is built by ``_scaled``,
-which carries the function's tail bound times |factor|.
+``_record`` as a ``SeriesEval``, or as a bare number when it has none (the
+two WEIGHTED_S closed forms, finite sums over J values).  A closed form that
+is a factor times one evaluated function is built by ``_scaled``, which
+carries the function's tail bound times |factor|.
+
+No side is a finite difference: WEIGHTED_S takes its derivatives from Taylor
+series, APPENDIX_DERIV from a series differentiated term by term.
 
 Each rule is declared once, by its function: the registry ``RULES`` runs it
-and reads its parameters, integers and default tolerances from its signature.
+and reads its parameters and integers from its signature.  Every rule judges
+at ``DEFAULT_TOLERANCES`` unless a caller or a plan entry gives others.
 """
 
 import cmath
@@ -40,7 +44,6 @@ from besselsums.series import (
     EvaluationDomainError,
     SeriesEval,
     SummationPolicy,
-    central_derivative,
     require_finite,
     require_int,
     sum_bilateral,
@@ -93,12 +96,6 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
-# Looser, for the rules whose hard check is a finite-difference derivative.
-_FD_TOLERANCES = Tolerances(tol_abs=1e-6, tol_rel=1e-6)
-
-# Finite-difference steps: larger steps at higher orders trade truncation
-# error against the roundoff amplified by 1/h^m.
-_FD_STEP = {1: 1e-3, 2: 1e-3, 3: 5e-3, 4: 5e-3}
 
 
 @dataclass
@@ -493,13 +490,6 @@ def rule_graf(
     return _record(RuleId.GRAF_REAL, {"nu": nu, "x": x, "y": y, "t": t}, lhs, rhs, tolerances)
 
 
-def _graf_phase_closed(nu: float, x: float, y: float, theta: float, policy) -> SeriesEval:
-    arg = math.sqrt(x * x + y * y - 2.0 * x * y * math.cos(theta))
-    j = _bessel_j(nu, arg, policy)
-    ratio = (x - y * cmath.exp(-1j * theta)) / (x - y * cmath.exp(1j * theta))
-    return _scaled(j, ratio ** (0.5 * nu))
-
-
 def _check_graf_phase(nu, x, y, theta):
     if not x > y > 0.0:
         raise ValueError(f"requires x > y > 0, got x={x}, y={y}")
@@ -521,7 +511,9 @@ def rule_graf_phase(
     values."""
     _check_graf_phase(nu, x, y, theta)
     lhs = _graf_sum(lambda n: cmath.exp(1j * n * theta), nu, x, y, 0.5 * y, 0.5 * y, policy)
-    rhs = _graf_phase_closed(nu, x, y, theta, policy)
+    j = _bessel_j(nu, math.sqrt(x * x + y * y - 2.0 * x * y * math.cos(theta)), policy)
+    ratio = (x - y * cmath.exp(-1j * theta)) / (x - y * cmath.exp(1j * theta))
+    rhs = _scaled(j, ratio ** (0.5 * nu))
     params = {"nu": nu, "x": x, "y": y, "theta": theta}
     return _record(RuleId.GRAF_PHASE, params, lhs, rhs, tolerances)
 
@@ -568,7 +560,7 @@ def rule_neumann_ext(
 
 
 def _check_weighted_s(l, m, x, y) -> tuple:
-    # l: exact binomials in the closed form; m: finite-difference stability
+    # l: exact binomials in the closed form; m: the orders checked against mpmath
     l = require_int("l", l, minimum=0, maximum=EXACTNESS_BOUND)
     m = require_int("m", m, minimum=0, maximum=4)
     _check_graf_phase(l, x, y, 0.0)
@@ -581,25 +573,18 @@ def weighted_sum_S(
     x: float,
     y: float,
     policy: SummationPolicy = DEFAULT_POLICY,
-    tolerances: Tolerances = _FD_TOLERANCES,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> list[VerificationRecord]:
     """Two records for S_l^(m)(x, y) = sum_{n in Z} n^m J_{n+l}(x) J_n(y), l in
     0..30, m in 0..4, x > y > 0: brute force against (-i d/dtheta)^m of the
-    GRAF_PHASE closed form at theta = 0, then, report-only, against the nested
-    finite sum of ``_weighted_closed_form``."""
+    GRAF_PHASE closed form at theta = 0 (``_weighted_derivative``), then,
+    report-only, against the nested finite sum of ``_weighted_closed_form``.
+    Both closed forms read the same J_(l+p)(x - y), p = 0..m."""
     l, m = _check_weighted_s(l, m, x, y)
     brute = _graf_sum(lambda n: float(n) ** m, float(l), x, y, 0.5 * y, 0.5 * y, policy, m)
-
-    if m == 0:
-        deriv = _graf_phase_closed(float(l), x, y, 0.0, policy).value.real
-    else:
-        def g(th: float) -> complex:
-            return _graf_phase_closed(float(l), x, y, th, policy).value
-
-        d = central_derivative(g, 0.0, m, _FD_STEP[m])
-        deriv = ((-1j) ** m * d).real
-
-    closed = _weighted_closed_form(l, m, x, y, policy)
+    jv = [_j(float(l + p), x - y, policy) for p in range(m + 1)]
+    deriv = _weighted_derivative(l, m, x, y, jv)
+    closed = _weighted_closed_form(l, m, x, y, jv)
     params = {"l": l, "m": m, "x": x, "y": y}
     return [
         _record(RuleId.WEIGHTED_S, {**params, "route": "derivative"}, brute, deriv, tolerances),
@@ -610,11 +595,41 @@ def weighted_sum_S(
     ]
 
 
-def _weighted_closed_form(l: int, m: int, x: float, y: float, policy) -> float:
+def _taylor_product(p: list, q: list) -> list:
+    """p q for two Taylor series cut at the same order; fsum rounds alike on
+    every Python."""
+    return [math.fsum(p[i] * q[k - i] for i in range(k + 1)) for k in range(len(p))]
+
+
+def _weighted_derivative(l: int, m: int, x: float, y: float, jv: list) -> float:
+    """(-i d/dtheta)^m at theta = 0 of the GRAF_PHASE closed form F at
+    integer order l, exactly: m! times the phi^m Taylor coefficient of F in
+    phi = i theta, where -i d/dtheta is d/dphi.
+
+    With d = x - y, a = x - y e^(-phi) and u = (x^2 + y^2 - 2xy cosh phi)/4,
+    F = (a/2)^l C_l(u), because the ratio power times rho^l is a^l and
+    J_l(rho) = (rho/2)^l C_l(rho^2/4).  Expanding C_l about u = d^2/4 by
+    d/du C_a = -C_(a+1), with J_(l+j)(d) = (d/2)^(l+j) C_(l+j)(d^2/4):
+        F = (a/d)^l sum_j J_(l+j)(d) w^j / j!,  w = (xy/d)(cosh phi - 1),
+    and a/d = 1 + (y/d)(1 - e^(-phi)).  w starts at phi^2, so the phi^m
+    coefficient takes j <= m/2.  ``jv[j]`` is J_(l+j)(d).
+    """
+    d = x - y
+    ratio = [1.0] + [y / d * (-1.0) ** (k + 1) / math.factorial(k) for k in range(1, m + 1)]
+    w = [x * y / d / math.factorial(k) if k and not k & 1 else 0.0 for k in range(m + 1)]
+    f = [0.0] * (m + 1)
+    for j in reversed(range(m // 2 + 1)):  # Horner in w
+        f = _taylor_product(f, w)
+        f[0] += jv[j] / math.factorial(j)
+    for _ in range(l):
+        f = _taylor_product(f, ratio)
+    return math.factorial(m) * f[m]
+
+
+def _weighted_closed_form(l: int, m: int, x: float, y: float, jv: list) -> float:
     """Nested finite sum for S_l^(m); the (m - j) exponent inside the R factor
     uses the outer j, the only reading under which the expression is well
-    formed."""
-    j_cache = {p: _j(float(l + p), x - y, policy) for p in range(m + 1)}
+    formed.  ``jv[p]`` is J_(l+p)(x - y)."""
     total = 0.0
     for j in range(m + 1):
         cj = math.comb(m, j)
@@ -632,7 +647,7 @@ def _weighted_closed_form(l: int, m: int, x: float, y: float, policy) -> float:
                     math.pow(x, k + p)
                     * math.pow(-y, l - k + p)
                     / math.pow(x - y, l + p)
-                    * j_cache[p]
+                    * jv[p]
                 )
                 total += cj * ck * r_sum * geom / float(math.factorial(p))
     return total
@@ -697,25 +712,42 @@ def weighted_sum_E(
 
 
 def _check_appendix(nu, x):
-    if not x > _FD_STEP[1]:  # the stencil samples x - h
-        raise ValueError(f"requires x > h = {_FD_STEP[1]:g}, the stencil's step, got x={x}")
+    if not x > 0.0:
+        raise ValueError(f"requires x > 0, got x={x}")
 
 
 def appendix_derivative_check(
     nu: float,
     x: float,
     policy: SummationPolicy = DEFAULT_POLICY,
-    tolerances: Tolerances = _FD_TOLERANCES,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> VerificationRecord:
-    """First-order check of (1/x) d/dx [x^nu J_nu(x)] = x^(nu-1) J_{nu-1}(x)
-    by central differences (the higher-order ladder is exercised through the
-    descending generating rule)."""
+    """(1/x) d/dx [x^nu J_nu(x)] = x^(nu-1) J_{nu-1}(x), x > 0.
+
+    The left side is the defining series of x^nu J_nu(x) differentiated term
+    by term, 2^(nu-1) sum_k (-1)^k (k+nu) (x/2)^(2k+2nu-2) / (k! Gamma(k+nu+1)),
+    summed from the first k off the poles of 1/Gamma(k+nu) with a proved
+    tail.  Term by term it is the right side's series with the weight
+    (k+nu)/Gamma(k+nu+1) where the kernel has 1/Gamma(k+nu), so the rule
+    checks the 1/Gamma recurrence and the kernel's pole shift at nu = 0, -1,
+    ..., not calculus in x: DESCENDING_GEN exercises the order ladder across x.
+    """
     _check_appendix(nu, x)
+    half = 0.5 * x
+    scale = math.pow(2.0, nu - 1.0)
+    k0 = backend.leading_pole_shift(nu)
+    recip_gamma = backend.recip_gamma
 
-    def f(s: float) -> float:
-        return math.pow(s, nu) * _j(nu, s, policy)
+    def term(i: int) -> float:
+        k = k0 + i
+        p = math.pow(half, k + nu - 1.0)  # (x/2)^(2k+2nu-2) is p * p: no sooner inf than J's
+        t = scale * (k + nu) * recip_gamma(k + nu + 1.0) * p * p * recip_gamma(k + 1.0)
+        return -t if k & 1 else t
 
-    lhs = central_derivative(f, x, 1, _FD_STEP[1]) / x
+    # |term| = 2^(nu-1) (x/2)^(nu-1) M_k, M_k the majorant's own with c = s = x/2
+    tail = _gamma_majorant(half, half, 1.0, nu - 1.0)
+    factor = scale * math.pow(half, nu - 1.0)
+    lhs = sum_series(term, policy, lambda i: factor * tail(k0 + i))
     rhs = _scaled(_bessel_j(nu - 1.0, x, policy), math.pow(x, nu - 1.0))
     return _record(RuleId.APPENDIX_DERIV, {"nu": nu, "x": x}, lhs, rhs, tolerances)
 
@@ -733,7 +765,6 @@ class RuleSchema:
     run: Callable[..., object]
     params: tuple
     integer_params: tuple
-    default_tolerances: Tolerances
     statement: str
     constraint: str
     validate: Optional[Callable[..., object]] = None
@@ -748,7 +779,6 @@ def _schema(run, validate, statement: str, constraint: str) -> RuleSchema:
         run=run,
         params=params,
         integer_params=tuple(name for name in params if sig[name].annotation is int),
-        default_tolerances=sig["tolerances"].default,
         statement=statement,
         constraint=constraint,
         validate=validate,
@@ -835,7 +865,7 @@ RULES: dict[RuleId, RuleSchema] = {
     RuleId.APPENDIX_DERIV: _schema(
         appendix_derivative_check, _check_appendix,
         "(1/x) d/dx [x^nu J_nu(x)] = x^(nu-1) J_{nu-1}(x)",
-        f"x > {_FD_STEP[1]:g} (the finite-difference step)",
+        "x > 0",
     ),
 }
 

@@ -27,14 +27,23 @@ streak still ends with a negligible last term.
 """
 
 import math
+import reprlib
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Union
 
 Scalar = Union[float, complex]
 
+# Error messages echo an offending value abbreviated, to about 2 kB at most,
+# so a 300-digit integer or a 100,000-number list is not one huge line.
+# Short values print as repr prints them.
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel = 2
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 40
+short_repr = _ECHO.repr
+
 
 class EvaluationDomainError(ValueError):
-    """A series term or stencil sample came back non-finite."""
+    """A series term or sum came back non-finite."""
 
     def __init__(self, message: str, index=None):
         super().__init__(message)
@@ -58,11 +67,11 @@ def require_int(
     except (OverflowError, TypeError, ValueError):  # inf, nan, not a number
         n = None
     if n is None or n != value:
-        raise ValueError(f"{name} must be integer, got {value!r}")
+        raise ValueError(f"{name} must be integer, got {short_repr(value)}")
     if minimum is not None and n < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {n}")
+        raise ValueError(f"{name} must be >= {minimum}, got {short_repr(n)}")
     if maximum is not None and n > maximum:
-        raise ValueError(f"{name} must be <= {maximum}, got {n}")
+        raise ValueError(f"{name} must be <= {maximum}, got {short_repr(n)}")
     return n
 
 
@@ -266,41 +275,3 @@ def sum_bilateral(
     )
     proved = converged and None not in tails
     return SeriesEval(value, terms, max(last), converged, tails[0] + tails[1] if proved else None)
-
-
-# Central-difference stencils with O(h^2) truncation error, per derivative order.
-_STENCILS = {
-    1: ((1, 0.5), (-1, -0.5)),
-    2: ((1, 1.0), (0, -2.0), (-1, 1.0)),
-    3: ((2, 0.5), (1, -1.0), (-1, 1.0), (-2, -0.5)),
-    4: ((2, 1.0), (1, -4.0), (0, 6.0), (-1, -4.0), (-2, 1.0)),
-}
-
-
-def central_derivative(
-    f: Callable[[float], Scalar], t0: float, order: int, step: float
-) -> Scalar:
-    """m-th derivative of f at t0 (m in 1..4) by central differences.
-
-    The O(h^2) stencil is evaluated at ``step`` and ``step/2`` and Richardson
-    extrapolated once, giving an O(h^4) estimate.
-    """
-    if order not in _STENCILS:
-        raise ValueError(f"derivative order must be 1..4, got {order}")
-    if not step > 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-
-    def estimate(h: float) -> Scalar:
-        out = 0.0
-        for offset, weight in _STENCILS[order]:
-            s = f(t0 + offset * h)
-            if s - s != 0.0:
-                raise EvaluationDomainError(
-                    f"non-finite sample {s!r} at t = {t0 + offset * h}", index=offset
-                )
-            out += weight * s
-        return out / h**order
-
-    coarse = estimate(step)
-    fine = estimate(step / 2.0)
-    return (4.0 * fine - coarse) / 3.0

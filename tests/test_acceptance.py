@@ -10,6 +10,7 @@ import math
 import pytest
 
 from besselsums import (
+    DEFAULT_TOLERANCES,
     SummationPolicy,
     Tolerances,
     Verdict,
@@ -184,6 +185,7 @@ def test_criterion_07_weighted_sums_S():
             for m in (0, 1, 2):
                 deriv, closed = weighted_sum_S(l, m, x, y)
                 assert deriv.lhs_certificate.converged
+                assert deriv.verdict is Verdict.VERIFIED, (l, m, x, y, deriv.abs_err)
                 worst_deriv = max(worst_deriv, deriv.abs_err)
                 closed_errs.append(closed.abs_err)
 
@@ -196,10 +198,11 @@ def test_criterion_07_weighted_sums_S():
     data = json.loads(render_json(report))
     closed_rows = [r for r in data["records"] if r["params"].get("route") == "closed"]
     archived = all(math.isfinite(r["abs_err"]) and r["report_only"] for r in closed_rows)
-    ok = worst_deriv <= 1e-6 and len(closed_rows) == 18 and archived
+    ok = worst_deriv <= DEFAULT_TOLERANCES.tol_abs and len(closed_rows) == 18 and archived
     report_line(
         7,
-        "weighted S sums: brute vs derivative within 1e-6; closed form archived report-only",
+        "weighted S sums: brute vs derivative at the default tolerances;"
+        " closed form archived report-only",
         ok,
         f"max deriv err {worst_deriv:.3e}, max closed err {max(closed_errs):.3e}, "
         f"{len(closed_rows)} closed rows archived",
@@ -237,10 +240,11 @@ def test_criterion_10_appendix_derivative():
     worst = 0.0
     for nu in (0.0, 0.5, 1.0, 2.0):
         for x in (1.0, 2.0):
-            rec = appendix_derivative_check(nu, x, tolerances=Tolerances(1e-6, 1e-6))
+            rec = appendix_derivative_check(nu, x)
             assert rec.verdict is Verdict.VERIFIED, (nu, x, rec.abs_err)
             worst = max(worst, min(rec.abs_err, rec.rel_err))
-    report_line(10, "derivative ladder check at 1e-6", worst <= 1e-6, f"worst err {worst:.3e}")
+    report_line(10, "derivative ladder check at the default tolerances",
+                worst <= DEFAULT_TOLERANCES.tol_abs, f"worst err {worst:.3e}")
 
 
 def test_criterion_12_engine_honesty():

@@ -1,5 +1,5 @@
-"""The adaptive summation engine, the finite-difference differentiator, and
-the one integer check every integer parameter goes through."""
+"""The adaptive summation engine and the one integer check every integer
+parameter goes through."""
 
 import cmath
 import math
@@ -15,7 +15,6 @@ from besselsums import (
     EvaluationDomainError,
     SeriesEval,
     SummationPolicy,
-    central_derivative,
     h_tricomi,
     h_wright,
     hermite_m,
@@ -380,33 +379,6 @@ def test_engine_bit_identical_to_accumulator_reference(engine, reference):
         assert got == _outcome(reference, term, policy)
         kinds.add(got[0] if isinstance(got[0], type) else got[3])
     assert kinds == {EvaluationDomainError, True, False}  # raised, converged, out of budget
-
-
-class TestCentralDerivative:
-    def test_quadratic_second(self):
-        assert central_derivative(lambda t: t * t, 1.3, 2, 1e-3) == pytest.approx(2.0, abs=1e-8)
-
-    def test_exp_first(self):
-        assert central_derivative(math.exp, 0.0, 1, 1e-3) == pytest.approx(1.0, abs=1e-9)
-
-    def test_third_and_fourth(self):
-        f = lambda t: t**4
-        assert central_derivative(f, 1.0, 3, 5e-3) == pytest.approx(24.0, abs=1e-6)
-        assert central_derivative(f, 1.0, 4, 5e-3) == pytest.approx(24.0, abs=1e-4)
-
-    def test_complex_function(self):
-        import cmath
-
-        d = central_derivative(lambda t: cmath.exp(1j * t), 0.0, 1, 1e-3)
-        assert d == pytest.approx(1j, abs=1e-9)
-
-    def test_bad_order(self):
-        with pytest.raises(ValueError):
-            central_derivative(math.exp, 0.0, 5, 1e-3)
-
-    def test_non_finite_sample(self):
-        with pytest.raises(EvaluationDomainError):
-            central_derivative(lambda t: math.nan if t < 0 else t, 0.0, 1, 1e-3)
 
 
 # Every public integer parameter: a call taking it as v, its name, and an

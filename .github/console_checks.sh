@@ -81,6 +81,16 @@ fi
 run timeout 20 besselsums eval hermite_m n=200000 m=1 x=1 y=1
 if [ "$code" -ne 1 ]; then fail "overflowing hermite_m exited $code"; fi
 
+echo "== a sum over all integers, through the public API"
+# sum_n J_n(1) = 1 (the generating function at t = 1); a sum that does not
+# converge spends max_terms, which counts the pairs term(k) + term(-k)
+python -c 'import sys; from besselsums import SummationPolicy, bessel_j, sum_bilateral
+ev = sum_bilateral(lambda n: bessel_j(n, 1.0).value)
+if not (ev.converged and abs(ev.value - 1.0) <= 1e-13): sys.exit(f"sum of J_n(1): {ev}")
+ev = sum_bilateral(lambda n: 1.0 / (abs(n) + 1), SummationPolicy(max_terms=41))
+if ev.converged or ev.terms_used != 41: sys.exit(f"sum of 1/(|n|+1): {ev}")' ||
+  fail "sum_bilateral"
+
 echo "== a reader that leaves early gets no traceback"
 # judge stderr, not the pipeline's status, which depends on pipefail
 besselsums list-rules 2>"$dir/err" | head -1 || true

@@ -287,8 +287,9 @@ def _graf_sum(weight, nu, x, y, up, down, policy, power=0) -> SeriesEval:
     |w_-k| (|y|/2)^k <= k^power down^k; with |J_(+-k)(y)| <= (|y|/2)^k / k!
     the term at n = +-k is then at most k^power (up or down)^k / k! times
     |J_(nu+-k)(x)|.  For integer nu, |J_(nu-k)(x)| = |J_(k-nu)(x)|; at
-    non-integer nu no such bound is at hand, so the n < 0 direction is left
-    to the negligible-term streak.
+    non-integer nu no such bound is at hand, so the pairs n = +-k that
+    ``sum_bilateral`` sums have no majorant and stop on the negligible-term
+    streak.
     """
     s = 0.5 * abs(x)
     upper = _gamma_majorant(up, s, 1.0, nu, power)

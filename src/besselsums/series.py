@@ -1,11 +1,11 @@
 """Adaptive summation with convergence certificates.
 
-One-sided sums run k = 0, 1, 2, ...; bilateral sums start at n = 0 and expand
-the window +1, -1, +2, -2, ... with the stop rule applied to each direction on
-its own.  Terms may be real or complex; accumulation is Neumaier-compensated,
-which recovers the digits alternating Bessel series otherwise lose at moderate
-argument.  There is no accumulator object: each sum keeps its running total
-and compensation in local variables of its own loop.
+Sums run k = 0, 1, 2, ...; a sum over all integers n is summed as term(0)
+plus the pairs term(k) + term(-k), k >= 1, by the same loop.  Terms may be
+real or complex; accumulation is Neumaier-compensated, which recovers the
+digits alternating Bessel series otherwise lose at moderate argument.  There
+is no accumulator object: the loop keeps its running total and compensation
+in local variables.
 
 A term whose computation raises ``OverflowError``, or that is not finite
 (``t - t != 0.0``: inf or nan, real or complex), raises
@@ -18,12 +18,6 @@ certificate's ``tail_bound``; it asks the majorant only where the next term,
 extrapolated from the last two, would be negligible.  A sum without one stops,
 converged, after ``consecutive_small`` negligible terms in a row, with
 ``tail_bound`` None.  Either stops unconverged after ``max_terms`` terms.
-
-The bilateral sum applies the rule per direction (the n = 0 term counts for
-neither), with a majorant per direction or none; a proved direction stops at
-half the threshold, so that the two tails together stay within it.  It is
-converged only when both directions stopped, and a direction stopped by the
-streak still ends with a negligible last term.
 """
 
 import math
@@ -88,15 +82,14 @@ class SummationPolicy:
       most min(abs_tol, rel_tol |V|): a rule side may multiply a tiny J value
       by a large partner, so it keeps its relative digits.
     * An engine sum given a majorant stops once the majorant's tail is at
-      most max(abs_tol, rel_tol * |partial sum|), half that per direction of
-      a bilateral sum: a rule side may cancel to near zero, where abs_tol
-      alone must do.
+      most max(abs_tol, rel_tol * |partial sum|): a rule side may cancel to
+      near zero, where abs_tol alone must do.
 
     ``consecutive_small`` governs only engine sums without a majorant (the
     composite families and the rule sides with no bound at hand): they stop
     after that many negligible terms in a row, since single incidentally
     tiny terms of alternating series must not stop them.  ``max_terms`` caps
-    every sum.
+    every sum; for a sum over all integers it counts pairs term(k) + term(-k).
     """
 
     abs_tol: float = 1e-14
@@ -198,80 +191,18 @@ def sum_bilateral(
     policy: SummationPolicy = DEFAULT_POLICY,
     majorant: Optional[tuple] = None,
 ) -> SeriesEval:
-    """Sum term(n) over all integers n, expanding symmetrically from n = 0.
+    """Sum term(n) over all integers n as term(0) plus the pairs
+    term(k) + term(-k), k = 1, 2, ..., through ``sum_series``.
 
-    Each direction stops independently; the whole sum is converged only when
-    both are.  ``majorant`` is a pair (upper, lower): upper(n) bounds the sum
-    of |term(j)| over j > n and lower(n) that of |term(-j)|; a None in either
-    place leaves that direction to the negligible-term streak.  A direction
-    stops on its proof at half the one-sided threshold.  The
-    certificate's ``tail_bound`` is the two proved tails summed, None unless
-    both directions were proved.  ``max_terms`` budgets the total number of
-    term evaluations.
+    ``majorant`` is a pair (upper, lower): upper(k) bounds the sum of
+    |term(j)| over j > k and lower(k) that of |term(-j)|.  With both, the
+    pairs' majorant is upper(k) + lower(k), so the proved tail of the whole
+    sum is held to max(abs_tol, rel_tol * |sum|); with either None the pairs
+    stop on the negligible-term streak.  The certificate counts pairs:
+    ``terms_used``, ``max_terms`` and an error's ``index`` are k = |n|, and
+    ``last_term_magnitude`` is |term(k) + term(-k)| of the last pair.  The
+    pairs run to the slower direction's length.
     """
-    abs_tol, rel_tol = policy.abs_tol, policy.rel_tol
-    max_terms, need = policy.max_terms, policy.consecutive_small
-    bounds = majorant or (None, None)
-    total = comp = 0.0
-    # per direction, index 0 for n > 0 and 1 for n < 0
-    streaks = [0, 0]
-    last = [0.0, 0.0]  # |t| of the latest term
-    before = [0.0, 0.0]  # and of the one before it
-    tails = [None, None]
-    live = [True, True]
-    n, side = 0, 1  # n = 0 steps to n = 1 as a negative index would
-    terms = 0
-    while terms < max_terms:
-        try:
-            t = term(n)
-        except OverflowError as exc:
-            raise _term_error(n) from exc
-        if t - t != 0.0:  # inf or nan, real or complex
-            raise _term_error(n, t)
-        s = total + t
-        mag = abs(t)
-        if abs(total) >= mag:
-            comp += (total - s) + t
-        else:
-            comp += (t - s) + total
-        total = s
-        terms += 1
-        if n:
-            before[side] = last[side]
-            last[side] = mag
-            bound = bounds[side]
-            if bound is not None:
-                # the same filter as sum_series, per direction
-                if mag * mag <= before[side] * (abs_tol + rel_tol * abs(total + comp)):
-                    tail = bound(abs(n))
-                    if tail <= 0.5 * max(abs_tol, rel_tol * abs(total + comp)):
-                        tails[side] = tail
-                        live[side] = False
-            elif mag <= abs_tol + rel_tol * abs(total + comp):
-                streaks[side] += 1
-                if streaks[side] >= need:
-                    live[side] = False
-            else:
-                streaks[side] = 0
-        # next index: +1, -1, +2, -2, ..., skipping a direction that stopped
-        if side:
-            if live[0]:
-                side, n = 0, 1 - n
-            elif live[1]:
-                n -= 1
-            else:
-                break
-        elif live[1]:
-            side, n = 1, -n
-        elif live[0]:
-            n += 1
-        else:
-            break
-    value = total + comp
-    negligible = abs_tol + rel_tol * abs(value)
-    # a proved direction stands on its tail; a heuristic one must still end negligible
-    converged = not (live[0] or live[1]) and all(
-        tail is not None or mag <= negligible for tail, mag in zip(tails, last)
-    )
-    proved = converged and None not in tails
-    return SeriesEval(value, terms, max(last), converged, tails[0] + tails[1] if proved else None)
+    upper, lower = majorant or (None, None)
+    bound = None if upper is None or lower is None else (lambda k: upper(k) + lower(k))
+    return sum_series(lambda k: term(k) + term(-k) if k else term(0), policy, bound)

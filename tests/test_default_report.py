@@ -25,7 +25,13 @@ from besselsums.report import VerdictReport, render_json, report_to_json_dict
 from besselsums.rules import RuleId, Verdict, VerificationRecord, rule_ascending_gen, weighted_sum_S
 from besselsums.series import SeriesEval
 
-# Re-recorded when the WEIGHTED_S derivative route became exact (its ten
+# Re-recorded when every sum over n in Z became term(0) plus the pairs
+# term(k) + term(-k) through sum_series (the left sides of GRAF_REAL,
+# GRAF_PHASE, NEUMANN_EXT and WEIGHTED_S moved by up to 4.5e-13 relative,
+# their certificates now count pairs; no verdict changed), from
+# 6ddf7643993970190185fb0141fd3376fc74d7e0b7312cd28bd1a308768fdfd3 and
+# 0f0bfffc7d43ed6183a5b1f883b3c69e3347926907468c7cccf8dff024598a89.
+# Re-recorded before that when the WEIGHTED_S derivative route became exact (its ten
 # route "derivative" records at m = 1, 2 moved by up to 4.3e-8 relative, the
 # finite-difference error; no verdict changed) and the default plan dropped
 # that rule's 1e-6 tolerances, from
@@ -40,8 +46,8 @@ from besselsums.series import SeriesEval
 # recurrences (ulps in the values of five rules, no verdict changed), from
 # 74cbcd1fa10029e411ac59740473e9a942a52374e7e255e3176f65b030712e84 and
 # fd574987f85822fba18fc3e94160dfeae04c1532f98707c6c3ba6be25028b0df.
-DEFAULT_REPORT_SHA256 = "6ddf7643993970190185fb0141fd3376fc74d7e0b7312cd28bd1a308768fdfd3"
-COMPOSITE_REPORT_SHA256 = "0f0bfffc7d43ed6183a5b1f883b3c69e3347926907468c7cccf8dff024598a89"
+DEFAULT_REPORT_SHA256 = "b2bdeef3f145fdddab03bf308f378737943c3359cad7981ae12fb0a21977ef6f"
+COMPOSITE_REPORT_SHA256 = "5ba60d4cb1b8fb3dad0923dfc6c06354997194093ec4f039f41012592bd9366b"
 
 # The default plan has 83 composite cases on a coarse grid.  This plan draws
 # 20 distinct points per composite rule from the default plan's ranges: a

@@ -8,6 +8,7 @@ import scipy.special as sc
 
 import besselsums.rules as rules_mod
 from besselsums import (
+    DEFAULT_POLICY,
     Tolerances,
     Verdict,
     appendix_derivative_check,
@@ -20,6 +21,7 @@ from besselsums import (
     rule_laguerre_hermite,
     rule_multiple_order,
     rule_neumann_ext,
+    sum_bilateral,
     weighted_sum_E,
     weighted_sum_S,
 )
@@ -266,6 +268,41 @@ class TestNeumannExt:
     def test_t_zero_rejected(self):
         with pytest.raises(ValueError):
             rule_neumann_ext(1.0, 1.0, 0.0)
+
+
+class TestPairedSum:
+    """A sum over n in Z is term(0) plus the pairs term(k) + term(-k)."""
+
+    # at x = 30 and 40 the J kernel loses its digits (ROADMAP item 2): the sums
+    # come out 1 + 4.6e-6 and 1.109, both "converged"
+    @pytest.mark.parametrize(
+        "x",
+        [0.5, 2.0, 5.0, 10.0]
+        + [
+            pytest.param(x, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 2"))
+            for x in (30.0, 40.0)
+        ],
+    )
+    def test_neumann_identity(self, x):
+        # sum_n J_n(x)^2 = 1, Graf's sum at nu = 0, x = y, unit weight
+        ev = rules_mod._graf_sum(lambda n: 1.0, 0.0, x, x, x / 2, x / 2, DEFAULT_POLICY)
+        assert ev.tail_bound is not None
+        assert abs(ev.value - 1.0) <= ev.tail_bound + 1e-14
+
+    @pytest.mark.parametrize("t", [1.0, -1.0])
+    def test_zero_pairs_do_not_stop_a_proved_sum(self, t):
+        # J_-n = (-1)^n J_n, so every odd pair is exactly 0 at t = +-1
+        rec = rule_neumann_ext(0.8, 1.3, t)
+        assert rec.verdict is Verdict.VERIFIED
+        assert rec.lhs_certificate.tail_bound is not None
+
+    @pytest.mark.parametrize("given", ["upper", "lower"])
+    def test_one_bound_given_stops_on_the_streak(self, given):
+        r = 0.4
+        tail = lambda n: r ** (n + 1) / (1.0 - r)
+        bounds = (tail, None) if given == "upper" else (None, tail)
+        ev = sum_bilateral(lambda n: r ** abs(n), DEFAULT_POLICY, bounds)
+        assert ev.converged and ev.tail_bound is None
 
 
 class TestWeightedS:

@@ -208,7 +208,10 @@ def test_rule_side_error_within_tail_bound(side, recorded):
     value, cert = rec.lhs, rec.lhs_certificate
     seen = recorded[0]
     assert cert.converged and cert.tail_bound is not None
-    assert cert.terms_used == len(seen)
+    if bilateral:  # terms_used counts the pairs term(k) + term(-k), k = 0 the centre alone
+        assert sorted(seen) == list(range(1 - cert.terms_used, cert.terms_used))
+    else:
+        assert cert.terms_used == len(seen)
     assert cert.tail_bound <= max(DEFAULT_POLICY.abs_tol, DEFAULT_POLICY.rel_tol * abs(value))
     with mpmath.workdps(30):
         top = max(seen)

@@ -69,6 +69,14 @@ echo '{"entries": [{"rule": "APPENDIX_DERIV", "grid": {"nu": [0.5], "x": [0.0001
 run besselsums verify --plan "$dir/appendix.json"
 if [ "$code" -ne 0 ]; then fail "APPENDIX_DERIV at x = 1e-4 exited $code"; fi
 
+echo "== the extended Neumann sum verifies where its nested right side did not"
+# hybrid_k summed HK nested, its outer sum stopping on three small terms:
+# DISCREPANT at (8.105, 1.393, -0.0633) and (3.705, 0.954, -0.0464), and at
+# three more of the eight grid points between them
+echo '{"entries": [{"rule": "NEUMANN_EXT", "grid": {"x": [8.105, 3.705], "y": [1.393, 0.954], "t": [-0.0633, -0.0464]}}]}' > "$dir/neumann.json"
+run besselsums verify --plan "$dir/neumann.json"
+if [ "$code" -ne 0 ]; then fail "NEUMANN_EXT at the Baseline points exited $code"; fi
+
 echo "== kernel errors fail located, and fast"
 # a non-finite kernel sum is one error line (stderr compared whole, so no
 # traceback); a hermite_m degree whose terms overflow fails within seconds,

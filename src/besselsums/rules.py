@@ -171,7 +171,10 @@ def _scaled(side: SeriesEval, factor) -> SeriesEval:
     tail = side.tail_bound
     if tail is not None:
         tail *= abs(factor)
-    return side._replace(value=factor * side.value, tail_bound=tail)
+    # one constructor call: _replace costs twice as much, on every mirrored J
+    return SeriesEval(
+        factor * side.value, side.terms_used, side.last_term_magnitude, side.converged, tail
+    )
 
 
 def _taylor_weight(t: float, n: int) -> float:

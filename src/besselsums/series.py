@@ -119,7 +119,7 @@ class SeriesEval(NamedTuple):
 
     Built once, by the loop that summed the value: the engine sums here and
     the Bessel and Tricomi kernels in ``besselsums.backend``.  A value derived
-    from another (scaled, shifted) takes its certificate by ``_replace``.
+    from another (scaled, shifted) copies the other's certificate.
     ``tail_bound`` is the proved bound on the terms left out when the stop was
     proved, and None when it was heuristic or the sum did not converge.
     """

@@ -25,7 +25,13 @@ from besselsums.report import VerdictReport, render_json, report_to_json_dict
 from besselsums.rules import RuleId, Verdict, VerificationRecord, rule_ascending_gen, weighted_sum_S
 from besselsums.series import SeriesEval
 
-# Re-recorded when every sum over n in Z became term(0) plus the pairs
+# Re-recorded when hybrid_k at m < 0 with integer mu became one series of two
+# Hermite tables (only NEUMANN_EXT right sides moved: 12 of the default plan's
+# and 20 of the composite plan's certificates, 7 and 10 of their values, by at
+# most 8.9e-16 relative; no verdict changed), from
+# b2bdeef3f145fdddab03bf308f378737943c3359cad7981ae12fb0a21977ef6f and
+# 5ba60d4cb1b8fb3dad0923dfc6c06354997194093ec4f039f41012592bd9366b.
+# Re-recorded before that when every sum over n in Z became term(0) plus the pairs
 # term(k) + term(-k) through sum_series (the left sides of GRAF_REAL,
 # GRAF_PHASE, NEUMANN_EXT and WEIGHTED_S moved by up to 4.5e-13 relative,
 # their certificates now count pairs; no verdict changed), from
@@ -46,8 +52,8 @@ from besselsums.series import SeriesEval
 # recurrences (ulps in the values of five rules, no verdict changed), from
 # 74cbcd1fa10029e411ac59740473e9a942a52374e7e255e3176f65b030712e84 and
 # fd574987f85822fba18fc3e94160dfeae04c1532f98707c6c3ba6be25028b0df.
-DEFAULT_REPORT_SHA256 = "b2bdeef3f145fdddab03bf308f378737943c3359cad7981ae12fb0a21977ef6f"
-COMPOSITE_REPORT_SHA256 = "5ba60d4cb1b8fb3dad0923dfc6c06354997194093ec4f039f41012592bd9366b"
+DEFAULT_REPORT_SHA256 = "34622753d166dd1ade641846d4a89d7d669a4301c5573d19b6ffcb77120cf218"
+COMPOSITE_REPORT_SHA256 = "ff7937f239cdc3cdeaf47ef5c81bdcf9be3ae4249850d704c67d256fb912f237"
 
 # The default plan has 83 composite cases on a coarse grid.  This plan draws
 # 20 distinct points per composite rule from the default plan's ranges: a

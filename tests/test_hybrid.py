@@ -5,6 +5,7 @@ scipy's rgamma and explicitly expanded polynomials (independent of the package
 code); the generators live in this file for auditability.
 """
 
+import functools
 import math
 import random
 
@@ -390,8 +391,66 @@ def test_hybrid_k_shared_table_matches_fresh_inner_sums(mu, m, x, y, xi):
         return
     fresh = _hybrid_k_fresh(mu, m, x, y, xi)
     shared = hybrid_k(mu, m, x, y, xi)
+    if m < 0 and mu == int(mu):
+        # summed as one series, not nested: the two agree within the policy's
+        # tolerances (worst 8e-15 relative on this grid), not bit for bit
+        assert shared.converged and fresh.converged
+        assert shared.value == pytest.approx(fresh.value, rel=1e-12, abs=1e-14)
+        return
     assert shared == fresh
     assert shared.value.hex() == fresh.value.hex()
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_orders(x, y):
+    """n -> HC_n(x, y) = sum_j (-1)^j h_j / (j + n)! at 40 digits, for the
+    integer orders -93 <= n <= 2, with h_j = H_j^(2)(x, y)/j! summed from its
+    definition sum_i x^(j-2i) y^i / (i! (j-2i)!)."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        inv = [1 / mpmath.factorial(n) for n in range(140)]
+        px = [mpmath.mpf(x) ** n * inv[n] for n in range(140)]
+        py = [mpmath.mpf(y) ** n * inv[n] for n in range(70)]
+        h = [mpmath.fsum(px[j - 2 * i] * py[i] for i in range(j // 2 + 1)) for j in range(140)]
+        return {
+            n: mpmath.fsum((-1) ** j * h[j] * inv[j + n] for j in range(max(0, -n), 40 - min(n, 0)))
+            for n in range(-93, 3)
+        }
+
+
+@pytest.mark.parametrize("m", [-1, -2, -3])
+@pytest.mark.parametrize("mu", [-1, 0, 1, 2])
+@pytest.mark.parametrize("x", [0.0, 0.5, -0.7])
+@pytest.mark.parametrize("y", [0.0, 1.0, -1.5])
+@pytest.mark.parametrize("xi", [-2.0, 0.3, 0.0])
+def test_collapsed_hybrid_k_matches_the_nested_definition(m, mu, x, y, xi):
+    # m < 0 with integer mu is summed as one series of two Hermite tables; the
+    # oracle is the nested double sum sum_k xi^k/k! HC_(mu + m k)(x, y), with
+    # k <= 30 (xi^k/k! HC is below 1e-20 past it) and 40 terms past each pole
+    mpmath = pytest.importorskip("mpmath")
+    orders = _exact_orders(x, y)
+    with mpmath.workdps(40):
+        exact = mpmath.fsum(
+            mpmath.mpf(xi) ** k / mpmath.factorial(k) * orders[mu + m * k] for k in range(31)
+        )
+    ev = hybrid_k(float(mu), m, x, y, xi)
+    assert ev.converged
+    assert ev.value == pytest.approx(float(exact), rel=1e-13, abs=1e-15)
+    if xi == 0.0:
+        # g_n = 1/n!, so the one series is h_tricomi's with factorials from
+        # the table in place of 1/Gamma: equal to rounding
+        inner = h_tricomi(float(mu), 2, x, y).value
+        assert ev.value == pytest.approx(inner, rel=1e-13, abs=1e-15)
+
+
+@pytest.mark.parametrize("mu", [200.0, -200.0])
+@pytest.mark.parametrize("m", [-1, -2])
+def test_collapsed_hybrid_k_past_the_table_ceiling_is_a_domain_error(mu, m):
+    # the first term reads g_200 (mu = 200) or h_200 (mu = -200), past 170
+    with pytest.raises(EvaluationDomainError) as info:
+        hybrid_k(mu, m, 0.5, 1.0, 0.3)
+    assert info.value.index == 0
 
 
 def test_default_plan_hermite_ratio_evaluations(monkeypatch):
@@ -404,9 +463,10 @@ def test_default_plan_hermite_ratio_evaluations(monkeypatch):
 
     monkeypatch.setattr(hybrid, "_hermite_ratio", spy)
     run_plan(load_plan(default_plan_path()))
-    # one call per degree n >= 1 and per table: 1,015 from the composites and
-    # 206 from the LAGUERRE_HERMITE left sides (1,971 with one on every term)
-    assert 0 < len(calls) <= 1221
+    # one call per degree n >= 1 and per table: 1,137 from the composites
+    # (NEUMANN_EXT's hybrid_k fills two tables) and 206 from the
+    # LAGUERRE_HERMITE left sides
+    assert 0 < len(calls) <= 1343
 
 
 def test_hermite_ratio_past_factorial_range_overflows():

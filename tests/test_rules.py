@@ -269,6 +269,22 @@ class TestNeumannExt:
         with pytest.raises(ValueError):
             rule_neumann_ext(1.0, 1.0, 0.0)
 
+    # DISCREPANT at 4.6e-5 and 2.0e-8 while hybrid_k summed its double sum
+    # nested, the outer sum stopping on three small terms; one series now
+    @pytest.mark.parametrize("x,y,t", [(8.105, 1.393, -0.0633), (3.705, 0.954, -0.0464)])
+    def test_right_side_against_mpmath(self, x, y, t):
+        mpmath = pytest.importorskip("mpmath")
+        # the identity holds, so the left side at 30 digits is the right side's
+        # value; |n| <= 40 leaves out terms below 1e-40
+        with mpmath.workdps(30):
+            exact = mpmath.fsum(
+                mpmath.mpf(t) ** n * mpmath.besselj(n, x) * mpmath.besselj(2 * n, y)
+                for n in range(-40, 41)
+            )
+        rec = rule_neumann_ext(x, y, t)
+        assert rec.verdict is Verdict.VERIFIED
+        assert rec.rhs == pytest.approx(float(exact), rel=1e-13)
+
 
 class TestPairedSum:
     """A sum over n in Z is term(0) plus the pairs term(k) + term(-k)."""

@@ -77,6 +77,21 @@ echo '{"entries": [{"rule": "NEUMANN_EXT", "grid": {"x": [8.105, 3.705], "y": [1
 run besselsums verify --plan "$dir/neumann.json"
 if [ "$code" -ne 0 ]; then fail "NEUMANN_EXT at the Baseline points exited $code"; fi
 
+echo "== entries on one grid share a run's J values and keep their records"
+# ASCENDING_GEN and DESCENDING_GEN read the same J_(nu+-n)(2): the run evaluates
+# each once, and its records are those of the two entries run as plans of their own
+grid='"grid": {"nu": [0, 0.5, 1, 2.5], "x": [2], "t": [0, 0.2, -0.2, 0.45, -0.45]}'
+echo "{\"entries\": [{\"rule\": \"ASCENDING_GEN\", $grid}]}" > "$dir/asc.json"
+echo "{\"entries\": [{\"rule\": \"DESCENDING_GEN\", $grid}]}" > "$dir/desc.json"
+echo "{\"entries\": [{\"rule\": \"ASCENDING_GEN\", $grid}, {\"rule\": \"DESCENDING_GEN\", $grid}]}" > "$dir/both.json"
+for name in asc desc both; do
+  run besselsums verify --plan "$dir/$name.json" --format json --out "$dir/$name.out.json"
+  if [ "$code" -ne 0 ]; then fail "the $name plan exited $code"; fi
+done
+python -c 'import json, sys; records = lambda name: json.load(open(sys.argv[1] + "/" + name + ".out.json"))["records"]
+sys.exit(records("both") != records("asc") + records("desc"))' "$dir" ||
+  fail "a shared run's records differ from its entries run alone"
+
 echo "== kernel errors fail located, and fast"
 # a non-finite kernel sum is one error line (stderr compared whole, so no
 # traceback); a hermite_m degree whose terms overflow fails within seconds,

@@ -177,20 +177,29 @@ def _scaled(side: SeriesEval, factor) -> SeriesEval:
     )
 
 
+# 1/n! for n = 0..33: what recip_gamma(n + 1.0) returns there, bit for bit
+_INV_FACTORIAL = backend._INV_FACTORIAL
+_EXACT_N = len(_INV_FACTORIAL)
+
+
 def _taylor_weight(t: float, n: int) -> float:
     """t^n / n!, the weight of every exponential generating sum over J alone.
 
     All rules share this helper so identical parameter points produce
     bit-identical left sides across rules.
     """
+    if n < _EXACT_N:  # n >= 0: a summation index
+        return math.pow(t, n) * _INV_FACTORIAL[n]
     return math.pow(t, n) * backend.recip_gamma(n + 1.0)
 
 
 class _JMemo:
-    """J values of one plan entry, valid for one summation policy.
+    """J values of one plan run (or of one ``run_cases`` call), valid for one
+    summation policy.
 
     ``policy`` is the object the plan runner hands the rules, so a lookup
-    compares it by identity, not by value.
+    compares it by identity, not by value.  The plan runner bounds the table
+    between entries (see ``plan.J_TABLE_MAX``).
     """
 
     __slots__ = ("policy", "table")
@@ -200,12 +209,14 @@ class _JMemo:
         self.table = {}
 
 
-# Installed by run_cases for each plan entry; None (no reuse) outside it.
+# Installed by run_plan for a whole run, or by run_cases for one call outside
+# a run; None (no reuse) outside both.
 _J_MEMO: ContextVar[Optional[_JMemo]] = ContextVar("besselsums_j_memo", default=None)
 
 
 def _bessel_j(nu: float, x: float, policy: SummationPolicy) -> SeriesEval:
-    """bessel_j(nu, x, policy), reusing the result object within a plan entry.
+    """bessel_j(nu, x, policy), reusing the result object within a plan run
+    (or one ``run_cases`` call).
 
     Keys are (nu, x): bessel_j gives identical results for int and float nu
     and for x = +-0.0, which a dict key does not tell apart.  A miss calls the
@@ -243,6 +254,13 @@ def _mirror(nu: float, x: float, policy: SummationPolicy) -> SeriesEval:
 
 
 def _j(nu: float, x: float, policy: SummationPolicy) -> float:
+    """The value of ``_bessel_j``: a hit costs one context lookup and one
+    dict lookup, a miss evaluates through ``_bessel_j``."""
+    memo = _J_MEMO.get()
+    if memo is not None and memo.policy is policy:
+        hit = memo.table.get((nu, x))
+        if hit is not None:
+            return hit.value
     return _bessel_j(nu, x, policy).value
 
 
@@ -882,9 +900,12 @@ def run_cases(
     rule_id: RuleId, cases, policy: SummationPolicy, tol: Tolerances, perturb: float = 0.0
 ) -> list[VerificationRecord]:
     """The records of one plan entry's cases, in order.  The cases share their
-    J values (see ``_bessel_j``); a case that raises gives one INCONCLUSIVE
-    record naming the error; a nonzero ``perturb`` is added to every right side."""
-    token = _J_MEMO.set(_JMemo(policy))
+    J values (see ``_bessel_j``) through the table installed for ``policy``,
+    the plan run's, or else through one installed for this call alone; a case
+    that raises gives one INCONCLUSIVE record naming the error; a nonzero
+    ``perturb`` is added to every right side."""
+    memo = _J_MEMO.get()
+    token = None if memo is not None and memo.policy is policy else _J_MEMO.set(_JMemo(policy))
     records = []
     try:
         for params in cases:
@@ -896,7 +917,8 @@ def run_cases(
             for rec in out if isinstance(out, list) else [out]:  # WEIGHTED_S gives a list
                 records.append(_perturbed(rec, perturb, tol) if perturb else rec)
     finally:
-        _J_MEMO.reset(token)
+        if token is not None:
+            _J_MEMO.reset(token)
     return records
 
 

@@ -7,6 +7,7 @@ import pytest
 import scipy.special as sc
 
 import besselsums.rules as rules_mod
+from besselsums import backend
 from besselsums import (
     DEFAULT_POLICY,
     Tolerances,
@@ -40,6 +41,14 @@ J0_2 = 0.22389077914123567
 J0_SQRT2 = 0.5591341444189799
 J1_2 = 0.5767248077568734
 E_BRUTE_0_2_15 = 1.12178972438165  # E_0^(2)(1.5)
+
+
+@pytest.mark.parametrize("t", [0.0, -0.0, 0.1, -0.45, 1.125, 2.5, -7.0])
+def test_taylor_weight_is_the_recip_gamma_product_bit_for_bit(t):
+    # 1/n! comes from a table up to n = 33 and from recip_gamma past it
+    for n in range(41):
+        want = math.pow(t, n) * backend.recip_gamma(n + 1.0)
+        assert rules_mod._taylor_weight(t, n).hex() == want.hex(), n
 
 
 class TestAscendingGen:

@@ -104,6 +104,16 @@ fi
 run timeout 20 besselsums eval hermite_m n=200000 m=1 x=1 y=1
 if [ "$code" -ne 1 ]; then fail "overflowing hermite_m exited $code"; fi
 
+echo "== hybrid_k outside its one-series domain is one error line"
+# hybrid_k sums only m <= -1 with integer mu; any other point is refused, not summed
+for args in "mu=0 m=1 x=1 y=1 xi=0.5" "mu=0.5 m=-2 x=1 y=1 xi=0.001"; do
+  run besselsums eval hybrid_k $args
+  if [ "$code" -ne 1 ]; then fail "eval hybrid_k $args exited $code"; fi
+  if [ "$(wc -l < "$dir/err")" -ne 1 ] || [ "$(head -c 7 "$dir/err")" != "error: " ]; then
+    fail "eval hybrid_k $args gave another message"
+  fi
+done
+
 echo "== a sum over all integers, through the public API"
 # sum_n J_n(1) = 1 (the generating function at t = 1); a sum that does not
 # converge spends max_terms, which counts the pairs term(k) + term(-k)

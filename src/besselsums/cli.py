@@ -135,11 +135,13 @@ def _cmd_eval(opts) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if isinstance(result, SeriesEval):
+        # a stop proved by a bound on the terms left out shows it; a streak stop shows none
+        tail = "none" if result.tail_bound is None else f"{result.tail_bound:.3e}"
         print(f"value = {result.value:.17g}")
         print(
             f"certificate: terms_used={result.terms_used}"
             f" last_term_magnitude={result.last_term_magnitude:.3e}"
-            f" converged={result.converged}"
+            f" converged={result.converged} tail_bound={tail}"
         )
     else:
         print(f"value = {result:.17g}")

@@ -1,6 +1,6 @@
 """Composite families: series whose power kernel is replaced by a polynomial
-family (Hermite- and Laguerre-based Tricomi/Wright functions, and the nested
-hybrid K series built from Hermite-based Tricomi functions of stepped order).
+family (Hermite- and Laguerre-based Tricomi/Wright functions), and the hybrid
+K series of Hermite-based Tricomi functions of stepped order.
 
 All of these, and the plain Wright function, are one shape: the Gamma-weighted
 series sum_k (+-1)^k p_k / Gamma(mu k + a), summed by ``_gamma_series``
@@ -10,23 +10,22 @@ the reduced polynomials H_k/k! and L_k/k!, which keeps intermediate magnitudes
 tame; the sum starts past a leading run of Gamma poles
 (``backend.leading_pole_shift`` of the same a).
 
-At m = -p < 0 with integer mu, ``hybrid_k``'s double sum is one series.  Its
-inner weight 1/Gamma(j + mu - p k + 1) vanishes unless p k <= j + mu, so
-swapping the two absolutely convergent sums (the paper's umbral step) gives
-HK = sum_j (-1)^j h_j g_(j+mu), with h_j = H_j^(2)(x, y)/j! and
-g_n = sum_(k <= n/p) xi^k / (k! (n - p k)!) = H_n^(p)(1, xi)/n!: two Hermite
-tables and no Gamma function.
+``hybrid_k``'s double sum is summed only where it is one series, at
+m = -p < 0 with integer mu.  Its inner weight 1/Gamma(j + mu - p k + 1)
+vanishes unless p k <= j + mu, so swapping the two absolutely convergent sums
+(the paper's umbral step) gives HK = sum_j (-1)^j h_j g_(j+mu), with
+h_j = H_j^(2)(x, y)/j! and g_n = sum_(k <= n/p) xi^k / (k! (n - p k)!) =
+H_n^(p)(1, xi)/n!: two Hermite tables and no Gamma function.
 
 Each call reads its weights from its own table, one degree at a time in O(1):
 h_n = H_n^(m)(u,v)/n! by n h_n = u h_(n-1) + m v h_(n-m) from h_0 = 1, and
 l_n = L_n(u,v)/n! by (n+1)^2 l_(n+1) = ((2n+1) v - u) l_n - v^2 l_(n-1) from
-l_0 = 1, l_1 = v - u (DLMF 18.9's recurrence scaled by v^n/n!).  A nested
-``hybrid_k`` shares one table across its inner sums, and the polynomial rules'
-left sides read the same tables; ``functions.laguerre2`` and ``hermite_m`` are the
-reference definitions.  A table keeps the direct sums' error domain: it stops
-at degree 170 and raises OverflowError where u^n and v^(n//m) (v^n for
-Laguerre) overflow, where the recurrences alone would sum cancelling giants
-to a "converged" value.
+l_0 = 1, l_1 = v - u (DLMF 18.9's recurrence scaled by v^n/n!).  The
+polynomial rules' left sides read the same tables; ``functions.laguerre2`` and
+``hermite_m`` are the reference definitions.  A table keeps the direct sums'
+error domain: it stops at degree 170 and raises OverflowError where u^n and
+v^(n//m) (v^n for Laguerre) overflow, where the recurrences alone would sum
+cancelling giants to a "converged" value.
 """
 
 import math
@@ -170,57 +169,29 @@ def hybrid_k(
     mu: float, m: int, x: float, y: float, xi: float, policy: SummationPolicy = DEFAULT_POLICY
 ) -> SeriesEval:
     """Hybrid K function: sum_k xi^k/k! * HC_(m k + mu)(x, y), where HC is the
-    Hermite-based Tricomi function of superscript 2.
+    Hermite-based Tricomi function of superscript 2, for m = -p < 0 and
+    integer mu: the domain where the double sum is one series.
 
     The inner superscript stays fixed at 2 for every m, matching the family's
-    definition.  m may be any nonzero integer; negative m steps the inner
-    order downward, the branch the extended Neumann sum rule actually needs.
-
-    At m = -p < 0 with integer mu the double sum is summed as the one series
-    sum_(j >= max(0, -mu)) (-1)^j h_j g_(j+mu) of the module docstring, with
-    h_j = H_j^(2)(x, y)/j! and g_n = H_n^(p)(1, xi)/n!; the certificate is
-    that series'.  A degree past either table's ceiling (170, lower where
+    definition; negative m steps the inner order downward, as the extended
+    Neumann sum rule needs.  The double sum is summed as the one
+    series sum_(j >= max(0, -mu)) (-1)^j h_j g_(j+mu) of the module docstring,
+    with h_j = H_j^(2)(x, y)/j! and g_n = H_n^(p)(1, xi)/n!; the certificate
+    is that series'.  A degree past either table's ceiling (170, lower where
     x, y or xi is large) raises EvaluationDomainError, so every integer
-    |mu| > 170 does: g_(j+mu) starts at degree mu, h_j at degree -mu.
-
-    Elsewhere (m > 0 or non-integer mu) the inner sums do not terminate and
-    the double sum is nested.  With non-integer mu and m < 0 the inner terms
-    grow like xi^k (|m| k)!/k!, so for xi != 0 the series converges only at
-    m = -1 with |xi| < 1; elsewhere it raises ValueError.  The inner sums run
-    at 10x tighter tolerance so the outer truncation dominates the error
-    budget; the certificate is converged only if the outer sum and every
-    inner sum converged.
+    |mu| > 170 does: g_(j+mu) starts at degree mu, h_j at degree -mu.  Any
+    other m or mu raises ValueError naming the domain.
     """
     require_finite(mu=mu, x=x, y=y, xi=xi)
-    m = require_int("m", m)
-    if m == 0:
-        raise ValueError("m must be a nonzero integer, got 0")
+    m = require_int("m", m, maximum=-1)
+    shift = require_int("mu", mu)
+    j0 = max(0, -shift)
     h = _hermite_table(2, x, y)
-    if m < 0 and mu == math.floor(mu):
-        shift = int(mu)
-        j0 = max(0, -shift)
-        g = _hermite_table(-m, 1.0, xi)
+    g = _hermite_table(-m, 1.0, xi)
 
-        def term(i: int) -> float:
-            j = i + j0
-            t = h(j) * g(j + shift)
-            return -t if j & 1 else t
+    def term(i: int) -> float:
+        j = i + j0
+        t = h(j) * g(j + shift)
+        return -t if j & 1 else t
 
-        return sum_series(term, _sparse_guard(policy, 2, x))
-    if m < 0 and xi != 0.0 and (m < -1 or abs(xi) >= 1.0):
-        raise ValueError(
-            "hybrid_k diverges for m < 0 with non-integer mu unless m = -1 and |xi| < 1, "
-            f"got mu={mu}, m={m}, xi={xi}"
-        )
-    inner_policy = _sparse_guard(policy.tightened(10.0), 2, x)
-    inner_ok = True
-
-    def term(k: int) -> float:
-        nonlocal inner_ok
-        inner = _gamma_series(h, m * k + mu + 1.0, 1.0, True, inner_policy)
-        if not inner.converged:
-            inner_ok = False
-        return math.pow(xi, k) * inner.value / float(math.factorial(k))
-
-    out = sum_series(term, policy)
-    return out if inner_ok else out._replace(converged=False)
+    return sum_series(term, _sparse_guard(policy, 2, x))

@@ -223,8 +223,8 @@ def run_plan(plan: VerificationPlan) -> VerdictReport:
     token = _J_MEMO.set(memo)
     try:
         for entry in sorted(plan.entries, key=lambda e: rule_order[e.rule_id]):
-            if len(memo.table) > J_TABLE_MAX:
-                memo.table.clear()
+            if len(memo) > J_TABLE_MAX:
+                memo.clear()
             tol = entry.tolerances or DEFAULT_TOLERANCES
             records += run_cases(entry.rule_id, entry.cases(), plan.policy, tol, entry.perturb_rhs)
     finally:

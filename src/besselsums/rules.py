@@ -193,20 +193,33 @@ def _taylor_weight(t: float, n: int) -> float:
     return math.pow(t, n) * backend.recip_gamma(n + 1.0)
 
 
-class _JMemo:
+class _JMemo(dict):
     """J values of one plan run (or of one ``run_cases`` call), valid for one
-    summation policy.
+    summation policy, keyed by (nu, x).
 
     ``policy`` is the object the plan runner hands the rules, so a lookup
-    compares it by identity, not by value.  The plan runner bounds the table
-    between entries (see ``plan.J_TABLE_MAX``).
+    compares it by identity, not by value.  A missing key is evaluated and
+    stored: a negative integer order through ``_mirror``, any other through
+    the module attribute ``bessel_j``, so wrappers installed there see every
+    evaluation.  Keys are (nu, x): bessel_j gives identical results for int
+    and float nu and for x = +-0.0, which a dict key does not tell apart.  The
+    plan runner bounds the table between entries (see ``plan.J_TABLE_MAX``).
     """
 
-    __slots__ = ("policy", "table")
+    __slots__ = ("policy",)
 
     def __init__(self, policy: SummationPolicy):
+        super().__init__()
         self.policy = policy
-        self.table = {}
+
+    def __missing__(self, key: tuple) -> SeriesEval:
+        nu, x = key
+        if nu < 0.0 and float(nu).is_integer():
+            hit = _mirror(nu, x, self.policy)
+        else:
+            hit = bessel_j(nu, x, self.policy)
+        self[key] = hit
+        return hit
 
 
 # Installed by run_plan for a whole run, or by run_cases for one call outside
@@ -216,25 +229,11 @@ _J_MEMO: ContextVar[Optional[_JMemo]] = ContextVar("besselsums_j_memo", default=
 
 def _bessel_j(nu: float, x: float, policy: SummationPolicy) -> SeriesEval:
     """bessel_j(nu, x, policy), reusing the result object within a plan run
-    (or one ``run_cases`` call).
-
-    Keys are (nu, x): bessel_j gives identical results for int and float nu
-    and for x = +-0.0, which a dict key does not tell apart.  A miss calls the
-    module attribute, so wrappers installed there see every evaluation.  A
-    negative integer order is served from J_|nu| (see ``_mirror``).
-    """
+    (or one ``run_cases`` call) through the installed ``_JMemo``."""
     memo = _J_MEMO.get()
     if memo is None or memo.policy is not policy:
         return bessel_j(nu, x, policy)
-    key = (nu, x)
-    hit = memo.table.get(key)
-    if hit is None:
-        if nu < 0.0 and float(nu).is_integer():
-            hit = _mirror(nu, x, policy)
-        else:
-            hit = bessel_j(nu, x, policy)
-        memo.table[key] = hit
-    return hit
+    return memo[nu, x]
 
 
 def _mirror(nu: float, x: float, policy: SummationPolicy) -> SeriesEval:
@@ -251,17 +250,6 @@ def _mirror(nu: float, x: float, policy: SummationPolicy) -> SeriesEval:
     if j.value == 0.0 or not int(nu) & 1:
         return j
     return _scaled(j, -1.0)
-
-
-def _j(nu: float, x: float, policy: SummationPolicy) -> float:
-    """The value of ``_bessel_j``: a hit costs one context lookup and one
-    dict lookup, a miss evaluates through ``_bessel_j``."""
-    memo = _J_MEMO.get()
-    if memo is not None and memo.policy is policy:
-        hit = memo.table.get((nu, x))
-        if hit is not None:
-            return hit.value
-    return _bessel_j(nu, x, policy).value
 
 
 def _gamma_majorant(c: float, s: float, mu: float = 1.0, nu: float = 0.0, power: int = 0):
@@ -316,7 +304,9 @@ def _graf_sum(weight, nu, x, y, up, down, policy, power=0) -> SeriesEval:
     upper = _gamma_majorant(up, s, 1.0, nu, power)
     lower = _gamma_majorant(down, s, 1.0, -nu, power) if float(nu).is_integer() else None
     return sum_bilateral(
-        lambda n: weight(n) * _j(nu + n, x, policy) * _j(float(n), y, policy),
+        lambda n: (
+            weight(n) * _bessel_j(nu + n, x, policy).value * _bessel_j(float(n), y, policy).value
+        ),
         policy,
         (upper, lower),
     )
@@ -347,7 +337,7 @@ def rule_ascending_gen(
     """sum_n t^n/n! J_{nu+n}(x)  =  (x/(x-2t))^(nu/2) J_nu(sqrt(x^2-2xt)),  |2t| < x."""
     _check_gen(nu, x, t)
     lhs = sum_series(
-        lambda n: _taylor_weight(t, n) * _j(nu + n, x, policy),
+        lambda n: _taylor_weight(t, n) * _bessel_j(nu + n, x, policy).value,
         policy,
         _gamma_majorant(abs(t), 0.5 * x, 1.0, nu),
     )
@@ -367,7 +357,9 @@ def rule_descending_gen(
     _check_gen(nu, x, t)
     # |J_(nu-n)| = |J_(n-nu)| needs an integer order; otherwise the stop stays heuristic
     majorant = _gamma_majorant(abs(t), 0.5 * x, 1.0, -nu) if float(nu).is_integer() else None
-    lhs = sum_series(lambda n: _taylor_weight(-t, n) * _j(nu - n, x, policy), policy, majorant)
+    lhs = sum_series(
+        lambda n: _taylor_weight(-t, n) * _bessel_j(nu - n, x, policy).value, policy, majorant
+    )
     rhs_j = _bessel_j(nu, math.sqrt(x * x - 2.0 * x * t), policy)
     rhs = _scaled(rhs_j, math.pow((x - 2.0 * t) / x, 0.5 * nu))
     return _record(RuleId.DESCENDING_GEN, {"nu": nu, "x": x, "t": t}, lhs, rhs, tolerances)
@@ -388,7 +380,7 @@ def rule_multiple_order(
     Tricomi function."""
     m = _check_multiple(m, x, t)
     lhs = sum_series(
-        lambda n: _taylor_weight(t, n) * _j(float(m * n), x, policy),
+        lambda n: _taylor_weight(t, n) * _bessel_j(float(m * n), x, policy).value,
         policy,
         _gamma_majorant(abs(t), 0.5 * abs(x), float(m)),
     )
@@ -414,7 +406,7 @@ def rule_fractional_order(
     Hermite-based Wright function."""
     m = _check_fractional(m, x, t)
     lhs = sum_series(
-        lambda n: _taylor_weight(t, n) * _j(n / m, x, policy),
+        lambda n: _taylor_weight(t, n) * _bessel_j(n / m, x, policy).value,
         policy,
         _gamma_majorant(abs(t), 0.5 * x, 1.0 / m),
     )
@@ -436,7 +428,7 @@ def rule_bessel_laguerre(
     lag = hybrid._laguerre_table(x, y)  # L_n(x, y)/n!
     # |L_n(x, y)/n!| <= (|x| + |y|)^n / n! termwise from laguerre2's defining sum
     lhs = sum_series(
-        lambda n: math.pow(t, n) * _j(float(n), z, policy) * lag(n),
+        lambda n: math.pow(t, n) * _bessel_j(float(n), z, policy).value * lag(n),
         policy,
         _gamma_majorant(abs(t) * (abs(x) + abs(y)), 0.5 * abs(z)),
     )
@@ -566,7 +558,11 @@ def rule_neumann_ext(
     # |t^n J_n(x) J_2n(y)| <= (|t x|/2)^n / n! (y/2)^(2n) / (2n)!, and with
     # |x| / (2|t|) in place of |t x|/2 for n < 0
     lhs = sum_bilateral(
-        lambda n: math.pow(t, n) * _j(float(n), x, policy) * _j(float(2 * n), y, policy),
+        lambda n: (
+            math.pow(t, n)
+            * _bessel_j(float(n), x, policy).value
+            * _bessel_j(float(2 * n), y, policy).value
+        ),
         policy,
         (
             _gamma_majorant(0.5 * abs(t * x), 0.5 * abs(y), 2.0),
@@ -604,7 +600,7 @@ def weighted_sum_S(
     Both closed forms read the same J_(l+p)(x - y), p = 0..m."""
     l, m = _check_weighted_s(l, m, x, y)
     brute = _graf_sum(lambda n: float(n) ** m, float(l), x, y, 0.5 * y, 0.5 * y, policy, m)
-    jv = [_j(float(l + p), x - y, policy) for p in range(m + 1)]
+    jv = [_bessel_j(float(l + p), x - y, policy).value for p in range(m + 1)]
     deriv = _weighted_derivative(l, m, x, y, jv)
     closed = _weighted_closed_form(l, m, x, y, jv)
     params = {"l": l, "m": m, "x": x, "y": y}
@@ -711,7 +707,9 @@ def weighted_sum_E(
     """
     l, m = _check_weighted_e(l, m, x)
     lhs = sum_series(
-        lambda n: float(n) ** m * backend.recip_gamma(n + 1.0) * _j(float(n + l), x, policy),
+        lambda n: (
+            float(n) ** m * backend.recip_gamma(n + 1.0) * _bessel_j(float(n + l), x, policy).value
+        ),
         policy,
         _gamma_majorant(1.0, 0.5 * abs(x), 1.0, float(l), m),
     )

@@ -22,7 +22,7 @@ converged, after ``consecutive_small`` negligible terms in a row, with
 
 import math
 import reprlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
 Scalar = Union[float, complex]
@@ -105,10 +105,6 @@ class SummationPolicy:
         # frozen: store the checked ints, so 400.0 sums like 400
         for name, minimum in (("max_terms", 8), ("consecutive_small", 1)):
             object.__setattr__(self, name, require_int(name, getattr(self, name), minimum))
-
-    def tightened(self, factor: float = 10.0) -> "SummationPolicy":
-        """Policy with tolerances divided by ``factor`` (for nested series)."""
-        return replace(self, abs_tol=self.abs_tol / factor, rel_tol=self.rel_tol / factor)
 
 
 DEFAULT_POLICY = SummationPolicy()

@@ -251,6 +251,17 @@ class TestWright:
         with pytest.raises(ValueError):
             wright(1.0, -0.5, 1.0)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP items 11 and 17")
+    def test_tiny_value_keeps_its_relative_accuracy(self):
+        # W(0, 1e-300; 1) = sum_(r >= 1) 1/(r! Gamma(1e-300 r)) = e * 1e-300 to
+        # rounding; every term is below abs_tol, so three in a row stop the sum
+        # at 2.5e-300 (-8%), reported converged
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            mu = mpmath.mpf(1e-300)
+            exact = float(mpmath.fsum(mpmath.rgamma(mu * r) / mpmath.factorial(r) for r in range(60)))
+        assert abs(wright(0.0, 1e-300, 1.0).value - exact) <= 1e-8 * exact
+
     def test_tight_policy_still_converges(self):
         ev = wright(0.5, 0.5, 2.0, SummationPolicy(abs_tol=1e-15, rel_tol=1e-13))
         assert ev.converged

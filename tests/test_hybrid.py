@@ -13,7 +13,6 @@ import pytest
 import scipy.special as sc
 
 from besselsums import (
-    DEFAULT_POLICY,
     SummationPolicy,
     functions,
     h_tricomi,
@@ -28,7 +27,7 @@ from besselsums import (
     tricomi_c,
 )
 from besselsums.plan import default_plan_path, load_plan, run_plan
-from besselsums.series import EvaluationDomainError, SeriesEval, sum_series
+from besselsums.series import EvaluationDomainError, sum_series
 
 # 50-term brute sum of (-1)^k H_k^(2)(1, 0.5) / (k! Gamma(k+1))
 H_TRICOMI_0_2_1_05 = 0.4045823668533772
@@ -36,10 +35,6 @@ H_TRICOMI_0_2_1_05 = 0.4045823668533772
 L_TRICOMI_0_03_07 = 0.6288868509939026
 # 60-term brute sum of H_k^(2)(0.4, -0.25) / (k! Gamma(0.5 k + 1))
 H_WRIGHT_0_2_05 = 1.2231699363978736
-# 40x40 double truncation of sum_k 0.5^k/k! HC_{2k}(1, 0.1)
-HYBRID_K_VALUE = 0.44175383325166984
-# sum_k 1/(k! Gamma(2k+1))
-HYBRID_K_ORIGIN = 1.5210658505136305
 
 
 def hermite_oracle(n, m, x, y):
@@ -177,20 +172,11 @@ class TestHWright:
 
 class TestHybridK:
     def test_xi_zero_reduces_to_inner(self):
-        for mu in (0.0, 0.5, 2.0):
-            assert hybrid_k(mu, 2, 0.7, 0.2, 0.0).value == pytest.approx(
-                h_tricomi(mu, 2, 0.7, 0.2).value, rel=1e-12
-            )
-
-    def test_origin_series(self):
-        assert hybrid_k(0.0, 2, 0.0, 0.0, 1.0).value == pytest.approx(
-            HYBRID_K_ORIGIN, rel=1e-13
-        )
-
-    def test_frozen_double_sum(self):
-        ev = hybrid_k(0.0, 2, 1.0, 0.1, 0.5)
-        assert ev.converged
-        assert ev.value == pytest.approx(HYBRID_K_VALUE, rel=1e-11)
+        for m in (-1, -2):
+            for mu in (0.0, 2.0, -1.0):
+                assert hybrid_k(mu, m, 0.7, 0.2, 0.0).value == pytest.approx(
+                    h_tricomi(mu, 2, 0.7, 0.2).value, rel=1e-12
+                )
 
     def test_descending_orders(self):
         # negative m steps the inner order downward; brute double sum oracle
@@ -211,9 +197,21 @@ class TestHybridK:
             hybrid_k(0.0, 0, 1.0, 1.0, 0.5)
 
     def test_inner_nonconvergence_propagates(self):
-        # an impossibly tight budget on the inner sums must not report converged
-        ev = hybrid_k(0.0, 2, 4.0, 3.0, 1.5, SummationPolicy(max_terms=8))
+        # a budget too small for the one series must not report converged
+        ev = hybrid_k(0.0, -2, 4.0, 3.0, 1.5, SummationPolicy(max_terms=8))
         assert not ev.converged
+
+    @pytest.mark.parametrize(
+        "mu, m, message",
+        [(0.0, 1, "m must be <= -1, got 1"), (0.5, -2, "mu must be integer, got 0.5")],
+        ids=["m=1", "mu=0.5"],
+    )
+    def test_outside_the_one_series_domain_is_refused(self, mu, m, message):
+        # only m <= -1 with integer mu is one series; nothing else is summed
+        with pytest.raises(ValueError) as info:
+            hybrid_k(mu, m, 1.0, 1.0, 0.5)
+        assert str(info.value) == message
+        assert not isinstance(info.value, EvaluationDomainError)
 
 
 @pytest.mark.parametrize("x,y", [(0.3, 0.5), (0.8, 0.2), (1.0, 1.0)])
@@ -223,14 +221,6 @@ def test_laguerre_based_exponential(x, y):
 
     total = sum(laguerre2(n, x, y) / math.factorial(n) for n in range(60))
     assert total == pytest.approx(math.exp(y) * tricomi_c(0.0, x).value, rel=1e-12)
-
-
-def test_nested_policy_tightening():
-    # the outer value must be insensitive to the caller's tolerance at the
-    # 10x-tightened-inner level
-    loose = hybrid_k(0.0, 2, 1.0, 0.1, 0.5, DEFAULT_POLICY)
-    tight = hybrid_k(0.0, 2, 1.0, 0.1, 0.5, DEFAULT_POLICY.tightened(100.0))
-    assert loose.value == pytest.approx(tight.value, rel=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -357,48 +347,25 @@ def test_rule_sides_read_tables_not_the_direct_sums(monkeypatch):
     assert calls == []
 
 
-def _hybrid_k_fresh(mu, m, x, y, xi, policy=DEFAULT_POLICY):
-    """Reference for hybrid_k: a fresh h_tricomi call for every inner order."""
-    inner_policy = policy.tightened(10.0)
-    inner_ok = True
-
-    def term(k):
-        nonlocal inner_ok
-        inner = h_tricomi(m * k + mu, 2, x, y, inner_policy)
-        if not inner.converged:
-            inner_ok = False
-        return math.pow(xi, k) * inner.value / float(math.factorial(k))
-
-    out = sum_series(term, policy)
-    if not inner_ok:
-        return SeriesEval(out.value, out.terms_used, out.last_term_magnitude, False)
-    return out
-
-
 @pytest.mark.parametrize("mu", [0.0, 0.5, -1.5])
 @pytest.mark.parametrize("m", [-2, -1, 1, 3])
 @pytest.mark.parametrize("x", [0.0, 0.5, -0.7])
 @pytest.mark.parametrize("y", [0.0, 1.0, -1.5])
 @pytest.mark.parametrize("xi", [-2.0, 0.3])
 def test_hybrid_k_shared_table_matches_fresh_inner_sums(mu, m, x, y, xi):
-    if m < 0 and mu != int(mu) and (m < -1 or abs(xi) >= 1.0):
-        # the 54 divergent points: the fresh sums overflow, hybrid_k refuses them
-        with pytest.raises(EvaluationDomainError):
-            _hybrid_k_fresh(mu, m, x, y, xi)
-        with pytest.raises(ValueError, match="diverges") as info:
+    if m > 0 or mu != int(mu):
+        # not one series: refused by name, never summed nested
+        with pytest.raises(ValueError, match="^mu? must be ") as info:
             hybrid_k(mu, m, x, y, xi)
         assert not isinstance(info.value, EvaluationDomainError)
         return
-    fresh = _hybrid_k_fresh(mu, m, x, y, xi)
+    # the one series on two shared tables against the double sum of fresh
+    # h_tricomi calls, one per inner order: equal within the policy's
+    # tolerances, not bit for bit
+    fresh = sum_series(lambda k: xi**k / math.factorial(k) * h_tricomi(m * k + mu, 2, x, y).value)
     shared = hybrid_k(mu, m, x, y, xi)
-    if m < 0 and mu == int(mu):
-        # summed as one series, not nested: the two agree within the policy's
-        # tolerances (worst 8e-15 relative on this grid), not bit for bit
-        assert shared.converged and fresh.converged
-        assert shared.value == pytest.approx(fresh.value, rel=1e-12, abs=1e-14)
-        return
-    assert shared == fresh
-    assert shared.value.hex() == fresh.value.hex()
+    assert shared.converged and fresh.converged
+    assert shared.value == pytest.approx(fresh.value, rel=1e-12, abs=1e-14)
 
 
 @functools.lru_cache(maxsize=None)
@@ -506,7 +473,7 @@ def test_tables_overflow_where_the_direct_sums_powers_do(m, u, v):
     "call",
     [
         lambda: h_tricomi(0.0, 1, 3000.0, 0.0),
-        lambda: hybrid_k(0.0, 1, 3000.0, 0.0, 1.0),
+        lambda: hybrid_k(0.0, -1, 3000.0, 0.0, 1.0),
         lambda: h_wright(0.0, 1, 1.0, 1e6, 0.0),
         lambda: l_tricomi(0.0, 1e200, 1.0),
     ],

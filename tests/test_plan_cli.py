@@ -432,7 +432,8 @@ def readme_eval_examples():
 
 def test_readme_eval_examples_are_current(capsys):
     examples = readme_eval_examples()
-    assert examples
+    # one sum stopped on a proved tail bound and one on the negligible-term streak
+    assert {"tail_bound=none" in out for _, out in examples} == {True, False}
     for argv, expected in examples:
         assert main(argv) == 0
         assert capsys.readouterr().out == expected
@@ -501,6 +502,8 @@ class TestCli:
         [
             ["h_tricomi", "nu=0", "m=1", "u=3000", "v=0"],
             ["hybrid_k", "mu=0", "m=1", "x=3000", "y=0", "xi=1"],
+            ["hybrid_k", "mu=0", "m=-1", "x=3000", "y=0", "xi=1"],
+            ["hybrid_k", "mu=200", "m=-2", "x=0.5", "y=1", "xi=0.3"],  # g_200 is past 170
             ["h_wright", "nu=0", "m=1", "mu=1", "u=1e6", "v=0"],
             ["l_tricomi", "nu=0", "u=1e200", "v=1"],
             ["laguerre2", "n=3", "x=1e200", "y=1"],

@@ -52,11 +52,6 @@ class TestPolicy:
         with pytest.raises(ValueError):
             SummationPolicy(**kwargs)
 
-    def test_tightened(self):
-        t = DEFAULT_POLICY.tightened(10.0)
-        assert t.abs_tol == 1e-15 and t.rel_tol == 1e-13
-        assert t.max_terms == DEFAULT_POLICY.max_terms
-
 
 class TestSumSeries:
     def test_exponential(self):

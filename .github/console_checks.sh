@@ -92,6 +92,20 @@ python -c 'import json, sys; records = lambda name: json.load(open(sys.argv[1] +
 sys.exit(records("both") != records("asc") + records("desc"))' "$dir" ||
   fail "a shared run's records differ from its entries run alone"
 
+echo "== J and C values do not depend on the plan's policy"
+# the kernels sum at the default tolerances and budget whatever the policy says,
+# so a loose policy may move a left side and the verdict, never a J or C right side
+entries='"entries": [{"rule": "ASCENDING_GEN", "grid": {"nu": [0.5], "x": [2], "t": [0.45]}},
+  {"rule": "WEIGHTED_E", "grid": {"l": [2], "m": [3], "x": [1.5]}}]'
+echo "{$entries}" > "$dir/default.json"
+echo "{\"policy\": {\"abs_tol\": 1e-6, \"rel_tol\": 1e-6}, $entries}" > "$dir/loose.json"
+for name in default loose; do
+  run besselsums verify --plan "$dir/$name.json" --format json --out "$dir/$name.out.json"
+done
+python -c 'import json, sys; rhs = lambda name: [rec["rhs"] for rec in json.load(open(sys.argv[1] + "/" + name + ".out.json"))["records"]]
+sys.exit(rhs("loose") != rhs("default") or len(rhs("default")) != 2)' "$dir" ||
+  fail "a loose policy moved a J or C right side"
+
 echo "== kernel errors fail located, and fast"
 # a non-finite kernel sum is one error line (stderr compared whole, so no
 # traceback); a hermite_m degree whose terms overflow fails within seconds,

@@ -1,12 +1,12 @@
 """Scalar kernels for the hot series loops.
 
 ``recip_gamma`` and the Bessel and Tricomi series loops, in pure Python over
-floats.  Each series kernel takes the ``SummationPolicy`` and reads its
-``abs_tol``, ``rel_tol`` and ``max_terms`` itself, like the engine sums in
-``besselsums.series``; it uses Neumaier-compensated accumulation and returns
-the ``SeriesEval`` certificate of its sum.  A term that is not finite, or a
-sum that overflows, raises ``EvaluationDomainError`` with the index of the
-last term summed.
+floats.  The series kernels take no policy: their one loop reads the
+``abs_tol``, ``rel_tol`` and ``max_terms`` of ``DEFAULT_POLICY``, so a J or C
+value is a function of its arguments alone.  Each uses Neumaier-compensated
+accumulation and returns the ``SeriesEval`` certificate of its sum.  A term
+that is not finite, or a sum that overflows, raises ``EvaluationDomainError``
+with the index of the last term summed.
 
 The Bessel and Tricomi series share one loop, ``_ratio_series``: both step
 their terms by ``c / ((k + 1)(a + k + 1))``.  It stops only on a proved tail:
@@ -29,7 +29,7 @@ in ``besselsums.hybrid``, which starts its Gamma-weighted series by the same
 
 import math
 
-from besselsums.series import EvaluationDomainError, SeriesEval
+from besselsums.series import DEFAULT_POLICY, EvaluationDomainError, SeriesEval
 
 BACKEND = "pure-python"
 
@@ -96,11 +96,11 @@ def _tail(mag, a, ac, k):
     return math.inf
 
 
-def _ratio_series(term, a, c, k0, policy, symbol, x):
+def _ratio_series(term, a, c, k0, symbol, x):
     """Sum from the index-k0 term ``term``, with term_(k+1) = term_k c / ((k+1)(a+k+1)),
     certified with the tail bound it stopped on, or None without a proved stop;
     ``symbol``_a(x) names the sum in the error a non-finite term or total raises."""
-    abs_tol, rel_tol = policy.abs_tol, policy.rel_tol
+    abs_tol, rel_tol = DEFAULT_POLICY.abs_tol, DEFAULT_POLICY.rel_tol
     total = 0.0
     comp = 0.0
     ac = abs(c)
@@ -108,7 +108,7 @@ def _ratio_series(term, a, c, k0, policy, symbol, x):
     mag = abs(term)
     last_mag = 0.0
     tail = None
-    for terms in range(1, policy.max_terms + 1):
+    for terms in range(1, DEFAULT_POLICY.max_terms + 1):
         t = total + term
         if abs(total) >= mag:
             comp += (total - t) + term
@@ -134,7 +134,7 @@ def _ratio_series(term, a, c, k0, policy, symbol, x):
     return SeriesEval(value, terms, last_mag, tail is not None, tail)
 
 
-def bessel_j_series(nu, x, policy):
+def bessel_j_series(nu, x):
     """Ascending series for J_nu(x): sum_k (-1)^k (x/2)^(2k+nu) / (k! Gamma(nu+k+1))."""
     half = 0.5 * x
     k0 = leading_pole_shift(nu + 1.0)
@@ -144,14 +144,14 @@ def bessel_j_series(nu, x, policy):
         term = math.inf
     if k0 & 1:
         term = -term
-    return _ratio_series(term, nu, -(half * half), k0, policy, "J", x)
+    return _ratio_series(term, nu, -(half * half), k0, "J", x)
 
 
-def tricomi_series(alpha, x, policy):
+def tricomi_series(alpha, x):
     """Tricomi series C_alpha(x): sum_k (-x)^k / (k! Gamma(alpha+k+1))."""
     k0 = leading_pole_shift(alpha + 1.0)
     try:
         term = math.pow(-x, k0) * _recip_gamma(alpha + k0 + 1.0) * _recip_gamma(k0 + 1.0)
     except OverflowError:
         term = math.inf
-    return _ratio_series(term, alpha, -x, k0, policy, "C", x)
+    return _ratio_series(term, alpha, -x, k0, "C", x)

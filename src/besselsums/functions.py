@@ -6,11 +6,12 @@ a few dozen terms, and a single auditable code path is worth more than
 asymptotic switchovers.
 
 Reciprocal gamma and the Bessel and Tricomi series loops are the kernels in
-``besselsums.backend``; this layer checks the arguments, passes the
-``SummationPolicy`` on as it is, and returns the ``SeriesEval`` certificate
-that a series kernel built.  The kernels raise
-``EvaluationDomainError`` themselves on a term or sum that is not finite.  The
-Wright function is the Hermite-based Wright composite at v = 0, summed by
+``besselsums.backend``; this layer checks the arguments and returns the
+``SeriesEval`` certificate that a series kernel built.  ``bessel_j`` and
+``tricomi_c`` take no policy: their kernels sum at ``DEFAULT_POLICY``'s
+tolerances and 400-term budget, so a value depends on its arguments alone.
+The kernels raise ``EvaluationDomainError`` themselves on a term or sum that
+is not finite.  The Wright function is the Hermite-based Wright composite at v = 0, summed by
 ``besselsums.hybrid``.  The two polynomial families refuse a non-finite
 argument with ``ValueError`` naming it, and raise ``EvaluationDomainError``
 when a term overflows float range.
@@ -46,7 +47,7 @@ def reciprocal_gamma(a: float) -> float:
     return backend.recip_gamma(a)
 
 
-def bessel_j(nu: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) -> SeriesEval:
+def bessel_j(nu: float, x: float) -> SeriesEval:
     """Bessel function of the first kind J_nu(x) by its ascending series.
 
     Negative integer orders come out of the same series: the leading terms
@@ -64,10 +65,10 @@ def bessel_j(nu: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) -> S
         raise ValueError(f"bessel_j with non-integer nu={nu} requires x >= 0, got x={x}")
     if x == 0.0 and nu < 0.0 and not nu_is_int:
         raise ValueError(f"bessel_j diverges at x=0 for negative non-integer nu={nu}")
-    return backend.bessel_j_series(nu, x, policy)
+    return backend.bessel_j_series(nu, x)
 
 
-def tricomi_c(alpha: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) -> SeriesEval:
+def tricomi_c(alpha: float, x: float) -> SeriesEval:
     """Tricomi function C_alpha(x) = sum_k (-x)^k / (k! Gamma(alpha+k+1)).
 
     Entire in x; related to the Bessel family by C_alpha(x) = x^(-alpha/2) J_alpha(2 sqrt x).
@@ -75,7 +76,7 @@ def tricomi_c(alpha: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) 
     alpha, x = float(alpha), float(x)
     if alpha - alpha != 0.0 or x - x != 0.0:
         require_finite(alpha=alpha, x=x)
-    return backend.tricomi_series(alpha, x, policy)
+    return backend.tricomi_series(alpha, x)
 
 
 def wright(nu: float, mu: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) -> SeriesEval:

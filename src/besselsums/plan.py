@@ -26,14 +26,14 @@ PlanError, which names the file or the entry at fault; so does a file that
 cannot be opened, read or parsed as json.
 
 Each entry's cases run through ``rules.run_cases``, which turns a case that
-raises into an INCONCLUSIVE record.  ``run_plan`` installs one table of Bessel
-J values for the whole run, so a J evaluated once serves every later case of
-that entry and of later entries (the brute-force sides re-evaluate the same
-J_{nu+n}(x) for each shift t or theta, and entries share points on purpose).
-Before each entry the table is emptied if it holds more than ``J_TABLE_MAX``
-values, so a sweep of distinct points holds no more than that plus one entry's
-values.  The reuse ends with the run; outside ``run_plan`` and ``run_cases``
-every rule evaluates each J afresh.
+raises into an INCONCLUSIVE record.  The rules read Bessel J values through
+one least-recently-used cache of 1,024 values (``rules._bessel_j``), which
+``run_plan`` empties when a run starts: a J evaluated once serves the later
+cases of that entry and of later entries (the brute-force sides re-evaluate
+the same J_{nu+n}(x) for each shift t or theta, and entries share points on
+purpose), and a run reuses only its own values.  A J value depends on its
+arguments alone, never on the plan's policy, so the reuse leaves every record
+as it is.
 """
 
 import itertools
@@ -46,21 +46,10 @@ from pathlib import Path
 from typing import Optional
 
 from besselsums.report import VerdictReport
-from besselsums.rules import (
-    _J_MEMO,
-    DEFAULT_TOLERANCES,
-    RULES,
-    RuleId,
-    Tolerances,
-    _JMemo,
-    run_cases,
-)
+from besselsums.rules import DEFAULT_TOLERANCES, RULES, RuleId, Tolerances, _bessel_j, run_cases
 from besselsums.series import SummationPolicy, require_int, short_repr
 
 MAX_GRID_CASES = 100_000
-# J values the run's table may hold when an entry starts (the default plan
-# peaks at 494); past it the table is emptied before the entry
-J_TABLE_MAX = 1024
 _PLAN_KEYS = ("policy", "parallelism", "entries")
 _POLICY_KEYS = tuple(f.name for f in fields(SummationPolicy))
 _ENTRY_KEYS = ("rule", "grid", "tol_abs", "tol_rel", "perturb_rhs")
@@ -214,21 +203,15 @@ def _load_entry(raw: dict, idx: int) -> PlanEntry:
 
 def run_plan(plan: VerificationPlan) -> VerdictReport:
     """Evaluate every case in one process, in deterministic order: rule id,
-    then entry, then grid position.  The entries share one table of J values
-    (see the module docstring)."""
+    then entry, then grid position.  The entries share the J cache, emptied
+    first (see the module docstring)."""
     t0 = time.perf_counter()
+    _bessel_j.cache_clear()
     rule_order = {rule: i for i, rule in enumerate(RuleId)}
     records = []
-    memo = _JMemo(plan.policy)
-    token = _J_MEMO.set(memo)
-    try:
-        for entry in sorted(plan.entries, key=lambda e: rule_order[e.rule_id]):
-            if len(memo) > J_TABLE_MAX:
-                memo.clear()
-            tol = entry.tolerances or DEFAULT_TOLERANCES
-            records += run_cases(entry.rule_id, entry.cases(), plan.policy, tol, entry.perturb_rhs)
-    finally:
-        _J_MEMO.reset(token)
+    for entry in sorted(plan.entries, key=lambda e: rule_order[e.rule_id]):
+        tol = entry.tolerances or DEFAULT_TOLERANCES
+        records += run_cases(entry.rule_id, entry.cases(), plan.policy, tol, entry.perturb_rhs)
     report = VerdictReport(records=records)
     report.wall_time = time.perf_counter() - t0
     return report

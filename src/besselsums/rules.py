@@ -30,7 +30,6 @@ import cmath
 import inspect
 import math
 import sys
-from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -193,50 +192,24 @@ def _taylor_weight(t: float, n: int) -> float:
     return math.pow(t, n) * backend.recip_gamma(n + 1.0)
 
 
-class _JMemo(dict):
-    """J values of one plan run (or of one ``run_cases`` call), valid for one
-    summation policy, keyed by (nu, x).
+@lru_cache(maxsize=1024)
+def _bessel_j(nu: float, x: float) -> SeriesEval:
+    """J_nu(x) through a cache of the latest 1,024 (nu, x), the same result
+    object for every case that reads it.
 
-    ``policy`` is the object the plan runner hands the rules, so a lookup
-    compares it by identity, not by value.  A missing key is evaluated and
-    stored: a negative integer order through ``_mirror``, any other through
-    the module attribute ``bessel_j``, so wrappers installed there see every
-    evaluation.  Keys are (nu, x): bessel_j gives identical results for int
-    and float nu and for x = +-0.0, which a dict key does not tell apart.  The
-    plan runner bounds the table between entries (see ``plan.J_TABLE_MAX``).
+    ``run_plan`` empties it when a run starts, so a run reuses only its own
+    values; direct rule calls use it too.  A miss on a negative integer order
+    is served through ``_mirror``, any other through the module attribute
+    ``bessel_j``, so wrappers installed there see every evaluation.  A value
+    is a function of (nu, x) alone: bessel_j gives identical results for int
+    and float nu and for x = +-0.0, which the cache key does not tell apart.
     """
-
-    __slots__ = ("policy",)
-
-    def __init__(self, policy: SummationPolicy):
-        super().__init__()
-        self.policy = policy
-
-    def __missing__(self, key: tuple) -> SeriesEval:
-        nu, x = key
-        if nu < 0.0 and float(nu).is_integer():
-            hit = _mirror(nu, x, self.policy)
-        else:
-            hit = bessel_j(nu, x, self.policy)
-        self[key] = hit
-        return hit
+    if nu < 0.0 and float(nu).is_integer():
+        return _mirror(nu, x)
+    return bessel_j(nu, x)
 
 
-# Installed by run_plan for a whole run, or by run_cases for one call outside
-# a run; None (no reuse) outside both.
-_J_MEMO: ContextVar[Optional[_JMemo]] = ContextVar("besselsums_j_memo", default=None)
-
-
-def _bessel_j(nu: float, x: float, policy: SummationPolicy) -> SeriesEval:
-    """bessel_j(nu, x, policy), reusing the result object within a plan run
-    (or one ``run_cases`` call) through the installed ``_JMemo``."""
-    memo = _J_MEMO.get()
-    if memo is None or memo.policy is not policy:
-        return bessel_j(nu, x, policy)
-    return memo[nu, x]
-
-
-def _mirror(nu: float, x: float, policy: SummationPolicy) -> SeriesEval:
+def _mirror(nu: float, x: float) -> SeriesEval:
     """J_nu(x) = (-1)^nu J_-nu(x) for negative integer nu, bit for bit.
 
     The kernel sums J_-n from k = n, and those terms are J_n's terms times
@@ -244,9 +217,9 @@ def _mirror(nu: float, x: float, policy: SummationPolicy) -> SeriesEval:
     A zero value stays +0.0, as the kernel returns it.
     """
     try:
-        j = _bessel_j(-nu, x, policy)
+        j = _bessel_j(-nu, x)
     except EvaluationDomainError:
-        return bessel_j(nu, x, policy)  # raises again, naming the order asked for
+        return bessel_j(nu, x)  # raises again, naming the order asked for
     if j.value == 0.0 or not int(nu) & 1:
         return j
     return _scaled(j, -1.0)
@@ -305,7 +278,7 @@ def _graf_sum(weight, nu, x, y, up, down, policy, power=0) -> SeriesEval:
     lower = _gamma_majorant(down, s, 1.0, -nu, power) if float(nu).is_integer() else None
     return sum_bilateral(
         lambda n: (
-            weight(n) * _bessel_j(nu + n, x, policy).value * _bessel_j(float(n), y, policy).value
+            weight(n) * _bessel_j(nu + n, x).value * _bessel_j(float(n), y).value
         ),
         policy,
         (upper, lower),
@@ -337,11 +310,11 @@ def rule_ascending_gen(
     """sum_n t^n/n! J_{nu+n}(x)  =  (x/(x-2t))^(nu/2) J_nu(sqrt(x^2-2xt)),  |2t| < x."""
     _check_gen(nu, x, t)
     lhs = sum_series(
-        lambda n: _taylor_weight(t, n) * _bessel_j(nu + n, x, policy).value,
+        lambda n: _taylor_weight(t, n) * _bessel_j(nu + n, x).value,
         policy,
         _gamma_majorant(abs(t), 0.5 * x, 1.0, nu),
     )
-    rhs_j = _bessel_j(nu, math.sqrt(x * x - 2.0 * x * t), policy)
+    rhs_j = _bessel_j(nu, math.sqrt(x * x - 2.0 * x * t))
     rhs = _scaled(rhs_j, math.pow(x / (x - 2.0 * t), 0.5 * nu))
     return _record(RuleId.ASCENDING_GEN, {"nu": nu, "x": x, "t": t}, lhs, rhs, tolerances)
 
@@ -358,9 +331,9 @@ def rule_descending_gen(
     # |J_(nu-n)| = |J_(n-nu)| needs an integer order; otherwise the stop stays heuristic
     majorant = _gamma_majorant(abs(t), 0.5 * x, 1.0, -nu) if float(nu).is_integer() else None
     lhs = sum_series(
-        lambda n: _taylor_weight(-t, n) * _bessel_j(nu - n, x, policy).value, policy, majorant
+        lambda n: _taylor_weight(-t, n) * _bessel_j(nu - n, x).value, policy, majorant
     )
-    rhs_j = _bessel_j(nu, math.sqrt(x * x - 2.0 * x * t), policy)
+    rhs_j = _bessel_j(nu, math.sqrt(x * x - 2.0 * x * t))
     rhs = _scaled(rhs_j, math.pow((x - 2.0 * t) / x, 0.5 * nu))
     return _record(RuleId.DESCENDING_GEN, {"nu": nu, "x": x, "t": t}, lhs, rhs, tolerances)
 
@@ -380,7 +353,7 @@ def rule_multiple_order(
     Tricomi function."""
     m = _check_multiple(m, x, t)
     lhs = sum_series(
-        lambda n: _taylor_weight(t, n) * _bessel_j(float(m * n), x, policy).value,
+        lambda n: _taylor_weight(t, n) * _bessel_j(float(m * n), x).value,
         policy,
         _gamma_majorant(abs(t), 0.5 * abs(x), float(m)),
     )
@@ -406,7 +379,7 @@ def rule_fractional_order(
     Hermite-based Wright function."""
     m = _check_fractional(m, x, t)
     lhs = sum_series(
-        lambda n: _taylor_weight(t, n) * _bessel_j(n / m, x, policy).value,
+        lambda n: _taylor_weight(t, n) * _bessel_j(n / m, x).value,
         policy,
         _gamma_majorant(abs(t), 0.5 * x, 1.0 / m),
     )
@@ -428,7 +401,7 @@ def rule_bessel_laguerre(
     lag = hybrid._laguerre_table(x, y)  # L_n(x, y)/n!
     # |L_n(x, y)/n!| <= (|x| + |y|)^n / n! termwise from laguerre2's defining sum
     lhs = sum_series(
-        lambda n: math.pow(t, n) * _bessel_j(float(n), z, policy).value * lag(n),
+        lambda n: math.pow(t, n) * _bessel_j(float(n), z).value * lag(n),
         policy,
         _gamma_majorant(abs(t) * (abs(x) + abs(y)), 0.5 * abs(z)),
     )
@@ -500,7 +473,7 @@ def rule_graf(
     _check_graf_real(nu, x, y, t)
     lhs = _graf_sum(lambda n: math.pow(t, n), nu, x, y, 0.5 * t * abs(y), 0.5 * abs(y) / t, policy)
     arg = math.sqrt(x * x + y * y - x * y * (t + 1.0 / t))
-    rhs = _scaled(_bessel_j(nu, arg, policy), math.pow((x - y / t) / (x - y * t), 0.5 * nu))
+    rhs = _scaled(_bessel_j(nu, arg), math.pow((x - y / t) / (x - y * t), 0.5 * nu))
     return _record(RuleId.GRAF_REAL, {"nu": nu, "x": x, "y": y, "t": t}, lhs, rhs, tolerances)
 
 
@@ -525,7 +498,7 @@ def rule_graf_phase(
     values."""
     _check_graf_phase(nu, x, y, theta)
     lhs = _graf_sum(lambda n: cmath.exp(1j * n * theta), nu, x, y, 0.5 * y, 0.5 * y, policy)
-    j = _bessel_j(nu, math.sqrt(x * x + y * y - 2.0 * x * y * math.cos(theta)), policy)
+    j = _bessel_j(nu, math.sqrt(x * x + y * y - 2.0 * x * y * math.cos(theta)))
     ratio = (x - y * cmath.exp(-1j * theta)) / (x - y * cmath.exp(1j * theta))
     rhs = _scaled(j, ratio ** (0.5 * nu))
     params = {"nu": nu, "x": x, "y": y, "theta": theta}
@@ -560,8 +533,8 @@ def rule_neumann_ext(
     lhs = sum_bilateral(
         lambda n: (
             math.pow(t, n)
-            * _bessel_j(float(n), x, policy).value
-            * _bessel_j(float(2 * n), y, policy).value
+            * _bessel_j(float(n), x).value
+            * _bessel_j(float(2 * n), y).value
         ),
         policy,
         (
@@ -600,7 +573,7 @@ def weighted_sum_S(
     Both closed forms read the same J_(l+p)(x - y), p = 0..m."""
     l, m = _check_weighted_s(l, m, x, y)
     brute = _graf_sum(lambda n: float(n) ** m, float(l), x, y, 0.5 * y, 0.5 * y, policy, m)
-    jv = [_bessel_j(float(l + p), x - y, policy).value for p in range(m + 1)]
+    jv = [_bessel_j(float(l + p), x - y).value for p in range(m + 1)]
     deriv = _weighted_derivative(l, m, x, y, jv)
     closed = _weighted_closed_form(l, m, x, y, jv)
     params = {"l": l, "m": m, "x": x, "y": y}
@@ -708,14 +681,14 @@ def weighted_sum_E(
     l, m = _check_weighted_e(l, m, x)
     lhs = sum_series(
         lambda n: (
-            float(n) ** m * backend.recip_gamma(n + 1.0) * _bessel_j(float(n + l), x, policy).value
+            float(n) ** m * backend.recip_gamma(n + 1.0) * _bessel_j(float(n + l), x).value
         ),
         policy,
         _gamma_majorant(1.0, 0.5 * abs(x), 1.0, float(l), m),
     )
     arg = (x * x - 2.0 * x) / 4.0
     parts = [
-        _scaled(tricomi_c(float(l + k), arg, policy), stirling2(m, k) * math.pow(x / 2.0, l + k))
+        _scaled(tricomi_c(float(l + k), arg), stirling2(m, k) * math.pow(x / 2.0, l + k))
         for k in range(1, m + 1)
     ]
     value = 0.0
@@ -768,7 +741,7 @@ def appendix_derivative_check(
     tail = _gamma_majorant(half, half, 1.0, nu - 1.0)
     factor = scale * math.pow(half, nu - 1.0)
     lhs = sum_series(term, policy, lambda i: factor * tail(k0 + i))
-    rhs = _scaled(_bessel_j(nu - 1.0, x, policy), math.pow(x, nu - 1.0))
+    rhs = _scaled(_bessel_j(nu - 1.0, x), math.pow(x, nu - 1.0))
     return _record(RuleId.APPENDIX_DERIV, {"nu": nu, "x": x}, lhs, rhs, tolerances)
 
 
@@ -898,25 +871,18 @@ def run_cases(
     rule_id: RuleId, cases, policy: SummationPolicy, tol: Tolerances, perturb: float = 0.0
 ) -> list[VerificationRecord]:
     """The records of one plan entry's cases, in order.  The cases share their
-    J values (see ``_bessel_j``) through the table installed for ``policy``,
-    the plan run's, or else through one installed for this call alone; a case
-    that raises gives one INCONCLUSIVE record naming the error; a nonzero
-    ``perturb`` is added to every right side."""
-    memo = _J_MEMO.get()
-    token = None if memo is not None and memo.policy is policy else _J_MEMO.set(_JMemo(policy))
+    J values through the cache of ``_bessel_j``; a case that raises gives one
+    INCONCLUSIVE record naming the error; a nonzero ``perturb`` is added to
+    every right side."""
     records = []
-    try:
-        for params in cases:
-            try:  # RULES is read per case, so a runner wrapped there sees every case
-                out = RULES[rule_id].run(**params, policy=policy, tolerances=tol)
-            except Exception as exc:  # contained: reported, never crashes the sweep
-                note = f"evaluation failed: {type(exc).__name__}: {exc}"
-                out = _record(rule_id, params, math.nan, math.nan, tol, note=note)
-            for rec in out if isinstance(out, list) else [out]:  # WEIGHTED_S gives a list
-                records.append(_perturbed(rec, perturb, tol) if perturb else rec)
-    finally:
-        if token is not None:
-            _J_MEMO.reset(token)
+    for params in cases:
+        try:  # RULES is read per case, so a runner wrapped there sees every case
+            out = RULES[rule_id].run(**params, policy=policy, tolerances=tol)
+        except Exception as exc:  # contained: reported, never crashes the sweep
+            note = f"evaluation failed: {type(exc).__name__}: {exc}"
+            out = _record(rule_id, params, math.nan, math.nan, tol, note=note)
+        for rec in out if isinstance(out, list) else [out]:  # WEIGHTED_S gives a list
+            records.append(_perturbed(rec, perturb, tol) if perturb else rec)
     return records
 
 

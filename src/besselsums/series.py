@@ -77,10 +77,12 @@ class SummationPolicy:
     Stops are proved where a bound on everything left out is at hand, all
     up to rounding:
 
-    * The Bessel and Tricomi kernels stop once that bound is at most both
+    * The Bessel and Tricomi kernels take no policy: they read
+      ``DEFAULT_POLICY``'s, and stop once that bound is at most both
       abs_tol and rel_tol * |partial sum|, so a value V is truncated by at
-      most min(abs_tol, rel_tol |V|): a rule side may multiply a tiny J value
-      by a large partner, so it keeps its relative digits.
+      most min(abs_tol, rel_tol |V|) whatever policy its caller holds: a
+      rule side may multiply a tiny J value by a large partner, so it keeps
+      its relative digits.
     * An engine sum given a majorant stops once the majorant's tail is at
       most max(abs_tol, rel_tol * |partial sum|): a rule side may cancel to
       near zero, where abs_tol alone must do.
@@ -89,7 +91,8 @@ class SummationPolicy:
     composite families and the rule sides with no bound at hand): they stop
     after that many negligible terms in a row, since single incidentally
     tiny terms of alternating series must not stop them.  ``max_terms`` caps
-    every sum; for a sum over all integers it counts pairs term(k) + term(-k).
+    every engine sum, and ``DEFAULT_POLICY``'s 400 caps the kernels; for a
+    sum over all integers it counts pairs term(k) + term(-k).
     """
 
     abs_tol: float = 1e-14

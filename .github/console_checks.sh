@@ -77,6 +77,13 @@ echo '{"entries": [{"rule": "NEUMANN_EXT", "grid": {"x": [8.105, 3.705], "y": [1
 run besselsums verify --plan "$dir/neumann.json"
 if [ "$code" -ne 0 ]; then fail "NEUMANN_EXT at the Baseline points exited $code"; fi
 
+echo "== the fractional-order rule verifies past m = consecutive_small"
+# h_wright stopped after three small terms at any m, before the Hermite table
+# of order 15 took its first power of v: both records DISCREPANT at rel_err 0.24
+echo '{"entries": [{"rule": "FRACTIONAL_ORDER", "grid": {"m": [15], "x": [1], "t": [-0.5, 0.5]}}]}' > "$dir/fractional.json"
+run besselsums verify --plan "$dir/fractional.json"
+if [ "$code" -ne 0 ]; then fail "FRACTIONAL_ORDER at m = 15 exited $code"; fi
+
 echo "== entries on one grid share a run's J values and keep their records"
 # ASCENDING_GEN and DESCENDING_GEN read the same J_(nu+-n)(2): the run evaluates
 # each once, and its records are those of the two entries run as plans of their own

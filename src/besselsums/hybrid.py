@@ -25,7 +25,9 @@ polynomial rules' left sides read the same tables; ``functions.laguerre2`` and
 ``hermite_m`` are the reference definitions.  A table keeps the direct sums'
 error domain: it stops at degree 170 and raises OverflowError where u^n and
 v^(n//m) (v^n for Laguerre) overflow, where the recurrences alone would sum
-cancelling giants to a "converged" value.
+cancelling giants to a "converged" value.  A Hermite table of order m takes
+its next power of v only at every m-th degree, so a sum over one stops only
+after max(consecutive_small, m) negligible terms in a row (``_sparse_guard``).
 """
 
 import math
@@ -40,10 +42,6 @@ from besselsums.series import (
     require_int,
     sum_series,
 )
-
-
-# n! as floats; 171! is past float range, so no table goes past degree 170
-_FACTORIAL = tuple(float(math.factorial(i)) for i in range(171))
 
 
 def _top_degree(x: float) -> int:
@@ -99,10 +97,11 @@ def _laguerre_table(u: float, v: float):
     return ratio
 
 
-def _sparse_guard(policy: SummationPolicy, m: int, u: float) -> SummationPolicy:
-    """At u = 0 only every m-th Hermite term survives; require a run of m
-    negligible terms so the structural zeros between them cannot stop the sum."""
-    if u == 0.0 and m > policy.consecutive_small:
+def _sparse_guard(policy: SummationPolicy, m: int) -> SummationPolicy:
+    """A run of max(consecutive_small, m) negligible terms, for a sum over a
+    Hermite table of order m: up to m - 1 small terms in a row (zeros at u = 0)
+    can precede the table's next power of v, which comes every m-th degree."""
+    if m > policy.consecutive_small:
         return replace(policy, consecutive_small=m)
     return policy
 
@@ -135,7 +134,7 @@ def h_tricomi(
     """
     require_finite(nu=nu, u=u, v=v)
     m = require_int("m", m, minimum=1)
-    policy = _sparse_guard(policy, m, u)
+    policy = _sparse_guard(policy, m)
     return _gamma_series(_hermite_table(m, u, v), nu + 1.0, 1.0, True, policy)
 
 
@@ -161,7 +160,7 @@ def h_wright(
     m = require_int("m", m, minimum=1)
     if mu <= 0.0:
         raise ValueError(f"h_wright requires mu > 0, got mu={mu}")
-    policy = _sparse_guard(policy, m, u)
+    policy = _sparse_guard(policy, m)
     return _gamma_series(_hermite_table(m, u, v), nu + 1.0, mu, False, policy)
 
 
@@ -194,4 +193,4 @@ def hybrid_k(
         t = h(j) * g(j + shift)
         return -t if j & 1 else t
 
-    return sum_series(term, _sparse_guard(policy, 2, x))
+    return sum_series(term, _sparse_guard(policy, max(2, -m)))

@@ -176,19 +176,12 @@ def _scaled(side: SeriesEval, factor) -> SeriesEval:
     )
 
 
-# 1/n! for n = 0..33: what recip_gamma(n + 1.0) returns there, bit for bit
-_INV_FACTORIAL = backend._INV_FACTORIAL
-_EXACT_N = len(_INV_FACTORIAL)
-
-
 def _taylor_weight(t: float, n: int) -> float:
-    """t^n / n!, the weight of every exponential generating sum over J alone.
-
-    All rules share this helper so identical parameter points produce
-    bit-identical left sides across rules.
-    """
-    if n < _EXACT_N:  # n >= 0: a summation index
-        return math.pow(t, n) * _INV_FACTORIAL[n]
+    """t^n / n!, with 1/n! bit for bit what ``recip_gamma(n + 1.0)`` returns:
+    the weight of the four generating sums over J alone (ascending, descending,
+    multiple and fractional order), bit-identical across them at one point."""
+    if n < len(backend._INV_FACTORIAL):  # n >= 0: a summation index
+        return math.pow(t, n) * backend._INV_FACTORIAL[n]
     return math.pow(t, n) * backend.recip_gamma(n + 1.0)
 
 
@@ -435,7 +428,10 @@ def rule_laguerre_hermite(
     _check_laguerre_hermite(x, y, z, w, t)
     lag = hybrid._laguerre_table(x, y)  # L_n(x, y)/n!
     herm = hybrid._hermite_table(2, z, w)  # H_n^(2)(z, w)/n!
-    lhs = sum_series(lambda n: lag(n) * hybrid._FACTORIAL[n] * herm(n) * math.pow(t, n), policy)
+    lhs = sum_series(
+        lambda n: lag(n) * float(math.factorial(n)) * herm(n) * math.pow(t, n),
+        hybrid._sparse_guard(policy, 2),
+    )
     rhs_h = h_tricomi(0.0, 2, x * t * (z + 2.0 * y * w * t), x * x * w * t * t, policy)
     rhs = _scaled(rhs_h, math.exp(y * t * (z + y * w * t)))
     params = {"x": x, "y": y, "z": z, "w": w, "t": t}

@@ -192,6 +192,16 @@ class TestHybridK:
         oracle = sum((-0.4) ** k / math.factorial(k) * inner(-2 * k) for k in range(30))
         assert hybrid_k(0.0, -2, 0.5625, 0.15, -0.4).value == pytest.approx(oracle, rel=1e-10)
 
+    @pytest.mark.parametrize("xi", [-1.0, 5.0])
+    def test_waits_out_the_stride_of_its_outer_table(self, xi):
+        # g_n = H_n^(20)(1, xi)/n! takes its first power of xi at degree 20,
+        # so a sum stopped after three small terms missed every xi term
+        # (1.9e-8 and 9.5e-8 off, relative); it waits for a run of 20
+        h = hybrid._hermite_table(2, 1.0, 0.5)
+        g = hybrid._hermite_table(20, 1.0, xi)
+        full = math.fsum((-1) ** j * h(j) * g(j) for j in range(160))
+        assert abs(hybrid_k(0.0, -20, 1.0, 0.5, xi).value - full) <= 1e-13
+
     def test_zero_m_rejected(self):
         with pytest.raises(ValueError):
             hybrid_k(0.0, 0, 1.0, 1.0, 0.5)

@@ -96,13 +96,6 @@ def test_overflow_sentinel(kernel):
     assert info.value.index == 0
 
 
-@pytest.mark.parametrize("function", [bessel_j, tricomi_c])
-def test_overflow_sentinel_raises_at_first_term(function):
-    with pytest.raises(EvaluationDomainError) as info:
-        function(-200.5, 5.0)
-    assert info.value.index == 0
-
-
 def test_a_sum_of_finite_terms_that_overflows_is_refused():
     # with a = 0 and c = 1 the second term equals the first: both finite, their sum not
     with pytest.raises(EvaluationDomainError) as info:

@@ -10,6 +10,9 @@ import besselsums.rules as rules_mod
 from besselsums import backend
 from besselsums import (
     DEFAULT_POLICY,
+    DEFAULT_TOLERANCES,
+    RuleId,
+    SummationPolicy,
     Tolerances,
     Verdict,
     appendix_derivative_check,
@@ -137,6 +140,59 @@ class TestFractionalOrder:
     def test_x_nonpositive(self):
         with pytest.raises(ValueError):
             rule_fractional_order(2, 0.0, 0.1)
+
+
+def _order_grid(rule_id, orders):
+    cases = [
+        {"m": m, "x": x, "t": t}
+        for m in orders
+        for x in (0.25, 0.5, 1.0, 2.0, 3.0, 5.0)
+        for t in (-0.9, -0.5, 0.3, 0.5, 0.9)
+    ]
+    return rules_mod.run_cases(rule_id, cases, DEFAULT_POLICY, DEFAULT_TOLERANCES)
+
+
+class TestHermiteStride:
+    """A Hermite table of order m takes its next power of v only at every m-th
+    degree, so its sum must not stop on fewer than m small terms in a row."""
+
+    def test_fractional_order_grid_has_no_discrepant(self):
+        # 893 of these 1,200 were DISCREPANT while h_wright stopped after three
+        # small terms at any m; past the tables' degree-170 ceiling a point is
+        # INCONCLUSIVE, never judged
+        records = _order_grid(RuleId.FRACTIONAL_ORDER, range(1, 41))
+        assert len(records) == 1200
+        for rec in records:
+            assert rec.verdict is not Verdict.DISCREPANT, rec.params
+            if rec.verdict is Verdict.INCONCLUSIVE:
+                assert rec.note.startswith("evaluation failed: EvaluationDomainError: "), rec.note
+
+    @pytest.mark.parametrize("m, x, t", [(10, 1.0, 0.5), (15, 2.0, -0.5)])
+    def test_fractional_right_side_against_mpmath(self, m, x, t):
+        mpmath = pytest.importorskip("mpmath")
+        # the identity holds, so the left side at 30 digits is the right side's
+        # value; n < 60 leaves out terms below 1e-80
+        with mpmath.workdps(30):
+            exact = mpmath.fsum(
+                mpmath.mpf(t) ** n / mpmath.factorial(n) * mpmath.besselj(mpmath.mpf(n) / m, x)
+                for n in range(60)
+            )
+        rhs = rule_fractional_order(m, x, t).rhs
+        assert abs(rhs - float(exact)) <= 1e-12
+
+    def test_laguerre_hermite_left_side_waits_out_the_odd_zeros(self):
+        # H_n^(2)(0, w) vanishes at odd n: on a run of one small term the left
+        # side stopped at n = 1, its value the first term alone
+        rec = rule_laguerre_hermite(0.4, 0.8, 0.0, -0.3, 0.25, SummationPolicy(consecutive_small=1))
+        assert rec.lhs_certificate.terms_used > 2
+        assert rec.lhs == pytest.approx(rule_laguerre_hermite(0.4, 0.8, 0.0, -0.3, 0.25).lhs, rel=1e-12)
+
+    def test_multiple_order_grid_is_verified_tightly(self):
+        # the worst rel_err over these orders was 1.1e-9 while h_tricomi
+        # stopped after three small terms at any m
+        records = _order_grid(RuleId.MULTIPLE_ORDER, range(4, 41))
+        assert all(rec.verdict is Verdict.VERIFIED for rec in records)
+        assert max(rec.rel_err for rec in records) < 1e-11
 
 
 class TestBesselLaguerre:

@@ -77,7 +77,7 @@ echo '{"entries": [{"rule": "NEUMANN_EXT", "grid": {"x": [8.105, 3.705], "y": [1
 run besselsums verify --plan "$dir/neumann.json"
 if [ "$code" -ne 0 ]; then fail "NEUMANN_EXT at the Baseline points exited $code"; fi
 
-echo "== the fractional-order rule verifies past m = consecutive_small"
+echo "== the fractional-order rule verifies past m = CONSECUTIVE_SMALL"
 # h_wright stopped after three small terms at any m, before the Hermite table
 # of order 15 took its first power of v: both records DISCREPANT at rel_err 0.24
 echo '{"entries": [{"rule": "FRACTIONAL_ORDER", "grid": {"m": [15], "x": [1], "t": [-0.5, 0.5]}}]}' > "$dir/fractional.json"
@@ -99,19 +99,14 @@ python -c 'import json, sys; records = lambda name: json.load(open(sys.argv[1] +
 sys.exit(records("both") != records("asc") + records("desc"))' "$dir" ||
   fail "a shared run's records differ from its entries run alone"
 
-echo "== J and C values do not depend on the plan's policy"
-# the kernels sum at the default tolerances and budget whatever the policy says,
-# so a loose policy may move a left side and the verdict, never a J or C right side
-entries='"entries": [{"rule": "ASCENDING_GEN", "grid": {"nu": [0.5], "x": [2], "t": [0.45]}},
-  {"rule": "WEIGHTED_E", "grid": {"l": [2], "m": [3], "x": [1.5]}}]'
-echo "{$entries}" > "$dir/default.json"
-echo "{\"policy\": {\"abs_tol\": 1e-6, \"rel_tol\": 1e-6}, $entries}" > "$dir/loose.json"
-for name in default loose; do
-  run besselsums verify --plan "$dir/$name.json" --format json --out "$dir/$name.out.json"
-done
-python -c 'import json, sys; rhs = lambda name: [rec["rhs"] for rec in json.load(open(sys.argv[1] + "/" + name + ".out.json"))["records"]]
-sys.exit(rhs("loose") != rhs("default") or len(rhs("default")) != 2)' "$dir" ||
-  fail "a loose policy moved a J or C right side"
+echo "== a plan that sets the summation policy is a located error"
+# the policy is fixed: a plan may restate it, and any other value is refused
+echo '{"policy": {"max_terms": 800}, "entries": [{"rule": "ASCENDING_GEN", "grid": {"nu": [0], "x": [2], "t": [0.1]}}]}' > "$dir/policy.json"
+run besselsums verify --plan "$dir/policy.json"
+if [ "$code" -ne 1 ]; then fail "a plan setting max_terms exited $code"; fi
+if [ "$(head -c 7 "$dir/err")" != "error: " ]; then fail "a plan setting max_terms gave another message"; fi
+if ! grep -q max_terms "$dir/err"; then fail "the policy error does not name max_terms"; fi
+if grep -q Traceback "$dir/err"; then fail "a plan setting max_terms printed a traceback"; fi
 
 echo "== kernel errors fail located, and fast"
 # a non-finite kernel sum is one error line (stderr compared whole, so no
@@ -137,12 +132,12 @@ done
 
 echo "== a sum over all integers, through the public API"
 # sum_n J_n(1) = 1 (the generating function at t = 1); a sum that does not
-# converge spends max_terms, which counts the pairs term(k) + term(-k)
-python -c 'import sys; from besselsums import SummationPolicy, bessel_j, sum_bilateral
+# converge spends the fixed 400-term budget, which counts the pairs term(k) + term(-k)
+python -c 'import sys; from besselsums import bessel_j, sum_bilateral
 ev = sum_bilateral(lambda n: bessel_j(n, 1.0).value)
 if not (ev.converged and abs(ev.value - 1.0) <= 1e-13): sys.exit(f"sum of J_n(1): {ev}")
-ev = sum_bilateral(lambda n: 1.0 / (abs(n) + 1), SummationPolicy(max_terms=41))
-if ev.converged or ev.terms_used != 41: sys.exit(f"sum of 1/(|n|+1): {ev}")' ||
+ev = sum_bilateral(lambda n: 1.0 / (abs(n) + 1))
+if ev.converged or ev.terms_used != 400: sys.exit(f"sum of 1/(|n|+1): {ev}")' ||
   fail "sum_bilateral"
 
 echo "== a reader that leaves early gets no traceback"

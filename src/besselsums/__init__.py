@@ -43,20 +43,12 @@ from besselsums.rules import (
     weighted_sum_E,
     weighted_sum_S,
 )
-from besselsums.series import (
-    DEFAULT_POLICY,
-    EvaluationDomainError,
-    SeriesEval,
-    SummationPolicy,
-    sum_bilateral,
-    sum_series,
-)
+from besselsums.series import EvaluationDomainError, SeriesEval, sum_bilateral, sum_series
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",
-    "DEFAULT_POLICY",
     "DEFAULT_TOLERANCES",
     "EXACTNESS_BOUND",
     "EvaluationDomainError",
@@ -65,7 +57,6 @@ __all__ = [
     "RULES",
     "RuleId",
     "SeriesEval",
-    "SummationPolicy",
     "Tolerances",
     "VerdictReport",
     "Verdict",

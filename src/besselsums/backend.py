@@ -1,9 +1,9 @@
 """Scalar kernels for the hot series loops.
 
 ``recip_gamma`` and the Bessel and Tricomi series loops, in pure Python over
-floats.  The series kernels take no policy: their one loop reads the
-``abs_tol``, ``rel_tol`` and ``max_terms`` of ``DEFAULT_POLICY``, so a J or C
-value is a function of its arguments alone.  Each uses Neumaier-compensated
+floats.  The series kernels' one loop reads the fixed ``ABS_TOL``,
+``REL_TOL`` and ``MAX_TERMS`` of ``besselsums.series``, so a J or C value is
+a function of its arguments alone.  Each uses Neumaier-compensated
 accumulation and returns the ``SeriesEval`` certificate of its sum.  A term
 that is not finite, or a sum that overflows, raises ``EvaluationDomainError``
 with the index of the last term summed.
@@ -13,7 +13,7 @@ their terms by ``c / ((k + 1)(a + k + 1))``.  It stops only on a proved tail:
 once a + k + 1 > 0 those steps shrink with k, so with r = |c| / ((k + 1)(a + k
 + 1)) < 1 the terms from index k on sum to at most |t_k| / (1 - r)
 (``_tail``).  The loop stops after term k - 1 once that bound is at most both
-abs_tol and rel_tol * |partial sum|, testing it only when |t_k| is already
+ABS_TOL and REL_TOL * |partial sum|, testing it only when |t_k| is already
 below both, and returns the bound it stopped on as ``tail_bound``; a sum that
 runs out of budget returns None there.  A value is thus held to both
 tolerances, not the looser one: J values are multiplied by partners of any
@@ -29,7 +29,7 @@ in ``besselsums.hybrid``, which starts its Gamma-weighted series by the same
 
 import math
 
-from besselsums.series import DEFAULT_POLICY, EvaluationDomainError, SeriesEval
+from besselsums.series import ABS_TOL, MAX_TERMS, REL_TOL, EvaluationDomainError, SeriesEval
 
 BACKEND = "pure-python"
 
@@ -100,7 +100,7 @@ def _ratio_series(term, a, c, k0, symbol, x):
     """Sum from the index-k0 term ``term``, with term_(k+1) = term_k c / ((k+1)(a+k+1)),
     certified with the tail bound it stopped on, or None without a proved stop;
     ``symbol``_a(x) names the sum in the error a non-finite term or total raises."""
-    abs_tol, rel_tol = DEFAULT_POLICY.abs_tol, DEFAULT_POLICY.rel_tol
+    abs_tol, rel_tol = ABS_TOL, REL_TOL
     total = 0.0
     comp = 0.0
     ac = abs(c)
@@ -108,7 +108,7 @@ def _ratio_series(term, a, c, k0, symbol, x):
     mag = abs(term)
     last_mag = 0.0
     tail = None
-    for terms in range(1, DEFAULT_POLICY.max_terms + 1):
+    for terms in range(1, MAX_TERMS + 1):
         t = total + term
         if abs(total) >= mag:
             comp += (total - t) + term

@@ -29,8 +29,9 @@ from besselsums.report import FORMATS, emit_report
 from besselsums.rules import DEFAULT_TOLERANCES, RULES, Tolerances
 from besselsums.series import SeriesEval
 
-# eval-subcommand dispatch: name -> function, whose signature names its arguments
-# (policy aside).  Every value is parsed as a float; a function checks its integers.
+# eval-subcommand dispatch: name -> function, whose signature names its arguments.
+# Every value is parsed as a float; a function checks its integers.  Each sums
+# under the fixed summation policy of ``besselsums.series``.
 FUNCTIONS = {
     "bessel_j": functions.bessel_j,
     "tricomi_c": functions.tricomi_c,
@@ -107,7 +108,7 @@ def _cmd_eval(opts) -> int:
               f"{', '.join(sorted(FUNCTIONS))}", file=sys.stderr)
         return 1
     fn = FUNCTIONS[opts.name]
-    names = tuple(name for name in inspect.signature(fn).parameters if name != "policy")
+    names = tuple(inspect.signature(fn).parameters)
     given = {}
     for item in opts.args:
         key, sep, value = item.partition("=")

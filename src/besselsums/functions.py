@@ -7,27 +7,20 @@ asymptotic switchovers.
 
 Reciprocal gamma and the Bessel and Tricomi series loops are the kernels in
 ``besselsums.backend``; this layer checks the arguments and returns the
-``SeriesEval`` certificate that a series kernel built.  ``bessel_j`` and
-``tricomi_c`` take no policy: their kernels sum at ``DEFAULT_POLICY``'s
-tolerances and 400-term budget, so a value depends on its arguments alone.
-The kernels raise ``EvaluationDomainError`` themselves on a term or sum that
-is not finite.  The Wright function is the Hermite-based Wright composite at v = 0, summed by
-``besselsums.hybrid``.  The two polynomial families refuse a non-finite
-argument with ``ValueError`` naming it, and raise ``EvaluationDomainError``
-when a term overflows float range.
+``SeriesEval`` certificate that a series kernel built.  Every sum here runs
+under the fixed summation policy of ``besselsums.series``, so a value depends
+on its arguments alone.  The kernels raise ``EvaluationDomainError``
+themselves on a term or sum that is not finite.  The Wright function is the
+Hermite-based Wright composite at v = 0, summed by ``besselsums.hybrid``.
+The two polynomial families refuse a non-finite argument with ``ValueError``
+naming it, and raise ``EvaluationDomainError`` when a term overflows float
+range.
 """
 
 import math
 
 from besselsums import backend, hybrid
-from besselsums.series import (
-    DEFAULT_POLICY,
-    EvaluationDomainError,
-    SeriesEval,
-    SummationPolicy,
-    require_finite,
-    require_int,
-)
+from besselsums.series import EvaluationDomainError, SeriesEval, require_finite, require_int
 
 
 def reciprocal_gamma(a: float) -> float:
@@ -79,7 +72,7 @@ def tricomi_c(alpha: float, x: float) -> SeriesEval:
     return backend.tricomi_series(alpha, x)
 
 
-def wright(nu: float, mu: float, x: float, policy: SummationPolicy = DEFAULT_POLICY) -> SeriesEval:
+def wright(nu: float, mu: float, x: float) -> SeriesEval:
     """Wright function sum_r x^r / (r! Gamma(nu + mu r)) for mu > 0.
 
     The Hermite-based Wright function ``h_wright(nu - 1, 1, mu, x, 0)``, whose
@@ -90,7 +83,7 @@ def wright(nu: float, mu: float, x: float, policy: SummationPolicy = DEFAULT_POL
     require_finite(nu=nu, mu=mu, x=x)
     if mu <= 0.0:
         raise ValueError(f"wright requires mu > 0, got mu={mu}")
-    return hybrid._gamma_series(hybrid._hermite_table(1, x, 0.0), nu, mu, False, policy)
+    return hybrid._gamma_series(hybrid._hermite_table(1, x, 0.0), nu, mu, False)
 
 
 def laguerre2(n: int, x: float, y: float) -> float:

@@ -26,22 +26,16 @@ polynomial rules' left sides read the same tables; ``functions.laguerre2`` and
 error domain: it stops at degree 170 and raises OverflowError where u^n and
 v^(n//m) (v^n for Laguerre) overflow, where the recurrences alone would sum
 cancelling giants to a "converged" value.  A Hermite table of order m takes
-its next power of v only at every m-th degree, so a sum over one stops only
-after max(consecutive_small, m) negligible terms in a row (``_sparse_guard``).
+its next power of v only at every m-th degree, so a sum over one passes
+``sum_series`` the run length m: it stops only after
+max(CONSECUTIVE_SMALL, m) negligible terms in a row.  Every sum here runs
+under the fixed summation policy of ``besselsums.series``.
 """
 
 import math
-from dataclasses import replace
 
 from besselsums import backend
-from besselsums.series import (
-    DEFAULT_POLICY,
-    SeriesEval,
-    SummationPolicy,
-    require_finite,
-    require_int,
-    sum_series,
-)
+from besselsums.series import SeriesEval, require_finite, require_int, sum_series
 
 
 def _top_degree(x: float) -> int:
@@ -97,19 +91,9 @@ def _laguerre_table(u: float, v: float):
     return ratio
 
 
-def _sparse_guard(policy: SummationPolicy, m: int) -> SummationPolicy:
-    """A run of max(consecutive_small, m) negligible terms, for a sum over a
-    Hermite table of order m: up to m - 1 small terms in a row (zeros at u = 0)
-    can precede the table's next power of v, which comes every m-th degree."""
-    if m > policy.consecutive_small:
-        return replace(policy, consecutive_small=m)
-    return policy
-
-
-def _gamma_series(
-    ratio, a: float, mu: float, alternating: bool, policy: SummationPolicy
-) -> SeriesEval:
-    """sum_k (+-1)^k ratio(k) / Gamma(mu k + a), from the first k off a pole.
+def _gamma_series(ratio, a: float, mu: float, alternating: bool, run: int = 0) -> SeriesEval:
+    """sum_k (+-1)^k ratio(k) / Gamma(mu k + a), from the first k off a pole,
+    stopped on a run of max(CONSECUTIVE_SMALL, ``run``) negligible terms.
 
     The one place a Gamma-weighted term is built: every composite (and the
     Wright function) is this sum with its own polynomial ratio.
@@ -122,51 +106,38 @@ def _gamma_series(
         t = ratio(k) * recip_gamma(mu * k + a)
         return -t if alternating and k & 1 else t
 
-    return sum_series(term, policy)
+    return sum_series(term, run=run)
 
 
-def h_tricomi(
-    nu: float, m: int, u: float, v: float, policy: SummationPolicy = DEFAULT_POLICY
-) -> SeriesEval:
+def h_tricomi(nu: float, m: int, u: float, v: float) -> SeriesEval:
     """Hermite-based Tricomi function: sum_k (-1)^k H_k^(m)(u,v) / (k! Gamma(nu+k+1)).
 
     Reduces to tricomi_c(nu, u) at v = 0.
     """
     require_finite(nu=nu, u=u, v=v)
     m = require_int("m", m, minimum=1)
-    policy = _sparse_guard(policy, m)
-    return _gamma_series(_hermite_table(m, u, v), nu + 1.0, 1.0, True, policy)
+    return _gamma_series(_hermite_table(m, u, v), nu + 1.0, 1.0, True, m)
 
 
-def l_tricomi(nu: float, u: float, v: float, policy: SummationPolicy = DEFAULT_POLICY) -> SeriesEval:
+def l_tricomi(nu: float, u: float, v: float) -> SeriesEval:
     """Laguerre-based Tricomi function: sum_k (-1)^k L_k(u,v) / (k! Gamma(nu+k+1)).
 
     Reduces to tricomi_c(nu, v) at u = 0.
     """
     require_finite(nu=nu, u=u, v=v)
-    return _gamma_series(_laguerre_table(u, v), nu + 1.0, 1.0, True, policy)
+    return _gamma_series(_laguerre_table(u, v), nu + 1.0, 1.0, True)
 
 
-def h_wright(
-    nu: float,
-    m: int,
-    mu: float,
-    u: float,
-    v: float,
-    policy: SummationPolicy = DEFAULT_POLICY,
-) -> SeriesEval:
+def h_wright(nu: float, m: int, mu: float, u: float, v: float) -> SeriesEval:
     """Hermite-based Wright function: sum_k H_k^(m)(u,v) / (k! Gamma(mu k + nu + 1))."""
     require_finite(nu=nu, mu=mu, u=u, v=v)
     m = require_int("m", m, minimum=1)
     if mu <= 0.0:
         raise ValueError(f"h_wright requires mu > 0, got mu={mu}")
-    policy = _sparse_guard(policy, m)
-    return _gamma_series(_hermite_table(m, u, v), nu + 1.0, mu, False, policy)
+    return _gamma_series(_hermite_table(m, u, v), nu + 1.0, mu, False, m)
 
 
-def hybrid_k(
-    mu: float, m: int, x: float, y: float, xi: float, policy: SummationPolicy = DEFAULT_POLICY
-) -> SeriesEval:
+def hybrid_k(mu: float, m: int, x: float, y: float, xi: float) -> SeriesEval:
     """Hybrid K function: sum_k xi^k/k! * HC_(m k + mu)(x, y), where HC is the
     Hermite-based Tricomi function of superscript 2, for m = -p < 0 and
     integer mu: the domain where the double sum is one series.
@@ -193,4 +164,4 @@ def hybrid_k(
         t = h(j) * g(j + shift)
         return -t if j & 1 else t
 
-    return sum_series(term, _sparse_guard(policy, max(2, -m)))
+    return sum_series(term, run=max(2, -m))  # the longer of the two tables' strides

@@ -3,8 +3,6 @@
 A plan is a json document::
 
     {
-      "policy": {"abs_tol": 1e-14, "rel_tol": 1e-12,
-                 "max_terms": 400, "consecutive_small": 3},
       "entries": [
         {"rule": "ASCENDING_GEN",
          "grid": {"nu": [0, 0.5], "x": [2], "t": [0, 0.2]},
@@ -15,9 +13,13 @@ A plan is a json document::
 Every key outside "entries" is optional, as are the per-entry tolerance
 overrides.  Each entry expands to the cartesian product of its grid lists,
 validated against the rule's parameter schema and domain check before
-anything is evaluated.  Grid and policy values must be finite numbers (json's
-NaN and Infinity are rejected); tolerances must be finite numbers >= 0, not
-booleans or null.  Any key not named here is an error.
+anything is evaluated.  Grid values must be finite numbers (json's NaN and
+Infinity are rejected); tolerances must be finite numbers >= 0, not booleans
+or null.  Any key not named here is an error.
+The summation policy is fixed (``besselsums.series``).  The optional
+``policy`` object may restate it, as plans written before it was fixed do:
+each of its keys, "abs_tol", "rel_tol", "max_terms" and "consecutive_small",
+must be a number equal to the fixed value (400.0 counts as 400).
 The optional ``parallelism`` (an integer >= 0) is checked but has no effect:
 every plan runs serially in the calling process.
 The per-entry ``perturb_rhs`` (a finite number added to every right side) is
@@ -32,8 +34,7 @@ one least-recently-used cache of 1,024 values (``rules._bessel_j``), which
 cases of that entry and of later entries (the brute-force sides re-evaluate
 the same J_{nu+n}(x) for each shift t or theta, and entries share points on
 purpose), and a run reuses only its own values.  A J value depends on its
-arguments alone, never on the plan's policy, so the reuse leaves every record
-as it is.
+arguments alone, so the reuse leaves every record as it is.
 """
 
 import itertools
@@ -41,17 +42,18 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 from besselsums.report import VerdictReport
 from besselsums.rules import DEFAULT_TOLERANCES, RULES, RuleId, Tolerances, _bessel_j, run_cases
-from besselsums.series import SummationPolicy, require_int, short_repr
+from besselsums.series import ABS_TOL, CONSECUTIVE_SMALL, MAX_TERMS, REL_TOL, require_int, short_repr
 
 MAX_GRID_CASES = 100_000
 _PLAN_KEYS = ("policy", "parallelism", "entries")
-_POLICY_KEYS = tuple(f.name for f in fields(SummationPolicy))
+_POLICY = {"abs_tol": ABS_TOL, "rel_tol": REL_TOL,  # the fixed values a plan may restate
+           "max_terms": MAX_TERMS, "consecutive_small": CONSECUTIVE_SMALL}
 _ENTRY_KEYS = ("rule", "grid", "tol_abs", "tol_rel", "perturb_rhs")
 
 
@@ -78,7 +80,6 @@ class PlanEntry:
 @dataclass(frozen=True)
 class VerificationPlan:
     entries: tuple
-    policy: SummationPolicy = field(default_factory=SummationPolicy)
     parallelism: int = 1  # checked on load, otherwise unused: every run is serial
 
 
@@ -107,11 +108,13 @@ def load_plan(path) -> VerificationPlan:
     raw = data.get("policy", {})
     if not isinstance(raw, dict):
         raise PlanError(f"{path}: policy must be an object, got {short_repr(raw)}")
-    _reject_unknown_keys(raw, _POLICY_KEYS, f"{path}: policy")
-    try:
-        policy = SummationPolicy(**{key: _number(key, value) for key, value in raw.items()})
-    except ValueError as exc:
-        raise PlanError(f"{path}: bad policy: {exc}") from exc
+    _reject_unknown_keys(raw, tuple(_POLICY), f"{path}: policy")
+    for key, value in raw.items():
+        try:
+            if _number(key, value) != _POLICY[key]:
+                raise ValueError(f"{key} is fixed at {_POLICY[key]:g}, got {short_repr(value)}")
+        except ValueError as exc:
+            raise PlanError(f"{path}: bad policy: {exc}") from exc
 
     try:
         parallelism = require_int(
@@ -121,7 +124,7 @@ def load_plan(path) -> VerificationPlan:
         raise PlanError(f"{path}: {exc}") from exc
 
     entries = tuple(_load_entry(raw, idx) for idx, raw in enumerate(data["entries"]))
-    return VerificationPlan(entries=entries, policy=policy, parallelism=parallelism)
+    return VerificationPlan(entries=entries, parallelism=parallelism)
 
 
 def _number(what: str, value):
@@ -211,7 +214,7 @@ def run_plan(plan: VerificationPlan) -> VerdictReport:
     records = []
     for entry in sorted(plan.entries, key=lambda e: rule_order[e.rule_id]):
         tol = entry.tolerances or DEFAULT_TOLERANCES
-        records += run_cases(entry.rule_id, entry.cases(), plan.policy, tol, entry.perturb_rhs)
+        records += run_cases(entry.rule_id, entry.cases(), tol, entry.perturb_rhs)
     report = VerdictReport(records=records)
     report.wall_time = time.perf_counter() - t0
     return report

@@ -39,10 +39,8 @@ from besselsums import backend, hybrid
 from besselsums.functions import bessel_j, tricomi_c
 from besselsums.hybrid import h_tricomi, h_wright, hybrid_k, l_tricomi
 from besselsums.series import (
-    DEFAULT_POLICY,
     EvaluationDomainError,
     SeriesEval,
-    SummationPolicy,
     require_finite,
     require_int,
     sum_bilateral,
@@ -254,7 +252,7 @@ def _gamma_majorant(c: float, s: float, mu: float = 1.0, nu: float = 0.0, power:
     return tail
 
 
-def _graf_sum(weight, nu, x, y, up, down, policy, power=0) -> SeriesEval:
+def _graf_sum(weight, nu, x, y, up, down, power=0) -> SeriesEval:
     """sum_{n in Z} w_n J_(n+nu)(x) J_n(y), w_n = weight(n), stopped on its
     (n > 0, n < 0) majorants with s = |x|/2.
 
@@ -273,7 +271,6 @@ def _graf_sum(weight, nu, x, y, up, down, policy, power=0) -> SeriesEval:
         lambda n: (
             weight(n) * _bessel_j(nu + n, x).value * _bessel_j(float(n), y).value
         ),
-        policy,
         (upper, lower),
     )
 
@@ -297,14 +294,12 @@ def rule_ascending_gen(
     nu: float,
     x: float,
     t: float,
-    policy: SummationPolicy = DEFAULT_POLICY,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> VerificationRecord:
     """sum_n t^n/n! J_{nu+n}(x)  =  (x/(x-2t))^(nu/2) J_nu(sqrt(x^2-2xt)),  |2t| < x."""
     _check_gen(nu, x, t)
     lhs = sum_series(
         lambda n: _taylor_weight(t, n) * _bessel_j(nu + n, x).value,
-        policy,
         _gamma_majorant(abs(t), 0.5 * x, 1.0, nu),
     )
     rhs_j = _bessel_j(nu, math.sqrt(x * x - 2.0 * x * t))
@@ -316,7 +311,6 @@ def rule_descending_gen(
     nu: float,
     x: float,
     t: float,
-    policy: SummationPolicy = DEFAULT_POLICY,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> VerificationRecord:
     """sum_n (-t)^n/n! J_{nu-n}(x)  =  ((x-2t)/x)^(nu/2) J_nu(sqrt(x^2-2xt)),  |2t| < x."""
@@ -324,7 +318,7 @@ def rule_descending_gen(
     # |J_(nu-n)| = |J_(n-nu)| needs an integer order; otherwise the stop stays heuristic
     majorant = _gamma_majorant(abs(t), 0.5 * x, 1.0, -nu) if float(nu).is_integer() else None
     lhs = sum_series(
-        lambda n: _taylor_weight(-t, n) * _bessel_j(nu - n, x).value, policy, majorant
+        lambda n: _taylor_weight(-t, n) * _bessel_j(nu - n, x).value, majorant
     )
     rhs_j = _bessel_j(nu, math.sqrt(x * x - 2.0 * x * t))
     rhs = _scaled(rhs_j, math.pow((x - 2.0 * t) / x, 0.5 * nu))
@@ -339,7 +333,6 @@ def rule_multiple_order(
     m: int,
     x: float,
     t: float,
-    policy: SummationPolicy = DEFAULT_POLICY,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> VerificationRecord:
     """sum_n t^n/n! J_{mn}(x)  =  HC_0^(m)(x^2/4, (-x/2)^m t), the Hermite-based
@@ -347,10 +340,9 @@ def rule_multiple_order(
     m = _check_multiple(m, x, t)
     lhs = sum_series(
         lambda n: _taylor_weight(t, n) * _bessel_j(float(m * n), x).value,
-        policy,
         _gamma_majorant(abs(t), 0.5 * abs(x), float(m)),
     )
-    rhs = h_tricomi(0.0, m, x * x / 4.0, math.pow(-x / 2.0, m) * t, policy)
+    rhs = h_tricomi(0.0, m, x * x / 4.0, math.pow(-x / 2.0, m) * t)
     return _record(RuleId.MULTIPLE_ORDER, {"m": m, "x": x, "t": t}, lhs, rhs, tolerances)
 
 
@@ -365,7 +357,6 @@ def rule_fractional_order(
     m: int,
     x: float,
     t: float,
-    policy: SummationPolicy = DEFAULT_POLICY,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> VerificationRecord:
     """sum_n t^n/n! J_{n/m}(x)  =  HW_0^(m)(t (x/2)^(1/m), -x^2/4 | 1/m), the
@@ -373,10 +364,9 @@ def rule_fractional_order(
     m = _check_fractional(m, x, t)
     lhs = sum_series(
         lambda n: _taylor_weight(t, n) * _bessel_j(n / m, x).value,
-        policy,
         _gamma_majorant(abs(t), 0.5 * x, 1.0 / m),
     )
-    rhs = h_wright(0.0, m, 1.0 / m, t * math.pow(x / 2.0, 1.0 / m), -x * x / 4.0, policy)
+    rhs = h_wright(0.0, m, 1.0 / m, t * math.pow(x / 2.0, 1.0 / m), -x * x / 4.0)
     return _record(RuleId.FRACTIONAL_ORDER, {"m": m, "x": x, "t": t}, lhs, rhs, tolerances)
 
 
@@ -385,7 +375,6 @@ def rule_bessel_laguerre(
     x: float,
     y: float,
     t: float,
-    policy: SummationPolicy = DEFAULT_POLICY,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> VerificationRecord:
     """sum_n t^n/n! J_n(z) L_n(x,y)  =  LC_0(-xtz/2, z(z-2yt)/4), the
@@ -395,10 +384,9 @@ def rule_bessel_laguerre(
     # |L_n(x, y)/n!| <= (|x| + |y|)^n / n! termwise from laguerre2's defining sum
     lhs = sum_series(
         lambda n: math.pow(t, n) * _bessel_j(float(n), z).value * lag(n),
-        policy,
         _gamma_majorant(abs(t) * (abs(x) + abs(y)), 0.5 * abs(z)),
     )
-    rhs = l_tricomi(0.0, -x * t * z / 2.0, z * (z - 2.0 * y * t) / 4.0, policy)
+    rhs = l_tricomi(0.0, -x * t * z / 2.0, z * (z - 2.0 * y * t) / 4.0)
     params = {"z": z, "x": x, "y": y, "t": t}
     return _record(RuleId.BESSEL_LAGUERRE, params, lhs, rhs, tolerances)
 
@@ -415,7 +403,6 @@ def rule_laguerre_hermite(
     z: float,
     w: float,
     t: float,
-    policy: SummationPolicy = DEFAULT_POLICY,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> VerificationRecord:
     """sum_n t^n/n! L_n(x,y) H_n^(2)(z,w)
@@ -430,9 +417,9 @@ def rule_laguerre_hermite(
     herm = hybrid._hermite_table(2, z, w)  # H_n^(2)(z, w)/n!
     lhs = sum_series(
         lambda n: lag(n) * float(math.factorial(n)) * herm(n) * math.pow(t, n),
-        hybrid._sparse_guard(policy, 2),
+        run=2,  # H_n^(2)(0, w) vanishes at every odd n
     )
-    rhs_h = h_tricomi(0.0, 2, x * t * (z + 2.0 * y * w * t), x * x * w * t * t, policy)
+    rhs_h = h_tricomi(0.0, 2, x * t * (z + 2.0 * y * w * t), x * x * w * t * t)
     rhs = _scaled(rhs_h, math.exp(y * t * (z + y * w * t)))
     params = {"x": x, "y": y, "z": z, "w": w, "t": t}
     return _record(RuleId.LAGUERRE_HERMITE, params, lhs, rhs, tolerances)
@@ -460,14 +447,13 @@ def rule_graf(
     x: float,
     y: float,
     t: float,
-    policy: SummationPolicy = DEFAULT_POLICY,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> VerificationRecord:
     """Addition theorem with a real weight:
     sum_{n in Z} t^n J_{n+nu}(x) J_n(y)
       =  ((x - y/t)/(x - yt))^(nu/2) J_nu(sqrt(x^2 + y^2 - xy(t + 1/t)))."""
     _check_graf_real(nu, x, y, t)
-    lhs = _graf_sum(lambda n: math.pow(t, n), nu, x, y, 0.5 * t * abs(y), 0.5 * abs(y) / t, policy)
+    lhs = _graf_sum(lambda n: math.pow(t, n), nu, x, y, 0.5 * t * abs(y), 0.5 * abs(y) / t)
     arg = math.sqrt(x * x + y * y - x * y * (t + 1.0 / t))
     rhs = _scaled(_bessel_j(nu, arg), math.pow((x - y / t) / (x - y * t), 0.5 * nu))
     return _record(RuleId.GRAF_REAL, {"nu": nu, "x": x, "y": y, "t": t}, lhs, rhs, tolerances)
@@ -483,7 +469,6 @@ def rule_graf_phase(
     x: float,
     y: float,
     theta: float,
-    policy: SummationPolicy = DEFAULT_POLICY,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> VerificationRecord:
     """Addition theorem with a unit-modulus weight (x > y > 0):
@@ -493,7 +478,7 @@ def rule_graf_phase(
     with principal-branch complex powers.  Both sides are compared as complex
     values."""
     _check_graf_phase(nu, x, y, theta)
-    lhs = _graf_sum(lambda n: cmath.exp(1j * n * theta), nu, x, y, 0.5 * y, 0.5 * y, policy)
+    lhs = _graf_sum(lambda n: cmath.exp(1j * n * theta), nu, x, y, 0.5 * y, 0.5 * y)
     j = _bessel_j(nu, math.sqrt(x * x + y * y - 2.0 * x * y * math.cos(theta)))
     ratio = (x - y * cmath.exp(-1j * theta)) / (x - y * cmath.exp(1j * theta))
     rhs = _scaled(j, ratio ** (0.5 * nu))
@@ -512,7 +497,6 @@ def rule_neumann_ext(
     x: float,
     y: float,
     t: float,
-    policy: SummationPolicy = DEFAULT_POLICY,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> VerificationRecord:
     """Extended Neumann sum:
@@ -532,13 +516,12 @@ def rule_neumann_ext(
             * _bessel_j(float(n), x).value
             * _bessel_j(float(2 * n), y).value
         ),
-        policy,
         (
             _gamma_majorant(0.5 * abs(t * x), 0.5 * abs(y), 2.0),
             _gamma_majorant(0.5 * abs(x / t), 0.5 * abs(y), 2.0),
         ),
     )
-    rhs = hybrid_k(0.0, -2, y * y / 4.0, x * y * y * t / 8.0, -2.0 * x / (y * y * t), policy)
+    rhs = hybrid_k(0.0, -2, y * y / 4.0, x * y * y * t / 8.0, -2.0 * x / (y * y * t))
     return _record(RuleId.NEUMANN_EXT, {"x": x, "y": y, "t": t}, lhs, rhs, tolerances)
 
 
@@ -559,7 +542,6 @@ def weighted_sum_S(
     m: int,
     x: float,
     y: float,
-    policy: SummationPolicy = DEFAULT_POLICY,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> list[VerificationRecord]:
     """Two records for S_l^(m)(x, y) = sum_{n in Z} n^m J_{n+l}(x) J_n(y), l in
@@ -568,7 +550,7 @@ def weighted_sum_S(
     report-only, against the nested finite sum of ``_weighted_closed_form``.
     Both closed forms read the same J_(l+p)(x - y), p = 0..m."""
     l, m = _check_weighted_s(l, m, x, y)
-    brute = _graf_sum(lambda n: float(n) ** m, float(l), x, y, 0.5 * y, 0.5 * y, policy, m)
+    brute = _graf_sum(lambda n: float(n) ** m, float(l), x, y, 0.5 * y, 0.5 * y, m)
     jv = [_bessel_j(float(l + p), x - y).value for p in range(m + 1)]
     deriv = _weighted_derivative(l, m, x, y, jv)
     closed = _weighted_closed_form(l, m, x, y, jv)
@@ -662,7 +644,6 @@ def weighted_sum_E(
     l: int,
     m: int,
     x: float,
-    policy: SummationPolicy = DEFAULT_POLICY,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> VerificationRecord:
     """sum_{n>=0} n^m/n! J_{n+l}(x)
@@ -679,7 +660,6 @@ def weighted_sum_E(
         lambda n: (
             float(n) ** m * backend.recip_gamma(n + 1.0) * _bessel_j(float(n + l), x).value
         ),
-        policy,
         _gamma_majorant(1.0, 0.5 * abs(x), 1.0, float(l), m),
     )
     arg = (x * x - 2.0 * x) / 4.0
@@ -708,7 +688,6 @@ def _check_appendix(nu, x):
 def appendix_derivative_check(
     nu: float,
     x: float,
-    policy: SummationPolicy = DEFAULT_POLICY,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> VerificationRecord:
     """(1/x) d/dx [x^nu J_nu(x)] = x^(nu-1) J_{nu-1}(x), x > 0.
@@ -736,7 +715,7 @@ def appendix_derivative_check(
     # |term| = 2^(nu-1) (x/2)^(nu-1) M_k, M_k the majorant's own with c = s = x/2
     tail = _gamma_majorant(half, half, 1.0, nu - 1.0)
     factor = scale * math.pow(half, nu - 1.0)
-    lhs = sum_series(term, policy, lambda i: factor * tail(k0 + i))
+    lhs = sum_series(term, lambda i: factor * tail(k0 + i))
     rhs = _scaled(_bessel_j(nu - 1.0, x), math.pow(x, nu - 1.0))
     return _record(RuleId.APPENDIX_DERIV, {"nu": nu, "x": x}, lhs, rhs, tolerances)
 
@@ -761,9 +740,9 @@ class RuleSchema:
 
 def _schema(run, validate, statement: str, constraint: str) -> RuleSchema:
     """The schema of rule function ``run``: its parameters are all but
-    ``policy`` and ``tolerances``, its integers the ones annotated ``int``."""
+    ``tolerances``, its integers the ones annotated ``int``."""
     sig = inspect.signature(run).parameters
-    params = tuple(name for name in sig if name not in ("policy", "tolerances"))
+    params = tuple(name for name in sig if name != "tolerances")
     return RuleSchema(
         run=run,
         params=params,
@@ -864,7 +843,7 @@ RULES: dict[RuleId, RuleSchema] = {
 
 
 def run_cases(
-    rule_id: RuleId, cases, policy: SummationPolicy, tol: Tolerances, perturb: float = 0.0
+    rule_id: RuleId, cases, tol: Tolerances, perturb: float = 0.0
 ) -> list[VerificationRecord]:
     """The records of one plan entry's cases, in order.  The cases share their
     J values through the cache of ``_bessel_j``; a case that raises gives one
@@ -873,7 +852,7 @@ def run_cases(
     records = []
     for params in cases:
         try:  # RULES is read per case, so a runner wrapped there sees every case
-            out = RULES[rule_id].run(**params, policy=policy, tolerances=tol)
+            out = RULES[rule_id].run(**params, tolerances=tol)
         except Exception as exc:  # contained: reported, never crashes the sweep
             note = f"evaluation failed: {type(exc).__name__}: {exc}"
             out = _record(rule_id, params, math.nan, math.nan, tol, note=note)

@@ -1,4 +1,4 @@
-"""Adaptive summation with convergence certificates.
+"""Adaptive summation with convergence certificates, under one fixed policy.
 
 Sums run k = 0, 1, 2, ...; a sum over all integers n is summed as term(0)
 plus the pairs term(k) + term(-k), k >= 1, by the same loop.  Terms may be
@@ -7,22 +7,34 @@ digits alternating Bessel series otherwise lose at moderate argument.  There
 is no accumulator object: the loop keeps its running total and compensation
 in local variables.
 
-A term whose computation raises ``OverflowError``, or that is not finite
-(``t - t != 0.0``: inf or nan, real or complex), raises
-``EvaluationDomainError`` with the term's index.  A term is negligible when
-|t| <= abs_tol + rel_tol * |partial sum|.  A sum given a ``majorant`` (a
-function of n bounding the sum of |term(j)| over j > n) stops, converged, once
-the majorant's tail after the latest term is at most
-max(abs_tol, rel_tol * |partial sum|), and records that tail in its
-certificate's ``tail_bound``; it asks the majorant only where the next term,
-extrapolated from the last two, would be negligible.  A sum without one stops,
-converged, after ``consecutive_small`` negligible terms in a row, with
-``tail_bound`` None.  Either stops unconverged after ``max_terms`` terms.
+The summation policy is four module constants, which this loop and the Bessel
+and Tricomi kernels of ``besselsums.backend`` read and no caller sets.  A
+term is negligible when |t| <= ABS_TOL + REL_TOL * |partial sum|.  Stops are
+proved where a bound on everything left out is at hand, all up to rounding:
+
+* The kernels stop once their tail bound is at most both ABS_TOL and
+  REL_TOL * |partial sum|, so a value V is truncated by at most
+  min(ABS_TOL, REL_TOL |V|): a rule side may multiply a tiny J value by a
+  large partner, so it keeps its relative digits.
+* An engine sum given a ``majorant`` (a function of n bounding the sum of
+  |term(j)| over j > n) stops, converged, once the majorant's tail after the
+  latest term is at most max(ABS_TOL, REL_TOL * |partial sum|), and records
+  that tail in its certificate's ``tail_bound``: a rule side may cancel to
+  near zero, where ABS_TOL alone must do.  It asks the majorant only where
+  the next term, extrapolated from the last two, would be negligible.
+* An engine sum without one (the composites, and the rule sides with no
+  bound at hand) stops, converged, after CONSECUTIVE_SMALL negligible terms
+  in a row, or the longer run its caller asks for, with ``tail_bound`` None:
+  single incidentally tiny terms of an alternating series must not stop it.
+
+Every sum stops unconverged after MAX_TERMS terms; a sum over all integers
+counts pairs term(k) + term(-k).  A term whose computation raises
+``OverflowError``, or that is not finite (``t - t != 0.0``: inf or nan, real
+or complex), raises ``EvaluationDomainError`` with the term's index.
 """
 
 import math
 import reprlib
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
 Scalar = Union[float, complex]
@@ -69,48 +81,11 @@ def require_int(
     return n
 
 
-@dataclass(frozen=True)
-class SummationPolicy:
-    """Tolerances and budgets governing a series evaluation.
-
-    A term is negligible when |term| <= abs_tol + rel_tol * |partial sum|.
-    Stops are proved where a bound on everything left out is at hand, all
-    up to rounding:
-
-    * The Bessel and Tricomi kernels take no policy: they read
-      ``DEFAULT_POLICY``'s, and stop once that bound is at most both
-      abs_tol and rel_tol * |partial sum|, so a value V is truncated by at
-      most min(abs_tol, rel_tol |V|) whatever policy its caller holds: a
-      rule side may multiply a tiny J value by a large partner, so it keeps
-      its relative digits.
-    * An engine sum given a majorant stops once the majorant's tail is at
-      most max(abs_tol, rel_tol * |partial sum|): a rule side may cancel to
-      near zero, where abs_tol alone must do.
-
-    ``consecutive_small`` governs only engine sums without a majorant (the
-    composite families and the rule sides with no bound at hand): they stop
-    after that many negligible terms in a row, since single incidentally
-    tiny terms of alternating series must not stop them.  ``max_terms`` caps
-    every engine sum, and ``DEFAULT_POLICY``'s 400 caps the kernels; for a
-    sum over all integers it counts pairs term(k) + term(-k).
-    """
-
-    abs_tol: float = 1e-14
-    rel_tol: float = 1e-12
-    max_terms: int = 400
-    consecutive_small: int = 3
-
-    def __post_init__(self):
-        if not 0.0 < self.abs_tol < 1.0:
-            raise ValueError(f"abs_tol must be in (0, 1), got {self.abs_tol}")
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        # frozen: store the checked ints, so 400.0 sums like 400
-        for name, minimum in (("max_terms", 8), ("consecutive_small", 1)):
-            object.__setattr__(self, name, require_int(name, getattr(self, name), minimum))
-
-
-DEFAULT_POLICY = SummationPolicy()
+# The summation policy (see the module docstring).
+ABS_TOL = 1e-14
+REL_TOL = 1e-12
+MAX_TERMS = 400
+CONSECUTIVE_SMALL = 3
 
 
 class SeriesEval(NamedTuple):
@@ -139,20 +114,26 @@ def _term_error(n: int, t: Optional[Scalar] = None) -> EvaluationDomainError:
 
 def sum_series(
     term: Callable[[int], Scalar],
-    policy: SummationPolicy = DEFAULT_POLICY,
     majorant: Optional[Callable[[int], float]] = None,
+    run: int = 0,
 ) -> SeriesEval:
-    """Sum term(0) + term(1) + ... adaptively; see SummationPolicy for the stop rule.
+    """Sum term(0) + term(1) + ... adaptively; see the module docstring for
+    the stop rule.
+
+    Without a majorant the sum stops after max(CONSECUTIVE_SMALL, ``run``)
+    negligible terms in a row: a sum over a Hermite table of order m passes
+    run = m, since up to m - 1 small terms in a row (zeros at u = 0) can
+    precede the table's next power of v, which comes every m-th degree.
 
     ``majorant(n)`` bounds |term(n + 1)| + |term(n + 2)| + ... (inf where it
     cannot yet).  It is asked only at terms t_k with t_k^2 <= |t_(k-1)| *
-    (abs_tol + rel_tol * |partial sum|), that is, when the next term,
+    (ABS_TOL + REL_TOL * |partial sum|), that is, when the next term,
     extrapolated geometrically from the last two, would be negligible: a
     cheap filter, so that neither a term nor a majorant is evaluated for
     nothing on the way.
     """
-    abs_tol, rel_tol = policy.abs_tol, policy.rel_tol
-    max_terms, need = policy.max_terms, policy.consecutive_small
+    abs_tol, rel_tol, max_terms = ABS_TOL, REL_TOL, MAX_TERMS
+    need = max(CONSECUTIVE_SMALL, run)
     total = comp = 0.0
     streak = 0
     mag = prev = 0.0
@@ -186,9 +167,7 @@ def sum_series(
 
 
 def sum_bilateral(
-    term: Callable[[int], Scalar],
-    policy: SummationPolicy = DEFAULT_POLICY,
-    majorant: Optional[tuple] = None,
+    term: Callable[[int], Scalar], majorant: Optional[tuple] = None
 ) -> SeriesEval:
     """Sum term(n) over all integers n as term(0) plus the pairs
     term(k) + term(-k), k = 1, 2, ..., through ``sum_series``.
@@ -196,12 +175,12 @@ def sum_bilateral(
     ``majorant`` is a pair (upper, lower): upper(k) bounds the sum of
     |term(j)| over j > k and lower(k) that of |term(-j)|.  With both, the
     pairs' majorant is upper(k) + lower(k), so the proved tail of the whole
-    sum is held to max(abs_tol, rel_tol * |sum|); with either None the pairs
+    sum is held to max(ABS_TOL, REL_TOL * |sum|); with either None the pairs
     stop on the negligible-term streak.  The certificate counts pairs:
-    ``terms_used``, ``max_terms`` and an error's ``index`` are k = |n|, and
+    ``terms_used``, MAX_TERMS and an error's ``index`` are k = |n|, and
     ``last_term_magnitude`` is |term(k) + term(-k)| of the last pair.  The
     pairs run to the slower direction's length.
     """
     upper, lower = majorant or (None, None)
     bound = None if upper is None or lower is None else (lambda k: upper(k) + lower(k))
-    return sum_series(lambda k: term(k) + term(-k) if k else term(0), policy, bound)
+    return sum_series(lambda k: term(k) + term(-k) if k else term(0), bound)

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from besselsums import (
     EvaluationDomainError,
-    SummationPolicy,
     bessel_j,
     hermite_m,
     laguerre2,
+    series,
     tricomi_c,
     wright,
 )
@@ -215,12 +215,30 @@ class TestHermiteM:
         (lambda: laguerre2(2, 1.0, -math.inf), "y"),
         (lambda: hermite_m(4, 2, math.inf, 1.0), "x"),
         (lambda: hermite_m(0, 1, 1.0, math.nan), "y"),
+        # the Tricomi kernel would raise on a non-finite term, naming no argument
+        (lambda: tricomi_c(math.nan, 1.0), "alpha"),
+        (lambda: tricomi_c(1.0, math.inf), "x"),
     ],
 )
 def test_polynomials_name_a_non_finite_argument(call, name):
     # n = 0 has no term that could overflow, so only the check can refuse nan
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: laguerre2(1, -1.5e308, 1.5e308), "L_1(-1.5e+308, 1.5e+308) overflows float range"),
+        (lambda: hermite_m(1, 1, 1.5e308, 1.5e308), "H_1^(1)(1.5e+308, 1.5e+308) overflows float range"),
+    ],
+    ids=["laguerre2", "hermite_m"],
+)
+def test_polynomial_sum_past_float_range(call, message):
+    # each term is finite, and their sum is inf without raising OverflowError
+    with pytest.raises(EvaluationDomainError) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestWright:
@@ -262,8 +280,10 @@ class TestWright:
             exact = float(mpmath.fsum(mpmath.rgamma(mu * r) / mpmath.factorial(r) for r in range(60)))
         assert abs(wright(0.0, 1e-300, 1.0).value - exact) <= 1e-8 * exact
 
-    def test_tight_policy_still_converges(self):
-        ev = wright(0.5, 0.5, 2.0, SummationPolicy(abs_tol=1e-15, rel_tol=1e-13))
+    def test_tight_policy_still_converges(self, monkeypatch):
+        monkeypatch.setattr(series, "ABS_TOL", 1e-15)
+        monkeypatch.setattr(series, "REL_TOL", 1e-13)
+        ev = wright(0.5, 0.5, 2.0)
         assert ev.converged
 
     @pytest.mark.parametrize(

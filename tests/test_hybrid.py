@@ -13,7 +13,6 @@ import pytest
 import scipy.special as sc
 
 from besselsums import (
-    SummationPolicy,
     functions,
     h_tricomi,
     h_wright,
@@ -24,6 +23,7 @@ from besselsums import (
     laguerre2,
     reciprocal_gamma,
     rules,
+    series,
     tricomi_c,
 )
 from besselsums.plan import default_plan_path, load_plan, run_plan
@@ -206,9 +206,10 @@ class TestHybridK:
         with pytest.raises(ValueError):
             hybrid_k(0.0, 0, 1.0, 1.0, 0.5)
 
-    def test_inner_nonconvergence_propagates(self):
+    def test_inner_nonconvergence_propagates(self, monkeypatch):
         # a budget too small for the one series must not report converged
-        ev = hybrid_k(0.0, -2, 4.0, 3.0, 1.5, SummationPolicy(max_terms=8))
+        monkeypatch.setattr(series, "MAX_TERMS", 8)
+        ev = hybrid_k(0.0, -2, 4.0, 3.0, 1.5)
         assert not ev.converged
 
     @pytest.mark.parametrize(
@@ -370,7 +371,7 @@ def test_hybrid_k_shared_table_matches_fresh_inner_sums(mu, m, x, y, xi):
         assert not isinstance(info.value, EvaluationDomainError)
         return
     # the one series on two shared tables against the double sum of fresh
-    # h_tricomi calls, one per inner order: equal within the policy's
+    # h_tricomi calls, one per inner order: equal within the summation
     # tolerances, not bit for bit
     fresh = sum_series(lambda k: xi**k / math.factorial(k) * h_tricomi(m * k + mu, 2, x, y).value)
     shared = hybrid_k(mu, m, x, y, xi)

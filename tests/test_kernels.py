@@ -9,8 +9,8 @@ and 1/Gamma became 1/math.gamma; each keeps its previous record and ``err``,
 both records' errors against mpmath (40 digits).  The new values are within
 min(abs_tol, rel_tol |value|), plus rounding, of the exact ones, as the stop
 rule promises; the old ones were closer only because the negligible-term
-streak summed a few terms past it.  The kernels take no policy, so two rows
-pin the fixed 400-term budget with sums that run out of it.
+streak summed a few terms past it.  The kernels sum under the fixed summation
+policy, so two rows pin its 400-term budget with sums that run out of it.
 """
 
 import dataclasses

@@ -37,6 +37,7 @@ from besselsums import (
     weighted_sum_E,
     weighted_sum_S,
 )
+from besselsums import series
 from besselsums.cli import main
 from besselsums.report import render_csv, render_json, render_table, VerdictReport
 from besselsums.rules import VerificationRecord
@@ -195,16 +196,15 @@ class TestRunPlan:
         assert report.exit_code() == 2
 
     def test_integral_float_budget_runs(self, tmp_path):
-        # json 400.0 is the integer 400, not a float the summation loop refuses
-        payload = dict(TRIVIAL_THREE, policy={"max_terms": 400.0, "consecutive_small": 3.0})
-        plan = load_plan(write_plan(tmp_path, payload))
-        assert plan.policy.max_terms == 400 and type(plan.policy.max_terms) is int
+        # a plan may restate the fixed policy, and json 400.0 restates 400
+        policy = {"abs_tol": 1e-14, "rel_tol": 1e-12, "max_terms": 400.0, "consecutive_small": 3.0}
+        plan = load_plan(write_plan(tmp_path, dict(TRIVIAL_THREE, policy=policy)))
         report = run_plan(plan)
         assert [r.verdict for r in report.records] == [Verdict.VERIFIED] * 3
 
-    def test_starved_budget_gives_inconclusive(self, tmp_path):
+    def test_starved_budget_gives_inconclusive(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(series, "MAX_TERMS", 8)
         payload = {
-            "policy": {"max_terms": 8},
             "entries": [
                 {"rule": "GRAF_REAL", "grid": {"nu": [0], "x": [5], "y": [1], "t": [2]}}
             ],
@@ -250,10 +250,10 @@ class TestRunPlan:
     def test_parallel_equivalence(self):
         plan = load_plan(default_plan_path())
         # trim to a fast subset: first six entries
-        small = VerificationPlan(entries=plan.entries[:6], policy=plan.policy, parallelism=1)
+        small = VerificationPlan(entries=plan.entries[:6], parallelism=1)
         seq = render_csv(run_plan(small))
         par = render_csv(
-            run_plan(VerificationPlan(entries=small.entries, policy=small.policy, parallelism=8))
+            run_plan(VerificationPlan(entries=small.entries, parallelism=8))
         )
         assert seq == par
 
@@ -442,7 +442,7 @@ def test_readme_eval_examples_are_current(capsys):
 # sha256 of the `besselsums list-rules` output
 LIST_RULES_SHA256 = "4036d3bb73479cf83e875e9477f0a09053842ca43f21f318c44feebaff461841"
 
-# The arguments `besselsums eval` takes: each function's signature but policy.
+# The arguments `besselsums eval` takes: each function's signature.
 EVAL_ARGUMENTS = {
     "bessel_j": ("nu", "x"),
     "tricomi_c": ("alpha", "x"),
@@ -661,8 +661,8 @@ def ascending_plan(grid=(), **options):
     return json.dumps({"entries": [entry]})
 
 
-# A policy is checked like an entry: the message names the key, not python's
-# own complaint about the call it would have made.
+# A policy is checked like an entry: the message names the key.  It may only
+# restate the fixed summation policy.
 POLICY_MISTAKES = {
     "abs_tol null": ({"abs_tol": None}, "bad policy: abs_tol has non-numeric value None"),
     "misspelt key": (
@@ -671,6 +671,8 @@ POLICY_MISTAKES = {
         " consecutive_small)",
     ),
     "not an object": ([1, 2], "policy must be an object, got [1, 2]"),
+    "not the fixed value": ({"max_terms": 800}, "bad policy: max_terms is fixed at 400, got 800"),
+    "loosened tolerance": ({"abs_tol": 1e-6}, "bad policy: abs_tol is fixed at 1e-14, got 1e-06"),
 }
 
 
@@ -845,7 +847,7 @@ def test_registry_reads_the_rule_signature(rule):
     sig = inspect.signature(RULE_FUNCTIONS[rule]).parameters
     assert sig["tolerances"].default is DEFAULT_TOLERANCES
     assert schema.integer_params == tuple(p for p in sig if sig[p].annotation is int)
-    assert (*schema.params, "policy", "tolerances") == tuple(sig)
+    assert (*schema.params, "tolerances") == tuple(sig)
 
 
 class TestTolerances:

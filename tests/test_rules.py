@@ -2,17 +2,16 @@
 domain errors, and the cross-rule consistency web."""
 
 import math
+import re
 
 import pytest
 import scipy.special as sc
 
 import besselsums.rules as rules_mod
-from besselsums import backend
+from besselsums import backend, series
 from besselsums import (
-    DEFAULT_POLICY,
     DEFAULT_TOLERANCES,
     RuleId,
-    SummationPolicy,
     Tolerances,
     Verdict,
     appendix_derivative_check,
@@ -149,7 +148,7 @@ def _order_grid(rule_id, orders):
         for x in (0.25, 0.5, 1.0, 2.0, 3.0, 5.0)
         for t in (-0.9, -0.5, 0.3, 0.5, 0.9)
     ]
-    return rules_mod.run_cases(rule_id, cases, DEFAULT_POLICY, DEFAULT_TOLERANCES)
+    return rules_mod.run_cases(rule_id, cases, DEFAULT_TOLERANCES)
 
 
 class TestHermiteStride:
@@ -180,12 +179,14 @@ class TestHermiteStride:
         rhs = rule_fractional_order(m, x, t).rhs
         assert abs(rhs - float(exact)) <= 1e-12
 
-    def test_laguerre_hermite_left_side_waits_out_the_odd_zeros(self):
+    def test_laguerre_hermite_left_side_waits_out_the_odd_zeros(self, monkeypatch):
         # H_n^(2)(0, w) vanishes at odd n: on a run of one small term the left
         # side stopped at n = 1, its value the first term alone
-        rec = rule_laguerre_hermite(0.4, 0.8, 0.0, -0.3, 0.25, SummationPolicy(consecutive_small=1))
+        default = rule_laguerre_hermite(0.4, 0.8, 0.0, -0.3, 0.25)
+        monkeypatch.setattr(series, "CONSECUTIVE_SMALL", 1)
+        rec = rule_laguerre_hermite(0.4, 0.8, 0.0, -0.3, 0.25)
         assert rec.lhs_certificate.terms_used > 2
-        assert rec.lhs == pytest.approx(rule_laguerre_hermite(0.4, 0.8, 0.0, -0.3, 0.25).lhs, rel=1e-12)
+        assert rec.lhs == pytest.approx(default.lhs, rel=1e-12)
 
     def test_multiple_order_grid_is_verified_tightly(self):
         # the worst rel_err over these orders was 1.1e-9 while h_tricomi
@@ -217,8 +218,8 @@ class TestBesselLaguerre:
         # the record is DISCREPANT as stated, not rescued by trying the other sign
         true_l_tricomi = rules_mod.l_tricomi
 
-        def swapped(nu, u, v, policy=None, **kw):
-            return true_l_tricomi(nu, -u, v, policy)
+        def swapped(nu, u, v):
+            return true_l_tricomi(nu, -u, v)
 
         monkeypatch.setattr(rules_mod, "l_tricomi", swapped)
         rec = rule_bessel_laguerre(2.0, 0.5, 1.0, 0.3)
@@ -282,6 +283,20 @@ class TestGrafReal:
     def test_regime_violation_yt(self):
         with pytest.raises(ValueError):
             rule_graf(0.0, 4.0, 2.0, 2.0)  # x > y*t violated
+
+    @pytest.mark.parametrize(
+        "x, y, t, message",
+        [
+            (5.0, 1.0, 0.0, "requires t > 0, got t=0.0"),
+            (5.0, 1.0, -1.0, "requires t > 0, got t=-1.0"),
+            # x > y/t and x > y*t hold, but x^2 + y^2 and xy(t + 1/t) both round to 2 + 2^-51
+            (1.0 + 2.0**-52, 1.0, 1.0, re.escape("requires x^2 + y^2 - xy(t + 1/t) > 0")),
+        ],
+        ids=["t=0", "t<0", "rounding"],
+    )
+    def test_refused_points(self, x, y, t, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            rule_graf(0.0, x, y, t)
 
 
 class TestGrafPhase:
@@ -366,7 +381,7 @@ class TestPairedSum:
     )
     def test_neumann_identity(self, x):
         # sum_n J_n(x)^2 = 1, Graf's sum at nu = 0, x = y, unit weight
-        ev = rules_mod._graf_sum(lambda n: 1.0, 0.0, x, x, x / 2, x / 2, DEFAULT_POLICY)
+        ev = rules_mod._graf_sum(lambda n: 1.0, 0.0, x, x, x / 2, x / 2)
         assert ev.tail_bound is not None
         assert abs(ev.value - 1.0) <= ev.tail_bound + 1e-14
 
@@ -382,7 +397,7 @@ class TestPairedSum:
         r = 0.4
         tail = lambda n: r ** (n + 1) / (1.0 - r)
         bounds = (tail, None) if given == "upper" else (None, tail)
-        ev = sum_bilateral(lambda n: r ** abs(n), DEFAULT_POLICY, bounds)
+        ev = sum_bilateral(lambda n: r ** abs(n), bounds)
         assert ev.converged and ev.tail_bound is None
 
 
@@ -522,12 +537,26 @@ class TestConsistencyWeb:
         assert abs(asc - mul) <= 1e-12
         assert abs(mul - fra) <= 1e-12
 
-    def test_verdict_gate_requires_convergence(self):
+    def test_verdict_gate_requires_convergence(self, monkeypatch):
         # an unconverged lhs must never produce VERIFIED
-        from besselsums import SummationPolicy
-
-        rec = rule_graf(0.0, 5.0, 1.0, 2.0, policy=SummationPolicy(max_terms=8))
+        monkeypatch.setattr(series, "MAX_TERMS", 8)
+        rec = rule_graf(0.0, 5.0, 1.0, 2.0)
         assert rec.verdict is Verdict.INCONCLUSIVE
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, verdict",
+    [
+        (1.0, 1.0 + 5e-9, Verdict.VERIFIED),  # rel_err 5e-9 <= tol_rel
+        (1e-6, 1e-6 + 5e-13, Verdict.VERIFIED),  # rel_err 5e-7, abs_err 5e-13 <= tol_abs
+        (1e-10, 2e-10, Verdict.INCONCLUSIVE),  # both sides within tol_abs of 0
+        (1.0, 1.001, Verdict.DISCREPANT),
+    ],
+    ids=["relative", "absolute", "both-tiny", "discrepant"],
+)
+def test_verdict_of_a_finite_pair(lhs, rhs, verdict):
+    rec = rules_mod._record(rules_mod.RuleId.ASCENDING_GEN, {}, lhs, rhs, DEFAULT_TOLERANCES)
+    assert rec.verdict is verdict
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 parameter goes through."""
 
 import cmath
+import json
 import math
 import random
 
@@ -10,22 +11,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from besselsums import (
-    DEFAULT_POLICY,
     EXACTNESS_BOUND,
     EvaluationDomainError,
+    PlanError,
     SeriesEval,
-    SummationPolicy,
     h_tricomi,
     h_wright,
     hermite_m,
     hybrid_k,
     laguerre2,
+    load_plan,
     rule_multiple_order,
     stirling2,
     sum_bilateral,
     sum_series,
     weighted_sum_E,
 )
+from besselsums import series
+from besselsums.series import ABS_TOL, CONSECUTIVE_SMALL, REL_TOL
 
 # frozen via a 30-term direct sum (see oracle helpers below)
 J0_1 = 0.7651976865579666
@@ -34,9 +37,8 @@ E = 2.718281828459045
 
 class TestPolicy:
     def test_defaults(self):
-        p = SummationPolicy()
-        assert p.abs_tol == 1e-14 and p.rel_tol == 1e-12
-        assert p.max_terms == 400 and p.consecutive_small == 3
+        assert series.ABS_TOL == 1e-14 and series.REL_TOL == 1e-12
+        assert series.MAX_TERMS == 400 and series.CONSECUTIVE_SMALL == 3
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -48,9 +50,12 @@ class TestPolicy:
             {"consecutive_small": 0},
         ],
     )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            SummationPolicy(**kwargs)
+    def test_validation(self, kwargs, tmp_path):
+        # the policy is fixed: a plan may restate it, and nothing else
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"policy": kwargs, "entries": []}))
+        with pytest.raises(PlanError, match=f"bad policy: {next(iter(kwargs))} is fixed at "):
+            load_plan(path)
 
 
 class TestSumSeries:
@@ -63,7 +68,7 @@ class TestSumSeries:
         ev = sum_series(lambda k: 0.0)
         assert ev.value == 0.0
         assert ev.converged
-        assert ev.terms_used == DEFAULT_POLICY.consecutive_small
+        assert ev.terms_used == CONSECUTIVE_SMALL
 
     def test_bessel_terms(self):
         # term_k = (-1)^k (x/2)^(2k) / (k!)^2 at x=1 sums to J_0(1)
@@ -81,17 +86,16 @@ class TestSumSeries:
             sum_series(lambda k: math.pow(10.0, 40 * k))
         assert err.value.index == 8
 
-    def test_budget_exhaustion(self):
-        ev = sum_series(lambda k: 1.0 / (k + 1), SummationPolicy(max_terms=50))
+    def test_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(series, "MAX_TERMS", 50)
+        ev = sum_series(lambda k: 1.0 / (k + 1))
         assert not ev.converged
         assert ev.terms_used == 50
 
     def test_certificate_bound(self):
         ev = sum_series(lambda k: 0.5**k)
         assert ev.converged
-        assert ev.last_term_magnitude <= DEFAULT_POLICY.abs_tol + DEFAULT_POLICY.rel_tol * abs(
-            ev.value
-        )
+        assert ev.last_term_magnitude <= ABS_TOL + REL_TOL * abs(ev.value)
 
     @settings(max_examples=50)
     @given(st.floats(min_value=-0.9, max_value=0.9), st.floats(min_value=0.1, max_value=100.0))
@@ -99,16 +103,16 @@ class TestSumSeries:
         # summing doubled terms then halving matches within 2x rel_tol
         base = sum_series(lambda k: scale * ratio**k).value
         doubled = sum_series(lambda k: 2.0 * scale * ratio**k).value / 2.0
-        assert doubled == pytest.approx(base, rel=2 * DEFAULT_POLICY.rel_tol, abs=1e-13)
+        assert doubled == pytest.approx(base, rel=2 * REL_TOL, abs=1e-13)
 
-    def test_honesty_under_doubled_budget(self):
-        policy = SummationPolicy(max_terms=400)
-        relaxed = SummationPolicy(max_terms=800)
+    def test_honesty_under_doubled_budget(self, monkeypatch):
         for ratio in (0.3, -0.7, 0.9):
-            a = sum_series(lambda k: ratio**k, policy)
-            b = sum_series(lambda k: ratio**k, relaxed)
+            a = sum_series(lambda k: ratio**k)
+            with monkeypatch.context() as patch:
+                patch.setattr(series, "MAX_TERMS", 2 * series.MAX_TERMS)
+                b = sum_series(lambda k: ratio**k)
             assert a.converged
-            bound = 10 * (policy.abs_tol + policy.rel_tol * abs(a.value))
+            bound = 10 * (ABS_TOL + REL_TOL * abs(a.value))
             assert abs(a.value - b.value) <= bound
 
 
@@ -157,8 +161,9 @@ class TestSumBilateral:
         ev = sum_bilateral(lambda n: float(sc.jv(n, 2.0)) * float(sc.jv(n, 1.0)))
         assert ev.value == pytest.approx(J0_1, rel=1e-12)
 
-    def test_budget_split(self):
-        ev = sum_bilateral(lambda n: 1.0 / (abs(n) + 1), SummationPolicy(max_terms=41))
+    def test_budget_split(self, monkeypatch):
+        monkeypatch.setattr(series, "MAX_TERMS", 41)
+        ev = sum_bilateral(lambda n: 1.0 / (abs(n) + 1))
         assert not ev.converged
         assert ev.terms_used == 41
 
@@ -184,17 +189,18 @@ class TestMajorant:
             asked.append(n)
             return r ** (n + 1) / (1.0 - r)
 
-        ev = sum_series(lambda k: r**k, DEFAULT_POLICY, majorant)
+        ev = sum_series(lambda k: r**k, majorant)
         assert ev.converged
         assert ev.tail_bound == majorant(ev.terms_used - 1)
-        assert ev.tail_bound <= max(DEFAULT_POLICY.abs_tol, DEFAULT_POLICY.rel_tol * ev.value)
+        assert ev.tail_bound <= max(ABS_TOL, REL_TOL * ev.value)
         assert abs(1.0 / (1.0 - r) - ev.value) <= ev.tail_bound + 4 * math.ulp(ev.value)
         # asked only once the next term, extrapolated, would be negligible
         assert len(asked) <= 3
         assert sum_series(lambda k: r**k).terms_used > ev.terms_used  # the streak sums more
 
-    def test_no_proof_no_stop(self):
-        ev = sum_series(lambda k: 0.0, SummationPolicy(max_terms=20), lambda n: math.inf)
+    def test_no_proof_no_stop(self, monkeypatch):
+        monkeypatch.setattr(series, "MAX_TERMS", 20)
+        ev = sum_series(lambda k: 0.0, lambda n: math.inf)
         assert not ev.converged
         assert ev.terms_used == 20
         assert ev.tail_bound is None
@@ -206,12 +212,12 @@ class TestMajorant:
     def test_bilateral_bound_per_direction(self):
         r = 0.4
         tail = lambda n: r ** (n + 1) / (1.0 - r)
-        both = sum_bilateral(lambda n: r ** abs(n), DEFAULT_POLICY, (tail, tail))
+        both = sum_bilateral(lambda n: r ** abs(n), (tail, tail))
         assert both.converged
         # the pairs' majorant is the two directions' tails summed, held to the threshold
-        assert both.tail_bound <= max(DEFAULT_POLICY.abs_tol, DEFAULT_POLICY.rel_tol * both.value)
+        assert both.tail_bound <= max(ABS_TOL, REL_TOL * both.value)
         assert abs((1 + r) / (1 - r) - both.value) <= both.tail_bound + 8 * math.ulp(both.value)
-        upper_only = sum_bilateral(lambda n: r ** abs(n), DEFAULT_POLICY, (tail, None))
+        upper_only = sum_bilateral(lambda n: r ** abs(n), (tail, None))
         assert upper_only.converged and upper_only.tail_bound is None
 
     def test_tail_bound_takes_part_in_equality(self):
@@ -251,11 +257,11 @@ class _ReferenceAccumulator:
         return self.total + self.comp
 
 
-def _reference_sum_series(term, policy):
+def _reference_sum_series(term, fixed, run):
     acc = _ReferenceAccumulator()
     streak = 0
     last_mag = 0.0
-    for k in range(policy.max_terms):
+    for k in range(fixed["MAX_TERMS"]):
         try:
             t = term(k)
         except OverflowError as exc:
@@ -264,26 +270,35 @@ def _reference_sum_series(term, policy):
             raise EvaluationDomainError(f"non-finite series term {t!r} at index {k}", index=k)
         acc.add(t)
         last_mag = abs(t)
-        if last_mag <= policy.abs_tol + policy.rel_tol * abs(acc.value):
+        if last_mag <= fixed["ABS_TOL"] + fixed["REL_TOL"] * abs(acc.value):
             streak += 1
-            if streak >= policy.consecutive_small:
+            if streak >= max(fixed["CONSECUTIVE_SMALL"], run):
                 return SeriesEval(acc.value, k + 1, last_mag, True)
         else:
             streak = 0
-    return SeriesEval(acc.value, policy.max_terms, last_mag, False)
+    return SeriesEval(acc.value, fixed["MAX_TERMS"], last_mag, False)
+
+
+def _patched_sum_series(term, fixed, run):
+    """``sum_series`` with the module's summation constants set to ``fixed``."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in fixed.items():
+            patch.setattr(series, name, value)
+        return sum_series(term, run=run)
 
 
 def _seeded_series(rng):
-    """A term function and a policy drawn from ``rng``: real or complex terms,
-    alternating or one-signed, with a random decay (a ratio near or above 1
-    runs out of budget), sometimes sparse or zero at k = 0, sometimes one bad
-    term (inf, nan or a raised OverflowError)."""
-    policy = SummationPolicy(
-        abs_tol=rng.choice([1e-14, 1e-9]),
-        rel_tol=rng.choice([1e-12, 1e-6]),
-        max_terms=rng.choice([8, 9, 30, 400]),
-        consecutive_small=rng.randint(1, 5),
-    )
+    """A term function, the summation constants and a run length drawn from
+    ``rng``: real or complex terms, alternating or one-signed, with a random
+    decay (a ratio near or above 1 runs out of budget), sometimes sparse or
+    zero at k = 0, sometimes one bad term (inf, nan or a raised
+    OverflowError)."""
+    fixed = {
+        "ABS_TOL": rng.choice([1e-14, 1e-9]),
+        "REL_TOL": rng.choice([1e-12, 1e-6]),
+        "MAX_TERMS": rng.choice([8, 9, 30, 400]),
+        "CONSECUTIVE_SMALL": rng.randint(1, 5),
+    }
     ratio = rng.uniform(0.05, 1.02)
     scale = 10.0 ** rng.uniform(-3.0, 3.0)
     alternating = rng.random() < 0.5
@@ -309,12 +324,12 @@ def _seeded_series(rng):
             return {"inf": -math.inf, "nan": math.nan, "complex-inf": complex(1.0, math.inf)}[bad]
         return values[k]
 
-    return term, policy
+    return term, fixed, rng.randint(0, 5)
 
 
-def _outcome(engine, term, policy):
+def _outcome(engine, term, fixed, run):
     try:
-        ev = engine(term, policy)
+        ev = engine(term, fixed, run)
     except EvaluationDomainError as exc:
         return type(exc), exc.index, str(exc), type(exc.__cause__)
     return repr(ev.value), ev.terms_used, ev.last_term_magnitude.hex(), ev.converged
@@ -322,16 +337,16 @@ def _outcome(engine, term, policy):
 
 @pytest.mark.parametrize(
     "engine, reference",
-    [(sum_series, _reference_sum_series)],
+    [(_patched_sum_series, _reference_sum_series)],
     ids=["sum_series"],
 )
 def test_engine_bit_identical_to_accumulator_reference(engine, reference):
     rng = random.Random(20240607)
     kinds = set()
     for _ in range(600):
-        term, policy = _seeded_series(rng)
-        got = _outcome(engine, term, policy)
-        assert got == _outcome(reference, term, policy)
+        term, fixed, run = _seeded_series(rng)
+        got = _outcome(engine, term, fixed, run)
+        assert got == _outcome(reference, term, fixed, run)
         kinds.add(got[0] if isinstance(got[0], type) else got[3])
     assert kinds == {EvaluationDomainError, True, False}  # raised, converged, out of budget
 
@@ -349,8 +364,6 @@ INTEGER_PARAMS = {
     "stirling2 k": (lambda v: stirling2(3, v), "k", -1),
     "rule_multiple_order m": (lambda v: rule_multiple_order(v, 1.0, 0.1), "m", 0),
     "weighted_sum_E m": (lambda v: weighted_sum_E(0, v, 1.0), "m", 11),
-    "max_terms": (lambda v: SummationPolicy(max_terms=v), "max_terms", 7),
-    "consecutive_small": (lambda v: SummationPolicy(consecutive_small=v), "consecutive_small", 0),
 }
 
 

@@ -22,7 +22,7 @@ import math
 import pytest
 
 from besselsums import backend, bessel_j, rules, series, tricomi_c
-from besselsums.series import DEFAULT_POLICY
+from besselsums.series import ABS_TOL, REL_TOL
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -34,7 +34,7 @@ def _kernel_case(a, c, k0, first, value, cert, exact):
     """|value - exact| <= tail_bound + rounding allowance, and the bound is
     the one the stop rule accepted: within both tolerances."""
     assert cert.converged and cert.tail_bound is not None
-    assert cert.tail_bound <= min(DEFAULT_POLICY.abs_tol, DEFAULT_POLICY.rel_tol * abs(value))
+    assert cert.tail_bound <= min(ABS_TOL, REL_TOL * abs(value))
     terms = [first]
     for k in range(k0, k0 + cert.terms_used - 1):
         terms.append(terms[-1] * c / ((k + 1) * (a + k + 1)))
@@ -113,7 +113,7 @@ def recorded(monkeypatch):
     calls = []
 
     def wrap(engine):
-        def recording(term, policy=DEFAULT_POLICY, majorant=None):
+        def recording(term, majorant=None, **run):
             seen = {}
             calls.append(seen)
 
@@ -121,7 +121,7 @@ def recorded(monkeypatch):
                 seen[n] = term(n)
                 return seen[n]
 
-            return engine(record, policy, majorant)
+            return engine(record, majorant, **run)
 
         return recording
 
@@ -213,7 +213,7 @@ def test_rule_side_error_within_tail_bound(side, recorded):
         assert sorted(seen) == list(range(1 - cert.terms_used, cert.terms_used))
     else:
         assert cert.terms_used == len(seen)
-    assert cert.tail_bound <= max(DEFAULT_POLICY.abs_tol, DEFAULT_POLICY.rel_tol * abs(value))
+    assert cert.tail_bound <= max(ABS_TOL, REL_TOL * abs(value))
     with mpmath.workdps(30):
         top = max(seen)
         left_out = list(range(top + 1, top + 60))

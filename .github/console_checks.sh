@@ -27,6 +27,17 @@ if besselsums eval bessel_j nu=0; then fail "eval with a missing argument exited
 # 1/Gamma(nu + k + 1) underflows to 0 past lgamma's range, so the sum is 0
 besselsums eval bessel_j nu=1e306 x=1
 
+echo "== eval prints a value for the Tricomi and Wright functions and each composite"
+# the Tricomi kernel with and without a leading run of poles; the composites
+# at an integer Gamma offset with mu = 1 (tabled 1/Gamma) and at mu = 0.5
+for args in "tricomi_c alpha=-0.5 x=2" "tricomi_c alpha=-3 x=2" "h_tricomi nu=0 m=2 u=1 v=0.5" \
+  "l_tricomi nu=0 u=0.3 v=0.7" "h_wright nu=0 m=2 mu=0.5 u=0.4 v=-0.25" "wright nu=1 mu=1 x=0.3"; do
+  run besselsums eval $args >"$dir/eval.out"
+  cat "$dir/eval.out"
+  if [ "$code" -ne 0 ]; then fail "eval $args exited $code"; fi
+  if ! grep -q "^value = " "$dir/eval.out"; then fail "eval $args printed no value line"; fi
+done
+
 echo "== the report is strict json"
 python -c 'import json, sys;
 json.load(open(sys.argv[1]), parse_constant=lambda t: sys.exit(f"not json: {t}"))' "$dir/report.json"

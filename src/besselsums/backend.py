@@ -137,9 +137,12 @@ def _ratio_series(term, a, c, k0, symbol, x):
 def bessel_j_series(nu, x):
     """Ascending series for J_nu(x): sum_k (-1)^k (x/2)^(2k+nu) / (k! Gamma(nu+k+1))."""
     half = 0.5 * x
-    k0 = leading_pole_shift(nu + 1.0)
+    k0 = leading_pole_shift(nu + 1.0) if nu <= -1.0 else 0  # poles lead only at nu <= -1
     try:
-        term = math.pow(half, 2.0 * k0 + nu) * _recip_gamma(nu + k0 + 1.0) * _recip_gamma(k0 + 1.0)
+        if k0:
+            term = math.pow(half, 2.0 * k0 + nu) * _recip_gamma(nu + k0 + 1.0) * _recip_gamma(k0 + 1.0)
+        else:  # no leading pole, and 1/Gamma(k0 + 1) = 1
+            term = math.pow(half, nu) * _recip_gamma(nu + 1.0)
     except OverflowError:
         term = math.inf
     if k0 & 1:
@@ -149,7 +152,9 @@ def bessel_j_series(nu, x):
 
 def tricomi_series(alpha, x):
     """Tricomi series C_alpha(x): sum_k (-x)^k / (k! Gamma(alpha+k+1))."""
-    k0 = leading_pole_shift(alpha + 1.0)
+    k0 = leading_pole_shift(alpha + 1.0) if alpha <= -1.0 else 0  # poles lead only at alpha <= -1
+    if not k0:  # no leading pole: (-x)^0 = 1 and 1/Gamma(k0 + 1) = 1
+        return _ratio_series(_recip_gamma(alpha + 1.0), alpha, -x, 0, "C", x)
     try:
         term = math.pow(-x, k0) * _recip_gamma(alpha + k0 + 1.0) * _recip_gamma(k0 + 1.0)
     except OverflowError:

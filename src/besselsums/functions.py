@@ -1,9 +1,12 @@
 """Base function families, each evaluated from its defining series.
 
-Series evaluation is deliberately the only strategy here: the harness targets
-desk-scale arguments (|x| <= 10 or so) where the ascending series converge in
-a few dozen terms, and a single auditable code path is worth more than
-asymptotic switchovers.
+Series evaluation is deliberately the only strategy here: a single auditable
+code path is worth more than asymptotic switchovers.  The ascending series
+converge in a few dozen terms at desk-scale arguments, but the J series loses
+its digits to cancellation well before its term budget ends near x = 285:
+``bessel_j(0, 40)`` returns 0.3252 (true value 0.007367) with
+``converged=True``.  A certificate bounds only the truncated tail, not that
+rounding error, so it cannot show such a failure yet (see README).
 
 Reciprocal gamma and the Bessel and Tricomi series loops are the kernels in
 ``besselsums.backend``; this layer checks the arguments and returns the
@@ -53,11 +56,11 @@ def bessel_j(nu: float, x: float) -> SeriesEval:
     nu, x = float(nu), float(x)
     if nu - nu != 0.0 or x - x != 0.0:  # inf or nan; skip the keyword call otherwise
         require_finite(nu=nu, x=x)
-    nu_is_int = nu == math.floor(nu)
-    if x < 0.0 and not nu_is_int:
-        raise ValueError(f"bessel_j with non-integer nu={nu} requires x >= 0, got x={x}")
-    if x == 0.0 and nu < 0.0 and not nu_is_int:
-        raise ValueError(f"bessel_j diverges at x=0 for negative non-integer nu={nu}")
+    if x <= 0.0 and nu != math.floor(nu):
+        if x < 0.0:
+            raise ValueError(f"bessel_j with non-integer nu={nu} requires x >= 0, got x={x}")
+        if nu < 0.0:
+            raise ValueError(f"bessel_j diverges at x=0 for negative non-integer nu={nu}")
     return backend.bessel_j_series(nu, x)
 
 

@@ -50,26 +50,23 @@ def _top_degree(x: float) -> int:
             n -= 1
 
 
-def _hermite_ratio(n: int, m: int, h: list, uv: tuple) -> float:
-    """h_n = H_n^(m)(u, v) / n! from h[j] = h_j (j < n), with uv = (u, m v)."""
-    u, mv = uv
-    return (u * h[n - 1] + (mv * h[n - m] if n >= m else 0.0)) / n
-
-
 def _hermite_table(m: int, u: float, v: float):
     """n -> H_n^(m)(u, v) / n!, each degree computed on first use only."""
     h = [1.0]
-    uv = (u, m * v)
+    mv = m * v
     top = min(_top_degree(u), m * _top_degree(v) + m - 1)  # u^n, v^(n//m) in range
 
     def ratio(n: int) -> float:
-        if n < len(h):
+        j = len(h)
+        if n < j:
             return h[n]
         if n > top:
             raise OverflowError(f"degree {n} of H^({m})({u}, {v}) is past float range")
-        for j in range(len(h), n + 1):
-            h.append(_hermite_ratio(j, m, h, uv))
-        return h[n]
+        while j <= n:
+            t = (u * h[j - 1] + (mv * h[j - m] if j >= m else 0.0)) / j
+            h.append(t)
+            j += 1
+        return t
 
     return ratio
 
@@ -80,13 +77,16 @@ def _laguerre_table(u: float, v: float):
     top = min(_top_degree(u), _top_degree(v))  # u^n, v^n in range
 
     def ratio(n: int) -> float:
-        if n < len(ell):
+        j = len(ell)
+        if n < j:
             return ell[n]
         if n > top:
             raise OverflowError(f"degree {n} of L({u}, {v}) is past float range")
-        for j in range(len(ell), n + 1):
-            ell.append((((2 * j - 1) * v - u) * ell[j - 1] - v * v * ell[j - 2]) / (j * j))
-        return ell[n]
+        while j <= n:
+            t = (((2 * j - 1) * v - u) * ell[j - 1] - v * v * ell[j - 2]) / (j * j)
+            ell.append(t)
+            j += 1
+        return t
 
     return ratio
 
@@ -100,10 +100,15 @@ def _gamma_series(ratio, a: float, mu: float, alternating: bool, run: int = 0) -
     """
     k0 = backend.leading_pole_shift(a, mu)
     recip_gamma = backend.recip_gamma
+    # at mu = 1 and integer a > -2^52, mu k + a is the exact integer k + a, and
+    # 1/Gamma of it up to 34 is read from recip_gamma's own table: the same floats
+    integer = mu == 1.0 and a == math.floor(a) and a > -(2.0**52)
+    inv = backend._INV_FACTORIAL[k0 + int(a) - 1:] if integer else ()
+    tabled = len(inv)
 
     def term(i: int) -> float:
         k = i + k0
-        t = ratio(k) * recip_gamma(mu * k + a)
+        t = ratio(k) * (inv[i] if i < tabled else recip_gamma(mu * k + a))
         return -t if alternating and k & 1 else t
 
     return sum_series(term, run=run)

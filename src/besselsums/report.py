@@ -8,7 +8,6 @@ template per record: with an indent, 3.10-3.12's encoder is pure Python and
 2-3 times slower.  ``report_to_json_dict`` parses that text back.
 """
 
-import csv
 import io
 import json
 import math
@@ -130,6 +129,8 @@ def report_to_json_dict(report: VerdictReport) -> dict:
 
 
 def render_csv(report: VerdictReport) -> str:
+    import csv  # only here: the other formats do not pay for its import
+
     param_names = sorted({name for rec in report.records for name in rec.params})
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -394,7 +394,7 @@ def rule_bessel_laguerre(
 def _check_laguerre_hermite(x, y, z, w, t):
     require_finite(x=x, y=y, z=z, w=w, t=t)
     if not abs(t) <= 0.25:
-        raise ValueError(f"requires |t| <= 0.25 for numerical convergence, got t={t}")
+        raise ValueError(f"requires |t| <= 0.25 until the left side has a proved stop, got t={t}")
 
 
 def rule_laguerre_hermite(
@@ -408,9 +408,11 @@ def rule_laguerre_hermite(
     """sum_n t^n/n! L_n(x,y) H_n^(2)(z,w)
          =  e^{yt(z+ywt)} HC_0^(2)(xt(z+2ywt), x^2 w t^2).
 
-    The left side is a formal series whose terms carry an n!-sized polynomial
-    product; it converges numerically only for small |t|, so the harness
-    restricts |t| <= 0.25.
+    The left side converges for every t (|L_n(x,y)| <= (|x|+|y|)^n, and
+    H_n^(2)(z,w)/n! is at most H_n^(2)(|z|,|w|)/n!), and it VERIFIES at t = 2
+    at desk points.  The harness still restricts |t| <= 0.25: a limit of its
+    own, not of convergence, kept until that side stops on a proved tail
+    rather than on a streak of negligible terms.
     """
     _check_laguerre_hermite(x, y, z, w, t)
     lag = hybrid._laguerre_table(x, y)  # L_n(x, y)/n!

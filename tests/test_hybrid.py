@@ -13,6 +13,7 @@ import pytest
 import scipy.special as sc
 
 from besselsums import (
+    backend,
     functions,
     h_tricomi,
     h_wright,
@@ -432,19 +433,110 @@ def test_collapsed_hybrid_k_past_the_table_ceiling_is_a_domain_error(mu, m):
 
 
 def test_default_plan_hermite_ratio_evaluations(monkeypatch):
-    calls = []
-    real = hybrid._hermite_ratio
+    # the Hermite degrees a default-plan run computes: a table computes each
+    # degree n >= 1 up to the highest one it is asked for, once
+    tops = []
+    real = hybrid._hermite_table
 
-    def spy(n, m, u, v):
-        calls.append(n)
-        return real(n, m, u, v)
+    def spy(m, u, v):
+        ratio = real(m, u, v)
+        top = [0]
+        tops.append(top)
 
-    monkeypatch.setattr(hybrid, "_hermite_ratio", spy)
+        def read(n):
+            out = ratio(n)
+            top[0] = max(top[0], n)
+            return out
+
+        return read
+
+    monkeypatch.setattr(hybrid, "_hermite_table", spy)
     run_plan(load_plan(default_plan_path()))
-    # one call per degree n >= 1 and per table: 1,137 from the composites
-    # (NEUMANN_EXT's hybrid_k fills two tables) and 206 from the
-    # LAGUERRE_HERMITE left sides
-    assert 0 < len(calls) <= 1343
+    # 1,137 degrees from the composites (NEUMANN_EXT's hybrid_k fills two
+    # tables) and 206 from the LAGUERRE_HERMITE left sides
+    assert 0 < sum(top[0] for top in tops) <= 1343
+
+
+def _reference_hermite_table(m, u, v):
+    """The Hermite table as it was built through a per-degree helper, one
+    degree per loop step."""
+    h = [1.0]
+    uv = (u, m * v)
+    top = min(hybrid._top_degree(u), m * hybrid._top_degree(v) + m - 1)
+
+    def step(n):
+        u, mv = uv
+        return (u * h[n - 1] + (mv * h[n - m] if n >= m else 0.0)) / n
+
+    def ratio(n):
+        if n < len(h):
+            return h[n]
+        if n > top:
+            raise OverflowError(n)
+        for j in range(len(h), n + 1):
+            h.append(step(j))
+        return h[n]
+
+    return ratio
+
+
+def _table_reads(ratio, degrees):
+    out = []
+    for n in degrees:
+        try:
+            out.append(ratio(n).hex())
+        except OverflowError:
+            out.append("overflow")
+    return out
+
+
+def test_hermite_table_matches_the_per_degree_recurrence():
+    # bit for bit, read in order and out of order, up to and past the first
+    # degree that overflows; u = 0, orders above every degree read, negative v
+    rng = random.Random(32)
+    cases = [(2, 0.0, 1.5), (3, 0.0, -2.0), (200, 0.7, -0.3), (7, -1.2, -0.4), (1, 3000.0, 0.0),
+             (2, 0.5, -1e30), (3, -1e10, 1e100), (2, 70.0, 65.0)]
+    for _ in range(60):
+        m = rng.randint(1, 12)
+        u = rng.choice([0.0, rng.uniform(-6, 6), rng.choice([-1, 1]) * 10 ** rng.uniform(0, 40)])
+        v = rng.choice([0.0, rng.uniform(-6, 6), rng.choice([-1, 1]) * 10 ** rng.uniform(0, 40)])
+        cases.append((m, u, v))
+    below_ceiling = 0  # cases whose powers overflow before degree 171
+    for m, u, v in cases:
+        in_order = _table_reads(hybrid._hermite_table(m, u, v), range(172))
+        assert in_order == _table_reads(_reference_hermite_table(m, u, v), range(172)), (m, u, v)
+        shuffled = [rng.randint(0, 171) for _ in range(40)]
+        expected = _table_reads(_reference_hermite_table(m, u, v), shuffled)
+        assert _table_reads(hybrid._hermite_table(m, u, v), shuffled) == expected, (m, u, v)
+        below_ceiling += in_order.index("overflow") < 171
+    assert below_ceiling >= 10
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.5])
+@pytest.mark.parametrize(
+    "a", [1.0, 5.0, 34.0, 35.0, 60.0, 0.0, -1.0, -40.0, 0.5, -(2.0**52) + 1.0, -(2.0**52), -1e17]
+)
+def test_gamma_series_weights_are_recip_gammas(a, mu):
+    # at mu = 1 and integer a the weights 1/Gamma(k + a) are read from a table:
+    # bit for bit what recip_gamma gives at mu k + a, even where that rounds
+    def ratio(k):
+        return 0.5 ** (k % 7)
+
+    k0 = backend.leading_pole_shift(a, mu)
+
+    def term(i):
+        k = i + k0
+        t = ratio(k) * backend.recip_gamma(mu * k + a)
+        return -t if k & 1 else t
+
+    def outcome(call):
+        try:
+            return call()
+        except EvaluationDomainError as exc:  # 1/Gamma past float range
+            return str(exc), exc.index
+
+    tabled = outcome(lambda: hybrid._gamma_series(ratio, a, mu, True, 2))
+    assert tabled == outcome(lambda: sum_series(term, run=2))
 
 
 def test_hermite_ratio_past_factorial_range_overflows():

@@ -78,6 +78,37 @@ PINNED = [
     # the fixed 400-term budget runs out
     ("tricomi_series", 0.0, 1e5,
      ("-0x1.e8a01754ccbffp+870", 400, "0x1.3d3b170186354p+872", False)),
+    # both prologue branches: an order with no leading pole (k0 = 0, first
+    # term (x/2)^nu / Gamma(nu + 1)) and one with a run of poles (k0 > 0);
+    # recorded before the k0 = 0 branch skipped the shift and the 1/0! factor
+    ("bessel_j_series", 0.0, 2.0,
+     ("0x1.ca873fb24cf0ep-3", 11, "0x1.5601885e63e5dp-44", True)),
+    ("bessel_j_series", -0.0, 2.0,
+     ("0x1.ca873fb24cf0ep-3", 11, "0x1.5601885e63e5dp-44", True)),
+    ("bessel_j_series", -0.5, 1.5,
+     ("0x1.7983674d06149p-5", 10, "0x1.52a15d4af4bdfp-43", True)),
+    ("bessel_j_series", -1.0, 2.0,
+     ("-0x1.27487958371b2p-1", 10, "0x1.ab81ea75fcdf3p-41", True)),
+    ("bessel_j_series", -2.5, 3.0,
+     ("0x1.79e5d02a3c545p-2", 14, "0x1.a1b41a750b844p-43", True)),
+    ("bessel_j_series", 0.0, 0.0,
+     ("0x1.0000000000000p+0", 1, "0x1.0000000000000p+0", True)),
+    ("bessel_j_series", 0.0, -0.0,
+     ("0x1.0000000000000p+0", 1, "0x1.0000000000000p+0", True)),
+    ("bessel_j_series", -2.0, 0.0,
+     ("0x0.0p+0", 1, "0x0.0p+0", True)),
+    ("bessel_j_series", -2.0, -0.0,
+     ("0x0.0p+0", 1, "0x0.0p+0", True)),
+    ("tricomi_series", 0.0, 1.5,
+     ("-0x1.784a6fb1e81e2p-6", 12, "0x1.e8f84fa6de401p-45", True)),
+    ("tricomi_series", -0.0, 1.5,
+     ("-0x1.784a6fb1e81e2p-6", 12, "0x1.e8f84fa6de401p-45", True)),
+    ("tricomi_series", -0.5, 2.0,
+     ("-0x1.12d0c96d5b21ap-1", 13, "0x1.196c313f9681fp-44", True)),
+    ("tricomi_series", -3.0, 0.0,
+     ("0x0.0p+0", 1, "0x0.0p+0", True)),
+    ("tricomi_series", -1.0, 2.0,
+     ("-0x1.21c581744c383p-1", 12, "0x1.e2637bef9ff18p-43", True)),
 ]
 
 
@@ -147,9 +178,11 @@ def test_perfbench_tracer_sites_resolve(monkeypatch):
     tracer = tracing.Tracer().install()
     try:
         # the Wright kernel loop is gone: wright() sums through hybrid.h_wright;
-        # the rules read the tabled weights, not laguerre2 or hermite_m
+        # the rules read the tabled weights, not laguerre2 or hermite_m; the
+        # Hermite table runs its recurrence inline, with no per-degree helper
         assert tracer.missing == [
-            "kernels.wright_series", "besselsums.rules.laguerre2", "besselsums.rules.hermite_m"
+            "kernels.wright_series", "besselsums.rules.laguerre2", "besselsums.rules.hermite_m",
+            "hybrid._hermite_ratio",
         ]
     finally:
         tracer.uninstall()

@@ -1009,19 +1009,29 @@ def test_parallelism_runs_serially(tmp_path, monkeypatch, capsys, parallelism):
     assert capsys.readouterr().out == serial
 
 
-def test_cli_import_leaves_the_process_pool_unloaded():
-    """The runner is serial, so the CLI never imports the process pool."""
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether ``import besselsums.cli`` in a fresh interpreter loads ``module``."""
     import os
     import subprocess
     import sys
 
-    code = "import sys, besselsums.cli; print('concurrent.futures' in sys.modules)"
+    code = f"import sys, besselsums.cli; print({module!r} in sys.modules)"
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    """The runner is serial, so the CLI never imports the process pool."""
+    assert not _loaded_by_cli_import("concurrent.futures")
+
+
+def test_cli_import_leaves_csv_unloaded():
+    """Only the csv format imports csv, inside ``render_csv``."""
+    assert not _loaded_by_cli_import("csv")
 
 
 @pytest.mark.parametrize(

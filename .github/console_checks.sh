@@ -64,6 +64,15 @@ if [ "$code" -ne 1 ]; then fail "null tolerance exited $code"; fi
 if [ "$(head -c 14 "$dir/err")" != "error: entry 0" ]; then fail "null tolerance is not located"; fi
 if grep -q Traceback "$dir/err"; then fail "null tolerance printed a traceback"; fi
 
+echo "== verdict tolerances come from the plan alone"
+# verify takes no tolerance flag; an entry's own tol_abs/tol_rel judge its records
+run besselsums verify --tol-abs 1e-3
+if [ "$code" -ne 1 ]; then fail "verify --tol-abs exited $code"; fi
+if grep -q Traceback "$dir/err"; then fail "verify --tol-abs printed a traceback"; fi
+echo '{"entries": [{"rule": "ASCENDING_GEN", "grid": {"nu": [0], "x": [2], "t": [0.1]}, "tol_abs": 1e-30, "tol_rel": 1e-30}]}' > "$dir/tight.json"
+run besselsums verify --plan "$dir/tight.json"
+if [ "$code" -ne 2 ]; then fail "an entry at tolerance 1e-30 exited $code"; fi
+
 echo "== a plan nested past the recursion limit is a located error"
 python -c 'print("{\"entries\": " + "[" * 200000 + "]" * 200000 + "}")' > "$dir/deep.json"
 run besselsums verify --plan "$dir/deep.json"

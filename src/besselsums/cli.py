@@ -3,7 +3,6 @@
 Subcommands::
 
     besselsums verify [--plan FILE] [--format table|csv|json] [--out FILE]
-                      [--tol-abs X] [--tol-rel Y]
     besselsums eval NAME key=value ...
     besselsums list-rules
 
@@ -12,13 +11,10 @@ discrepancy); 1 usage or I/O errors, including the ones argparse reports and
 a reader that leaves early (``besselsums list-rules | head -1``), which is quiet.
 
 ``verify`` prints the ``PlanError`` that ``load_plan`` raises for any plan that
-fails to load.  ``--tol-abs``/``--tol-rel`` are checked once, as a ``Tolerances``
-whose unset field keeps its default, and that value is given to each entry that
-sets no tolerance itself.
+fails to load.
 """
 
 import argparse
-import dataclasses
 import inspect
 import os
 import sys
@@ -26,7 +22,7 @@ import sys
 from besselsums import functions, hybrid
 from besselsums.plan import PlanError, default_plan_path, load_plan, run_plan
 from besselsums.report import FORMATS, emit_report
-from besselsums.rules import DEFAULT_TOLERANCES, RULES, Tolerances
+from besselsums.rules import DEFAULT_TOLERANCES, RULES
 from besselsums.series import SeriesEval
 
 # eval-subcommand dispatch: name -> function, whose signature names its arguments.
@@ -56,10 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--plan", default=None, help="plan file (default: bundled plan)")
     verify.add_argument("--format", default="table", choices=FORMATS)
     verify.add_argument("--out", default=None, help="write the report here instead of stdout")
-    verify.add_argument("--tol-abs", type=float, default=None,
-                        help="verdict abs tolerance for entries without their own override")
-    verify.add_argument("--tol-rel", type=float, default=None,
-                        help="verdict rel tolerance for entries without their own override")
 
     ev = sub.add_parser("eval", help="evaluate one function family at a point")
     ev.add_argument("name", help=f"one of: {', '.join(sorted(FUNCTIONS))}")
@@ -76,20 +68,6 @@ def _cmd_verify(opts) -> int:
     except PlanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    flags = {"tol_abs": opts.tol_abs, "tol_rel": opts.tol_rel}
-    given = {key: value for key, value in flags.items() if value is not None}
-    if given:
-        try:  # checked here, so a bad flag fails even when no entry uses it
-            tol = Tolerances(**given)
-        except ValueError as exc:
-            print(f"error: --tol-abs/--tol-rel: {exc}", file=sys.stderr)
-            return 1
-        entries = tuple(
-            e if e.tolerances is not None else dataclasses.replace(e, tolerances=tol)
-            for e in plan.entries
-        )
-        plan = dataclasses.replace(plan, entries=entries)
 
     report = run_plan(plan)
     try:

@@ -44,7 +44,6 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
 
 from besselsums.report import VerdictReport
 from besselsums.rules import DEFAULT_TOLERANCES, RULES, RuleId, Tolerances, _bessel_j, run_cases
@@ -65,7 +64,7 @@ class PlanError(ValueError):
 class PlanEntry:
     rule_id: RuleId
     grid: dict
-    tolerances: Optional[Tolerances] = None
+    tolerances: Tolerances = DEFAULT_TOLERANCES
     perturb_rhs: float = 0.0
 
     def cases(self):
@@ -185,7 +184,7 @@ def _load_entry(raw: dict, idx: int) -> PlanEntry:
 
     try:
         given = {key: raw[key] for key in ("tol_abs", "tol_rel") if key in raw}
-        tol = replace(DEFAULT_TOLERANCES, **given) if given else None
+        tol = replace(DEFAULT_TOLERANCES, **given)
         perturb = float(_number("perturb_rhs", raw.get("perturb_rhs", 0.0)))
     except ValueError as exc:
         raise PlanError(f"{where}: {exc}") from exc
@@ -213,8 +212,7 @@ def run_plan(plan: VerificationPlan) -> VerdictReport:
     rule_order = {rule: i for i, rule in enumerate(RuleId)}
     records = []
     for entry in sorted(plan.entries, key=lambda e: rule_order[e.rule_id]):
-        tol = entry.tolerances or DEFAULT_TOLERANCES
-        records += run_cases(entry.rule_id, entry.cases(), tol, entry.perturb_rhs)
+        records += run_cases(entry.rule_id, entry.cases(), entry.tolerances, entry.perturb_rhs)
     report = VerdictReport(records=records)
     report.wall_time = time.perf_counter() - t0
     return report

@@ -144,6 +144,13 @@ def test_non_finite_term_message_is_pinned(function, symbol):
     assert info.value.index == 0
 
 
+def test_pole_prologue_overflow_is_refused():
+    # (-x)^3 overflows before the first term past the poles of 1/Gamma(k - 2)
+    with pytest.raises(EvaluationDomainError) as info:
+        tricomi_c(-3, 1e200)
+    assert str(info.value) == "non-finite term while summing C_-3.0(1e+200)"
+
+
 def test_backend_is_pure_python():
     assert besselsums.BACKEND == "pure-python"
 

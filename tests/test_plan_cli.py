@@ -39,7 +39,7 @@ from besselsums import (
 )
 from besselsums import series
 from besselsums.cli import main
-from besselsums.report import render_csv, render_json, render_table, VerdictReport
+from besselsums.report import emit_report, render_csv, render_json, render_table, VerdictReport
 from besselsums.rules import VerificationRecord
 
 
@@ -101,6 +101,24 @@ class TestLoadPlan:
     def test_unknown_rule(self, tmp_path):
         with pytest.raises(PlanError, match="unknown rule"):
             load_plan(write_plan(tmp_path, {"entries": [{"rule": "NOPE", "grid": {}}]}))
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"grid": {}}, "entry 0: missing 'rule'"),
+            ({"rule": "ASCENDING_GEN"}, "entry 0 (ASCENDING_GEN): missing 'grid' object"),
+            ({"rule": "ASCENDING_GEN", "grid": [1]}, "entry 0 (ASCENDING_GEN): missing 'grid' object"),
+            ({"rule": "ASCENDING_GEN", "grid": {"nu": [], "x": [2], "t": [0]}},
+             "entry 0 (ASCENDING_GEN): parameter 'nu' must be a nonempty list"),
+            ({"rule": "ASCENDING_GEN", "grid": {"nu": 0, "x": [2], "t": [0]}},
+             "entry 0 (ASCENDING_GEN): parameter 'nu' must be a nonempty list"),
+        ],
+        ids=["no rule", "no grid", "grid a list", "empty list", "bare number"],
+    )
+    def test_malformed_entry_message(self, tmp_path, capsys, entry, message):
+        path = write_plan(tmp_path, {"entries": [entry]})
+        assert main(["verify", "--plan", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_missing_parameter_named(self, tmp_path):
         bad = {"entries": [{"rule": "ASCENDING_GEN", "grid": {"nu": [0], "x": [2]}}]}
@@ -359,6 +377,11 @@ class TestDefaultPlanEndToEnd:
 
 
 class TestReportEmission:
+    def test_unknown_format_is_refused(self):
+        with pytest.raises(ValueError) as err:
+            emit_report(VerdictReport(records=[]), fmt="xml")
+        assert str(err.value) == "unknown format 'xml'; expected one of ('table', 'csv', 'json')"
+
     def test_empty_csv_is_header_only(self):
         text = render_csv(VerdictReport(records=[]))
         assert text == "rule_id,lhs,rhs,abs_err,rel_err,verdict\n"
@@ -489,6 +512,19 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: bessel_j got 'nu' more than once\n"
 
+    @pytest.mark.parametrize(
+        "args, err",
+        [
+            (["nu"], "error: arguments must look like key=value, got 'nu'\n"),
+            (["nu=abc", "x=1"], "error: cannot parse 'nu=abc' as a number\n"),
+        ],
+    )
+    def test_eval_malformed_argument(self, args, err, capsys):
+        assert main(["eval", "bessel_j", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err
+
     def test_eval_missing_argument(self, capsys):
         assert main(["eval", "bessel_j", "nu=0"]) == 1
         assert "missing" in capsys.readouterr().err
@@ -611,23 +647,25 @@ class TestCli:
         data = json.loads(out.read_text())
         assert data["records"][0]["verdict"] == "VERIFIED"
 
+    def test_verify_out_into_a_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "none" / "report.json"
+        assert main(["verify", "--plan", str(write_plan(tmp_path, MINIMAL)), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot write report: [Errno 2] No such file or directory: {str(out)!r}\n"
+        )
+
     def test_verify_tolerance_override(self, tmp_path, capsys):
-        # an absurdly tight global tolerance flips trivial-but-inexact cases
+        # an absurdly tight entry tolerance flips trivial-but-inexact cases
         payload = {
             "entries": [
-                {"rule": "GRAF_REAL", "grid": {"nu": [1], "x": [5], "y": [1], "t": [2]}}
+                {"rule": "GRAF_REAL", "grid": {"nu": [1], "x": [5], "y": [1], "t": [2]},
+                 "tol_abs": 1e-30, "tol_rel": 1e-30}
             ]
         }
         path = write_plan(tmp_path, payload)
-        assert (
-            main(
-                [
-                    "verify", "--plan", str(path), "--format", "csv",
-                    "--tol-abs", "1e-30", "--tol-rel", "1e-30",
-                ]
-            )
-            == 2
-        )
+        assert main(["verify", "--plan", str(path), "--format", "csv"]) == 2
         capsys.readouterr()
 
     @pytest.mark.parametrize(
@@ -636,6 +674,9 @@ class TestCli:
             ["verify", "--bogus"],
             ["verify", "--format", "xml"],
             ["verify", "--parallel", "2"],
+            # verdict tolerances come from the plan alone
+            ["verify", "--tol-abs", "1e-3"],
+            ["verify", "--tol-rel", "1e-4"],
             [],
         ],
         ids=lambda args: " ".join(args) or "no command",
@@ -649,7 +690,9 @@ class TestCli:
 
     def test_help_exits_0(self, capsys):
         assert main(["verify", "--help"]) == 0
-        assert "--tol-abs" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "--plan" in out
+        assert "--tol-abs" not in out
 
 
 ASCENDING = {"rule": "ASCENDING_GEN", "grid": {"nu": [0], "x": [2], "t": [0.1]}}
@@ -876,61 +919,10 @@ class TestTolerances:
         entry = load_plan(write_plan(tmp_path, payload)).entries[0]
         assert entry.tolerances == Tolerances(tol_abs=1e-3, tol_rel=1e-8)
 
-    @pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel"])
-    def test_cli_flag_is_a_usage_error(self, tmp_path, capsys, flag):
-        path = write_plan(tmp_path, MINIMAL)
-        assert main(["verify", "--plan", str(path), flag, "-1"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "must be a finite number >= 0" in captured.err
-
-    @staticmethod
-    def verify_tolerances(tmp_path, monkeypatch, capsys, entries, *flags):
-        """The tolerances each entry reaches the plan runner with under ``flags``."""
-        import besselsums.cli as cli_mod
-
-        seen = []
-
-        def runner(plan):
-            seen.extend(entry.tolerances for entry in plan.entries)
-            return VerdictReport(records=[])
-
-        monkeypatch.setattr(cli_mod, "run_plan", runner)
-        path = write_plan(tmp_path, {"entries": entries})
-        assert main(["verify", "--plan", str(path), "--format", "csv", *flags]) == 0
-        capsys.readouterr()
-        return seen
-
-    def test_entry_tolerance_beats_every_flag(self, tmp_path, monkeypatch, capsys):
-        # an entry with only tol_rel keeps its rule's tol_abs, not --tol-abs
-        entries = [{**ASCENDING, "tol_rel": 1e-5}]
-        seen = self.verify_tolerances(tmp_path, monkeypatch, capsys, entries, "--tol-abs", "1e-3")
-        assert seen == [Tolerances(tol_abs=1e-9, tol_rel=1e-5)]
-
-    @pytest.mark.parametrize(
-        "flags, ascending, derivative",
-        [
-            (("--tol-abs", "1e-3"), Tolerances(1e-3, 1e-8), Tolerances(1e-3, 1e-8)),
-            (("--tol-rel", "1e-4"), Tolerances(1e-9, 1e-4), Tolerances(1e-9, 1e-4)),
-            (("--tol-abs", "0", "--tol-rel", "0"), Tolerances(0, 0), Tolerances(0, 0)),
-        ],
-    )
-    def test_flags_merge_over_rule_defaults(
-        self, tmp_path, monkeypatch, capsys, flags, ascending, derivative
-    ):
-        # an entry without tolerances takes the flags over the one default,
-        # APPENDIX_DERIV (once a looser rule) like ASCENDING_GEN
-        entries = [ASCENDING, {"rule": "APPENDIX_DERIV", "grid": {"nu": [1], "x": [2]}}]
-        seen = self.verify_tolerances(tmp_path, monkeypatch, capsys, entries, *flags)
-        assert seen == [ascending, derivative]
-
-    def test_bad_flag_fails_when_no_entry_uses_it(self, tmp_path, capsys):
-        path = tmp_path / "plan.json"
-        path.write_text(ascending_plan(tol_abs=1e-9, tol_rel=1e-8))
-        assert main(["verify", "--plan", str(path), "--tol-rel", "-1"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: --tol-abs/--tol-rel: tol_rel must be a finite number >= 0, got -1.0\n"
+    def test_entry_without_tolerances_loads_the_default(self, tmp_path):
+        # the runner judges at the value as loaded: there is no unset state
+        entry = load_plan(write_plan(tmp_path, MINIMAL)).entries[0]
+        assert entry.tolerances == DEFAULT_TOLERANCES
 
 
 # Fuzzing: arbitrary json made from the words a plan uses, and plan-shaped

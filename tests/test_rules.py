@@ -569,3 +569,15 @@ def test_a_non_finite_side_is_inconclusive(lhs, rhs):
     for tol in (Tolerances(0.0, 0.0), Tolerances(1e300, 1e300)):
         rec = rules_mod._record(rules_mod.RuleId.ASCENDING_GEN, {}, lhs, rhs, tol)
         assert rec.verdict is Verdict.INCONCLUSIVE
+
+
+@pytest.mark.parametrize(
+    "majorant, n",
+    [
+        (rules_mod._gamma_majorant(1.0, 0.0, 1.0, -1.3), 0),  # 0.0 ** -0.3 raises ZeroDivisionError
+        (rules_mod._gamma_majorant(1e300, 1.0), 5),  # (1e300) ** 6 raises OverflowError
+    ],
+    ids=["zero to a negative power", "overflow"],
+)
+def test_a_majorant_that_cannot_be_computed_bounds_nothing(majorant, n):
+    assert majorant(n) == math.inf
